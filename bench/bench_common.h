@@ -121,11 +121,11 @@ struct BenchContext {
 
   // Robustness (core/fault/).  --fault SPEC arms deterministic fault
   // injection (grammar in core/fault/fault.h); the spec rides along in the
-  // worker re-exec argv, so pipe workers inherit it -- use match= to pin a
-  // rule to one point.  --max-point-retries bounds how often a forfeited
-  // point is retried before quarantine; --point-deadline S kills a socket
-  // worker that holds one point longer than S seconds, heartbeats
-  // notwithstanding.
+  // worker re-exec argv, so --workers children inherit it -- use match= to
+  // pin a rule to one point.  --max-point-retries bounds how often a
+  // forfeited point is retried before quarantine; --point-deadline S kills
+  // a worker (local child or socket) that holds one point longer than S
+  // seconds, heartbeats notwithstanding.
   std::string fault_spec;            // empty = no injection
   std::size_t max_point_retries = 3;
   double point_deadline = 0.0;       // 0 = watchdog disabled
@@ -515,9 +515,10 @@ inline BenchContext parse_context(int argc, char** argv) {
 /// In worker mode (the hidden --worker --sweep=NAME flags the runner
 /// passes to its subprocesses) the behavior is different: when `spec` is
 /// the sweep this worker was spawned for, the call serves points over the
-/// protocol fds (stdin / fd 3) and never returns; for any other sweep it
-/// returns empty placeholder results so the harness skips cheaply to the
-/// sweep being served (all output is discarded in worker mode).
+/// socket the runner passed down (fds 0 and 3) and never returns; for any
+/// other sweep it returns empty placeholder results so the harness skips
+/// cheaply to the sweep being served (all output is discarded in worker
+/// mode).
 ///
 /// In --connect mode the call dials the coordinator and serves this sweep
 /// over the socket protocol, then returns all-skipped placeholders (the
@@ -628,7 +629,12 @@ inline std::vector<sweep::PointResult> run_sweep(
   options.point_filter = ctx.point_filter;
   options.family_filter = ctx.family_filter;
   options.size_filter = ctx.size_filter;
-  options.max_point_retries = ctx.max_point_retries;
+  // One set of job-server settings for both engine-driven paths: the local
+  // worker pool (--workers) and the socket job server (--listen).
+  options.engine.worker_timeout = ctx.net_timeout;
+  options.engine.heartbeat_interval = ctx.net_heartbeat;
+  options.engine.max_point_retries = ctx.max_point_retries;
+  options.engine.point_deadline = ctx.point_deadline;
   if (ctx.workers > 0) {
     options.worker_command = ctx.command;
     options.worker_command.push_back("--worker");
@@ -636,11 +642,8 @@ inline std::vector<sweep::PointResult> run_sweep(
   }
   if (ctx.listen) {
     net::SocketCoordinatorOptions coordinator;
-    coordinator.engine.worker_timeout = ctx.net_timeout;
-    coordinator.engine.heartbeat_interval = ctx.net_heartbeat;
+    coordinator.engine = options.engine;
     coordinator.engine.evaluator = evaluator_id;
-    coordinator.engine.max_point_retries = ctx.max_point_retries;
-    coordinator.engine.point_deadline = ctx.point_deadline;
     coordinator.dial = ctx.dial;
     coordinator.local_fallback = ctx.net_local_fallback;
     if (ctx.lease) {

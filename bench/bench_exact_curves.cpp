@@ -103,8 +103,8 @@ int main(int argc, char** argv) {
     exact_spec.add_block("cw", {0, 1, 2});
   }
   exact_spec.set_ps(ps);
-  // The registered evaluator, not a local lambda: the coordinator, pipe
-  // workers, --connect workers, and qps_workerd daemons all run this same
+  // The registered evaluator, not a local lambda: the coordinator, --workers
+  // children, --connect workers, and qps_workerd daemons all run this same
   // code path, which is what makes their results interchangeable.
   const auto evaluate_exact =
       sweep::find_standard_evaluator("exact_ppc", ctx.threads);

@@ -409,6 +409,7 @@ void JobServerEngine::forfeit(std::size_t index) {
     if (done()) broadcast_bye();
   } else {
     pending_.push_front(index);
+    ++requeues_;
     NetMetrics::get().requeues.increment();
   }
 }
@@ -472,6 +473,7 @@ void JobServerEngine::dispatch() {
       s.in_flight = pending_.front();
       s.dispatched_at = s.last_activity;
       pending_.pop_front();
+      ++dispatches_;
       NetMetrics::get().dispatches.increment();
       outbox_.push_back({id, sweep::encode_request(s.in_flight), false});
       if (pending_.empty()) return;
@@ -528,13 +530,6 @@ double JobServerEngine::next_deadline() const {
     }
   }
   return deadline;
-}
-
-std::size_t JobServerEngine::active_workers() const {
-  std::size_t count = 0;
-  for (const auto& [id, s] : sessions_)
-    if (s.state == Session::State::kActive) ++count;
-  return count;
 }
 
 }  // namespace qps::net

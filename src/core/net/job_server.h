@@ -3,13 +3,14 @@
 // JobServerEngine is deliberately transport-free: it consumes connection
 // events (open / bytes / close / clock tick) tagged with an opaque
 // SessionId and produces outgoing frames plus completed point results.
-// The same machine therefore runs over real TCP sockets
-// (core/net/socket_sweep.h) and over the in-process simulated network
+// The same machine therefore runs over real TCP sockets and over the
+// socketpairs of SweepRunner's local worker pool (both driven by
+// core/net/socket_sweep.h), and over the in-process simulated network
 // (sim/protocol_harness.h), which is how slow joiners, mid-sweep worker
 // death, partitions, duplicate deliveries, and truncated frames get full
 // ctest coverage without a real host pair.
 //
-// Scheduling is the pipe runner's dynamic stealing, generalized:
+// Scheduling is dynamic work stealing:
 //
 //  * Points are handed out one at a time; a worker gets its next point
 //    the moment its previous result lands, so a slow point never stalls
@@ -147,16 +148,18 @@ class JobServerEngine {
 
   // -- progress and introspection ----------------------------------------
   bool done() const { return outstanding_ == 0; }
+  /// Points waiting for a worker (neither in flight nor done).
+  std::size_t pending_count() const { return pending_.size(); }
   /// Soonest timeout deadline, or +infinity with no armed timer; drivers
   /// derive their poll timeout from it.
   double next_deadline() const;
-  /// Sessions past the handshake (busy or idle).
-  std::size_t active_workers() const;
   std::size_t session_count() const { return sessions_.size(); }
   std::uint64_t protocol_errors() const { return protocol_errors_; }
   std::uint64_t duplicates_ignored() const { return duplicates_ignored_; }
   std::uint64_t workers_timed_out() const { return workers_timed_out_; }
   std::uint64_t results_from_workers() const { return results_from_workers_; }
+  std::uint64_t dispatches() const { return dispatches_; }
+  std::uint64_t requeues() const { return requeues_; }
   std::uint64_t points_quarantined() const { return points_quarantined_; }
   std::uint64_t deadline_forfeits() const { return deadline_forfeits_; }
   std::uint64_t stale_epoch_rejected() const { return stale_epoch_rejected_; }
@@ -239,6 +242,8 @@ class JobServerEngine {
   std::uint64_t duplicates_ignored_ = 0;
   std::uint64_t workers_timed_out_ = 0;
   std::uint64_t results_from_workers_ = 0;
+  std::uint64_t dispatches_ = 0;
+  std::uint64_t requeues_ = 0;
   std::uint64_t points_quarantined_ = 0;
   std::uint64_t deadline_forfeits_ = 0;
   std::uint64_t stale_epoch_rejected_ = 0;

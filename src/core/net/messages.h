@@ -2,8 +2,8 @@
 //
 // Every frame on a worker connection is one '\n'-terminated JSON line
 // (core/net/framing.h reassembles them).  The request and result frames
-// are exactly the pipe protocol's lines (core/sweep/wire.h) -- the socket
-// layer adds only connection management:
+// are the sweep wire lines (core/sweep/wire.h), the same ones the
+// checkpoint journal stores; everything else is connection management:
 //
 //   worker -> coordinator   HELLO      first line after connect; carries
 //                                      the protocol version and either a

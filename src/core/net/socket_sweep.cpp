@@ -1,9 +1,13 @@
 #include "core/net/socket_sweep.h"
 
+#include <fcntl.h>
 #include <poll.h>
-
+#include <signal.h>
+#include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cmath>
@@ -22,6 +26,7 @@
 #include "core/obs/trace.h"
 #include "core/sweep/spec_codec.h"
 #include "util/backoff.h"
+#include "util/fsio.h"
 #include "util/require.h"
 
 namespace qps::net {
@@ -103,15 +108,113 @@ bool parse_host_port(const std::string& text, std::string& host,
   return true;
 }
 
-void run_socket_sweep(TcpListener& listener,
-                      const std::vector<sweep::SweepPoint>& points,
-                      const std::string& sweep_name, std::uint64_t fingerprint,
-                      std::deque<std::size_t> pending,
-                      const sweep::PointEvaluator& local_eval,
-                      const sweep::RemoteRecord& record,
-                      const SocketCoordinatorOptions& options,
-                      const sweep::RemoteQuarantine& quarantine) {
-  QPS_REQUIRE(listener.valid(), "job server needs a bound listener");
+namespace {
+
+/// SweepRunner's local worker pool (make_local_pool_runner).  The engine
+/// schedules and judges its children like any worker; the pool only keeps
+/// `workers` of them alive while points wait and SIGKILLs and reaps each
+/// child whose session the loop closes.  Respawns are capped at
+/// workers x (max_point_retries + 1): a useful respawn follows a forfeit,
+/// and a point forfeits at most that often before quarantine, so a crash
+/// loop cannot fork forever.
+class LocalPool {
+ public:
+  LocalPool(std::vector<std::string> command, std::size_t workers,
+            std::size_t max_point_retries)
+      : command_(std::move(command)),
+        workers_(workers),
+        spawn_budget_(workers * (max_point_retries + 2)) {}
+  ~LocalPool() {
+    for (const auto& [fd, pid] : children_) reap(pid);
+  }
+  LocalPool(const LocalPool&) = delete;
+  LocalPool& operator=(const LocalPool&) = delete;
+
+  /// Children to open as sessions: the first `workers`, then replacements
+  /// while points wait and the budget lasts.
+  std::vector<TcpStream> open(const JobServerEngine& engine) {
+    static obs::Counter& respawned =
+        obs::MetricsRegistry::instance().counter("sweep/workers_respawned");
+    std::vector<TcpStream> opened;
+    while (children_.size() < workers_ && engine.pending_count() > 0 &&
+           spawn_budget_ > 0) {
+      --spawn_budget_;
+      TcpStream stream = spawn();
+      if (!stream.valid()) {
+        spawn_budget_ = 0;  // cannot fork: the local fallback takes over
+        break;
+      }
+      if (spawned_++ >= workers_) respawned.increment();
+      opened.push_back(std::move(stream));
+    }
+    return opened;
+  }
+
+  /// The loop is about to close `stream`.
+  void closing(const TcpStream& stream) {
+    const auto it = children_.find(stream.fd());
+    if (it == children_.end()) return;
+    reap(it->second);
+    children_.erase(it);
+  }
+
+ private:
+  TcpStream spawn() {
+    // Both ends close on exec, so no child inherits a sibling's socket (a
+    // stray copy would keep that sibling's EOF from ever arriving).
+    int ends[2];
+    if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, ends) != 0)
+      return TcpStream();
+    std::vector<char*> argv;
+    for (std::string& arg : command_) argv.push_back(arg.data());
+    argv.push_back(nullptr);
+    const pid_t pid = ::fork();
+    if (pid == 0) {
+      // Child: lift the socket above fd 3 first so both dup2s really copy
+      // it -- a copy is what clears close-on-exec.
+      const int end = ::fcntl(ends[1], F_DUPFD_CLOEXEC, 4);
+      if (end < 0 || ::dup2(end, STDIN_FILENO) < 0 || ::dup2(end, 3) < 0)
+        ::_exit(127);
+      const int devnull = ::open("/dev/null", O_WRONLY | O_CLOEXEC);
+      if (devnull >= 0) ::dup2(devnull, STDOUT_FILENO);
+      ::execvp(argv[0], argv.data());
+      ::_exit(127);
+    }
+    ::close(ends[1]);
+    if (pid < 0) {
+      ::close(ends[0]);
+      return TcpStream();
+    }
+    children_.emplace(ends[0], pid);
+    return TcpStream(ends[0]);
+  }
+
+  static void reap(pid_t pid) {
+    ::kill(pid, SIGKILL);
+    while (::waitpid(pid, nullptr, 0) < 0 && errno == EINTR) {
+    }
+  }
+
+  std::vector<std::string> command_;
+  std::size_t workers_;
+  std::size_t spawn_budget_;  ///< The first `workers` plus the respawns.
+  std::size_t spawned_ = 0;
+  std::map<int, pid_t> children_;  ///< Parent-end fd -> child pid.
+};
+
+/// The coordinator loop behind run_socket_sweep() and the local worker
+/// pool: accepts on `listener` and draws children from `pool`, either of
+/// which may be null.
+void coordinate(TcpListener* listener, LocalPool* pool,
+                const std::vector<sweep::SweepPoint>& points,
+                const std::string& sweep_name, std::uint64_t fingerprint,
+                std::deque<std::size_t> pending,
+                const sweep::PointEvaluator& local_eval,
+                const sweep::RemoteRecord& record,
+                const SocketCoordinatorOptions& options,
+                const sweep::RemoteQuarantine& quarantine) {
+  QPS_REQUIRE(listener == nullptr || listener->valid(),
+              "job server needs a bound listener");
   QPS_REQUIRE(!options.local_fallback || static_cast<bool>(local_eval),
               "local fallback needs an evaluator");
   QPS_TRACE_SPAN("net/serve_sweep", "net");
@@ -125,6 +228,21 @@ void run_socket_sweep(TcpListener& listener,
   util::Backoff accept_backoff(/*initial_seconds=*/0.01, /*max_seconds=*/1.0,
                                /*seed=*/fingerprint);
 
+  const auto add_session = [&](TcpStream stream) {
+    const SessionId id = next_id++;
+    streams.emplace(id, std::move(stream));
+    engine.on_open(id, monotonic_seconds());
+  };
+  const auto spawn_children = [&] {
+    if (pool == nullptr) return;
+    for (TcpStream& stream : pool->open(engine)) add_session(std::move(stream));
+  };
+  const auto drop = [&](std::map<SessionId, TcpStream>::iterator it) {
+    if (pool != nullptr) pool->closing(it->second);
+    it->second.close();
+    streams.erase(it);
+  };
+
   const auto flush = [&] {
     // Draining can cascade: a failed send closes a session, which forfeits
     // its point, which dispatches to another worker.
@@ -134,15 +252,12 @@ void run_socket_sweep(TcpListener& listener,
       for (const JobServerEngine::Send& send : outbox) {
         const auto it = streams.find(send.session);
         if (it == streams.end()) continue;
-        bool drop = send.close_after;
+        bool hang_up = send.close_after;
         if (!send.bytes.empty() && !it->second.send_all(send.bytes)) {
           engine.on_close(send.session, monotonic_seconds());
-          drop = true;
+          hang_up = true;
         }
-        if (drop) {
-          it->second.close();
-          streams.erase(send.session);
-        }
+        if (hang_up) drop(it);
       }
     }
   };
@@ -153,9 +268,8 @@ void run_socket_sweep(TcpListener& listener,
       record(index, stats);
     for (const auto& [index, attempts] : engine.take_quarantined()) {
       // With local fallback enabled the coordinator is allowed one
-      // last-resort evaluation before declaring the point poison -- the
-      // same semantics as the pipe runner's in-process tail.  Without it
-      // (tests proving workers computed everything) quarantine is final.
+      // last-resort evaluation before declaring the point poison.  Without
+      // it (tests proving workers computed everything) quarantine is final.
       if (options.local_fallback) {
         try {
           QPS_TRACE_SPAN("sweep/point", "sweep");
@@ -192,10 +306,9 @@ void run_socket_sweep(TcpListener& listener,
                 << address << "\n";
       continue;
     }
-    const SessionId id = next_id++;
-    streams.emplace(id, std::move(stream));
-    engine.on_open(id, monotonic_seconds());
+    add_session(std::move(stream));
   }
+  spawn_children();
 
   // Supersession: detection (a worker fence/hello named a newer epoch, or
   // the lease callback fired) starts a short drain window during which
@@ -236,7 +349,8 @@ void run_socket_sweep(TcpListener& listener,
 
     std::vector<pollfd> fds;
     std::vector<SessionId> ids;
-    fds.push_back({listener.fd(), POLLIN, 0});
+    if (listener != nullptr) fds.push_back({listener->fd(), POLLIN, 0});
+    const std::size_t first_stream = fds.size();
     for (const auto& [id, stream] : streams) {
       ids.push_back(id);
       fds.push_back({stream.fd(), POLLIN, 0});
@@ -259,15 +373,13 @@ void run_socket_sweep(TcpListener& listener,
       QPS_CHECK(false, "poll failed in job server loop");
     }
 
-    if (fds[0].revents & POLLIN) {
+    if (listener != nullptr && (fds[0].revents & POLLIN)) {
       bool accepted = false;
       try {
         QPS_FAULT_POINT("net/coordinator_accept");
-        TcpStream stream = listener.accept();
+        TcpStream stream = listener->accept();
         if (stream.valid()) {
-          const SessionId id = next_id++;
-          streams.emplace(id, std::move(stream));
-          engine.on_open(id, monotonic_seconds());
+          add_session(std::move(stream));
           accepted = true;
         }
       } catch (const fault::InjectedFault&) {
@@ -285,7 +397,8 @@ void run_socket_sweep(TcpListener& listener,
     // Reads strictly before the timeout tick: bytes buffered while we were
     // busy (or blocked in a local evaluation) count as liveness.
     for (std::size_t k = 0; k < ids.size(); ++k) {
-      if ((fds[k + 1].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
+      if ((fds[first_stream + k].revents & (POLLIN | POLLHUP | POLLERR)) == 0)
+        continue;
       const auto it = streams.find(ids[k]);
       if (it == streams.end()) continue;
       char chunk[4096];
@@ -296,8 +409,7 @@ void run_socket_sweep(TcpListener& listener,
                         monotonic_seconds());
       } else {
         engine.on_close(ids[k], monotonic_seconds());
-        it->second.close();
-        streams.erase(it);
+        drop(it);
       }
     }
     engine.on_tick(monotonic_seconds());
@@ -305,6 +417,9 @@ void run_socket_sweep(TcpListener& listener,
     deliver();
     check_superseded();
 
+    // Replace dead children before deciding the coordinator must evaluate
+    // locally.
+    spawn_children();
     if (options.local_fallback && engine.session_count() == 0 &&
         superseded_at == 0.0 && !engine.done()) {
       if (const auto index = engine.take_local_point()) {
@@ -342,18 +457,27 @@ void run_socket_sweep(TcpListener& listener,
        << " protocol error(s), " << engine.stale_epoch_rejected()
        << " stale-epoch rejection(s), " << engine.probation_demotions()
        << " probation demotion(s)\n";
-  const std::string text = line.str();
-  const char* data = text.data();
-  std::size_t left = text.size();
-  while (left > 0) {
-    const ssize_t n = ::write(STDERR_FILENO, data, left);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    data += static_cast<std::size_t>(n);
-    left -= static_cast<std::size_t>(n);
+  util::write_all(STDERR_FILENO, line.str());
+  if (pool != nullptr) {
+    // The local pool's own counters, mirrored from the engine's.
+    obs::MetricsRegistry& registry = obs::MetricsRegistry::instance();
+    registry.counter("sweep/worker_dispatches").add(engine.dispatches());
+    registry.counter("sweep/points_requeued").add(engine.requeues());
   }
+}
+
+}  // namespace
+
+void run_socket_sweep(TcpListener& listener,
+                      const std::vector<sweep::SweepPoint>& points,
+                      const std::string& sweep_name, std::uint64_t fingerprint,
+                      std::deque<std::size_t> pending,
+                      const sweep::PointEvaluator& local_eval,
+                      const sweep::RemoteRecord& record,
+                      const SocketCoordinatorOptions& options,
+                      const sweep::RemoteQuarantine& quarantine) {
+  coordinate(&listener, nullptr, points, sweep_name, fingerprint,
+             std::move(pending), local_eval, record, options, quarantine);
 }
 
 sweep::RemoteRunner make_socket_remote_runner(
@@ -372,6 +496,26 @@ sweep::RemoteRunner make_socket_remote_runner(
     if (epoch != 0) opts.engine.epoch = epoch;  // journal-backed: fenced
     run_socket_sweep(*listener, points, spec.name(), spec.fingerprint(),
                      std::move(pending), eval, record, opts, quarantine);
+  };
+}
+
+sweep::RemoteRunner make_local_pool_runner(std::vector<std::string> command,
+                                           std::size_t workers,
+                                           JobServerOptions engine) {
+  return [command, workers, engine](
+             const sweep::SweepSpec& spec,
+             const std::vector<sweep::SweepPoint>& points,
+             std::deque<std::size_t> pending, std::uint64_t epoch,
+             const sweep::PointEvaluator& eval,
+             const sweep::RemoteRecord& record,
+             const sweep::RemoteQuarantine& quarantine) {
+    SocketCoordinatorOptions options;
+    options.engine = engine;
+    if (epoch != 0) options.engine.epoch = epoch;  // journal-backed: fenced
+    LocalPool pool(command, std::min(workers, pending.size()),
+                   engine.max_point_retries);
+    coordinate(nullptr, &pool, points, spec.name(), spec.fingerprint(),
+               std::move(pending), eval, record, options, quarantine);
   };
 }
 

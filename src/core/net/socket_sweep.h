@@ -1,15 +1,18 @@
-// TCP drivers for the sweep worker protocol.
+// Socket drivers for the sweep worker protocol.
 //
 // Both protocol state machines are transport-free (core/net/job_server.h,
 // core/net/worker.h); this header binds them to real sockets:
 //
-//  * run_socket_sweep() is the coordinator's job-server loop: it polls the
-//    listener and every worker connection, feeds the JobServerEngine
-//    (reads strictly before timeout ticks, so a hello buffered during a
-//    long local evaluation always beats the handshake axe), flushes its
-//    outbox, and -- when no worker is serving and local fallback is
-//    enabled -- evaluates pending points in-process so the sweep
-//    terminates even if every daemon declines or dies.
+//  * run_socket_sweep() is the coordinator's job-server loop -- the only
+//    one: it polls the listener (if any) and every worker connection,
+//    feeds the JobServerEngine (reads strictly before timeout ticks, so a
+//    hello buffered during a long local evaluation always beats the
+//    handshake axe), flushes its outbox, and -- when no worker is serving
+//    and local fallback is enabled -- evaluates pending points in-process
+//    so the sweep terminates even if every worker declines or dies.  TCP
+//    workers arrive through the listener or options.dial.
+//  * make_local_pool_runner() runs the same loop without a listener over
+//    SweepRunner's local worker children, one socketpair each.
 //  * serve_connection() / serve_pinned_sweep() are the worker's blocking
 //    side: hello, welcome, evaluate-request loop until bye, with a
 //    background heartbeat thread keeping the coordinator's liveness timer
@@ -101,6 +104,19 @@ void run_socket_sweep(TcpListener& listener,
 /// empty, the spec is serialized automatically per sweep.
 sweep::RemoteRunner make_socket_remote_runner(TcpListener* listener,
                                               SocketCoordinatorOptions options);
+
+/// SweepRunner's `workers >= 1` path as a sweep-layer hook: per sweep,
+/// `workers` local children of `command` (the bench re-invoked in --worker
+/// mode, entering SweepRunner::serve) -- each with its end of a
+/// socketpair(AF_UNIX, SOCK_STREAM) on fds 0 and 3 and stdout discarded --
+/// driven as pinned sessions by the coordinator loop, with no listener and
+/// local fallback on.  Dispatch, retries, quarantine, the point deadline,
+/// health scoring and fencing are the engine's; children whose session
+/// closes are SIGKILLed and reaped, and replaced while points wait, up to
+/// workers x (max_point_retries + 1) respawns.
+sweep::RemoteRunner make_local_pool_runner(std::vector<std::string> command,
+                                           std::size_t workers,
+                                           JobServerOptions engine);
 
 /// Accepts and immediately declines (retry=true) every connection queued
 /// on `listener`, without reading the hello.  A warm standby calls this

@@ -1,7 +1,7 @@
 // Standard sweep evaluators: the registry behind generic remote workers.
 //
-// A bench re-invoked as a worker (--worker over pipes, --connect over
-// sockets) rebuilds its evaluator from its own argv; a generic worker
+// A bench re-invoked as a worker (--worker over a socketpair, --connect
+// over TCP) rebuilds its evaluator from its own argv; a generic worker
 // daemon (tools/qps_workerd) cannot, so it serves only sweeps whose
 // evaluator is registered here by id.  The coordinator advertises the id
 // in the handshake welcome alongside the serialized spec, and both sides

@@ -1,163 +1,24 @@
 #include "core/sweep/sweep_runner.h"
 
-#include <fcntl.h>
-#include <poll.h>
-#include <signal.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
-#include <cstring>
 #include <deque>
 #include <iostream>
-#include <sstream>
+#include <string>
 
 #include "core/fault/fault.h"
+#include "core/net/socket_sweep.h"
 #include "core/obs/metrics.h"
 #include "core/obs/trace.h"
 #include "core/sweep/checkpoint.h"
-#include "core/sweep/wire.h"
+#include "util/fsio.h"
 #include "util/require.h"
 
 namespace qps::sweep {
 
 namespace {
-
-struct SweepMetrics {
-  obs::Counter& points_done =
-      obs::MetricsRegistry::instance().counter("sweep/points_done");
-  obs::Counter& points_requeued =
-      obs::MetricsRegistry::instance().counter("sweep/points_requeued");
-  obs::Counter& points_quarantined =
-      obs::MetricsRegistry::instance().counter("sweep/points_quarantined");
-  obs::Counter& workers_respawned =
-      obs::MetricsRegistry::instance().counter("sweep/workers_respawned");
-  obs::Counter& worker_dispatches =
-      obs::MetricsRegistry::instance().counter("sweep/worker_dispatches");
-  obs::Gauge& queue_depth =
-      obs::MetricsRegistry::instance().gauge("sweep/queue_depth");
-  obs::Gauge& workers_busy =
-      obs::MetricsRegistry::instance().gauge("sweep/workers_busy");
-
-  static SweepMetrics& get() {
-    static SweepMetrics metrics;
-    return metrics;
-  }
-};
-
-/// Writes the whole buffer, retrying on EINTR; false on any other error
-/// (e.g. EPIPE from a dead worker).
-bool write_all(int fd, const char* data, std::size_t size) {
-  while (size > 0) {
-    const ssize_t n = ::write(fd, data, size);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    data += static_cast<std::size_t>(n);
-    size -= static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-/// One spawned worker subprocess and its two pipe ends.
-struct WorkerProc {
-  pid_t pid = -1;
-  int request_fd = -1;  ///< Parent writes request lines here (worker stdin).
-  int result_fd = -1;   ///< Parent reads result lines here (worker fd 3).
-  std::string buffer;   ///< Partial result line accumulator.
-  bool busy = false;
-  std::size_t in_flight = 0;
-};
-
-void close_worker_fds(WorkerProc& worker) {
-  if (worker.request_fd >= 0) ::close(worker.request_fd);
-  if (worker.result_fd >= 0) ::close(worker.result_fd);
-  worker.request_fd = worker.result_fd = -1;
-}
-
-void reap_worker(WorkerProc& worker) {
-  close_worker_fds(worker);
-  if (worker.pid > 0) {
-    int status = 0;
-    ::waitpid(worker.pid, &status, 0);
-    worker.pid = -1;
-  }
-}
-
-/// fork/execs `command` with stdin and fd 3 wired to fresh pipes and
-/// stdout discarded; returns the worker handle or pid -1 on failure.
-WorkerProc spawn_worker(const std::vector<std::string>& command) {
-  WorkerProc worker;
-  int request_pipe[2] = {-1, -1};
-  int result_pipe[2] = {-1, -1};
-  if (::pipe(request_pipe) != 0) return worker;
-  if (::pipe(result_pipe) != 0) {
-    ::close(request_pipe[0]);
-    ::close(request_pipe[1]);
-    return worker;
-  }
-  // The parent-side ends must not leak into later workers' exec images:
-  // a sibling holding a copy of this worker's request pipe would keep it
-  // from ever seeing EOF at shutdown.
-  ::fcntl(request_pipe[1], F_SETFD, FD_CLOEXEC);
-  ::fcntl(result_pipe[0], F_SETFD, FD_CLOEXEC);
-
-  const pid_t pid = ::fork();
-  if (pid < 0) {
-    ::close(request_pipe[0]);
-    ::close(request_pipe[1]);
-    ::close(result_pipe[0]);
-    ::close(result_pipe[1]);
-    return worker;
-  }
-
-  if (pid == 0) {
-    // Child: requests on stdin, results on fd 3, stdout to /dev/null so
-    // harness printing cannot corrupt the protocol.  pipe() fds are >= 3,
-    // so the dup2 targets never collide with a source before its dup2.
-    ::dup2(request_pipe[0], STDIN_FILENO);
-    ::dup2(result_pipe[1], 3);
-    const int devnull = ::open("/dev/null", O_WRONLY);
-    if (devnull >= 0) {
-      ::dup2(devnull, STDOUT_FILENO);
-      if (devnull != STDOUT_FILENO) ::close(devnull);
-    }
-    for (const int fd : {request_pipe[0], request_pipe[1], result_pipe[0],
-                         result_pipe[1]})
-      if (fd != STDIN_FILENO && fd != 3) ::close(fd);
-
-    std::vector<char*> argv;
-    argv.reserve(command.size() + 1);
-    for (const std::string& arg : command)
-      argv.push_back(const_cast<char*>(arg.c_str()));
-    argv.push_back(nullptr);
-    ::execvp(argv[0], argv.data());
-    ::_exit(127);
-  }
-
-  ::close(request_pipe[0]);
-  ::close(result_pipe[1]);
-  worker.pid = pid;
-  worker.request_fd = request_pipe[1];
-  worker.result_fd = result_pipe[0];
-  return worker;
-}
-
-/// Restores the previous SIGPIPE disposition on scope exit; a worker dying
-/// between poll() and our write must surface as EPIPE, not kill the run.
-class ScopedSigpipeIgnore {
- public:
-  ScopedSigpipeIgnore() { previous_ = ::signal(SIGPIPE, SIG_IGN); }
-  ~ScopedSigpipeIgnore() { ::signal(SIGPIPE, previous_); }
-
- private:
-  void (*previous_)(int);
-};
-
-}  // namespace
 
 /// Throttled stderr progress line (--progress): points done/total, rolling
 /// trials/sec sourced from the engine/trials counter, and an ETA from the
@@ -230,8 +91,10 @@ class ProgressMeter {
                           "sweep %s: %zu/%zu points, %.3g trials/s\n",
                           name_.c_str(), done_, total_, rate);
     if (len > 0)
-      write_all(STDERR_FILENO, line,
-                std::min(static_cast<std::size_t>(len), sizeof line - 1));
+      util::write_all(
+          STDERR_FILENO,
+          std::string_view(line, std::min(static_cast<std::size_t>(len),
+                                          sizeof line - 1)));
   }
 
   static constexpr std::uint64_t kMinIntervalUs = 1000000;
@@ -245,6 +108,8 @@ class ProgressMeter {
   std::uint64_t last_emit_us_ = 0;
   std::uint64_t last_trials_ = 0;
 };
+
+}  // namespace
 
 bool SweepOptions::selects(const SweepPoint& point) const {
   if (!point_filter.empty() && point.id != point_filter) return false;
@@ -352,21 +217,29 @@ std::vector<PointResult> SweepRunner::run(const PointEvaluator& eval) const {
   for (const char h : have) already_done += static_cast<std::size_t>(h);
   ProgressMeter progress(options_.progress, spec_.name(), points.size(),
                          already_done);
-  SweepMetrics& metrics = SweepMetrics::get();
+  static obs::Counter& points_done =
+      obs::MetricsRegistry::instance().counter("sweep/points_done");
+  static obs::Counter& points_quarantined =
+      obs::MetricsRegistry::instance().counter("sweep/points_quarantined");
+  // One computed point, from either path: aggregate, journal, count.
+  const auto complete = [&](std::size_t index, const RunningStats& stats) {
+    results[index].stats = stats;
+    have[index] = 1;
+    checkpoint.record(points[index], stats);
+    points_done.increment();
+    progress.point_done();
+  };
 
-  // Worker-pool forfeit counts: nonzero marks a point the pool already
-  // failed on, which makes the in-process loop below its *last resort*
-  // (failure there quarantines instead of propagating).
-  std::vector<std::size_t> attempts(points.size(), 0);
-
-  if (options_.workers > 0)
-    run_sharded(points, have, results, attempts, checkpoint, progress);
-
-  // Distributed path: hand the still-missing indices to the injected hook.
-  // The record sink is dedup-guarded (a badly-behaved hook reporting an
-  // index twice must not double-journal) and journals exactly like the
-  // other paths, so interrupt/resume composes with remote execution.
-  if (options_.remote_runner) {
+  // Engine-driven path: the local worker pool, or an injected remote
+  // runner, gets the still-missing indices.  The record sink is
+  // dedup-guarded: a badly-behaved hook reporting an index twice must not
+  // double-journal.
+  const RemoteRunner runner =
+      options_.workers > 0
+          ? net::make_local_pool_runner(options_.worker_command,
+                                        options_.workers, options_.engine)
+          : options_.remote_runner;
+  if (runner) {
     std::deque<std::size_t> pending;
     for (std::size_t i = 0; i < points.size(); ++i)
       if (!have[i]) pending.push_back(i);
@@ -374,13 +247,7 @@ std::vector<PointResult> SweepRunner::run(const PointEvaluator& eval) const {
       const RemoteRecord record = [&](std::size_t index,
                                       const RunningStats& stats) {
         QPS_REQUIRE(index < points.size(), "remote result index out of range");
-        if (have[index]) return;
-        results[index].stats = stats;
-        results[index].from_checkpoint = false;
-        have[index] = 1;
-        checkpoint.record(points[index], stats);
-        metrics.points_done.increment();
-        progress.point_done();
+        if (!have[index]) complete(index, stats);
       };
       const RemoteQuarantine quarantine = [&](std::size_t index,
                                               std::size_t attempts) {
@@ -388,270 +255,59 @@ std::vector<PointResult> SweepRunner::run(const PointEvaluator& eval) const {
                     "remote quarantine index out of range");
         if (have[index]) return;
         results[index].quarantined = true;
-        have[index] = 1;  // the in-process fallback must not touch it
+        have[index] = 1;  // the in-process loop must not touch it
         checkpoint.record_quarantine(points[index], attempts);
-        metrics.points_quarantined.increment();
+        points_quarantined.increment();
         std::cerr << "sweep " << spec_.name() << ": point "
                   << points[index].id << " quarantined after " << attempts
                   << " failed attempt(s)\n";
         progress.point_done();
       };
-      options_.remote_runner(spec_, points, std::move(pending),
-                             checkpoint.epoch(), eval, record, quarantine);
+      runner(spec_, points, std::move(pending), checkpoint.epoch(), eval,
+             record, quarantine);
     }
   }
 
-  // In-process path, doubling as the fallback when every worker died and
-  // as the last resort for points that burned the pool's retry budget:
-  // evaluate whatever is still missing, in index order.  A last-resort
-  // point (attempts > 0) that throws here too is quarantined; a
-  // first-touch failure propagates, exactly as it always has.
+  // In-process path: evaluate whatever is still missing, in index order.
+  // After an engine-driven run nothing is (its loop falls back to local
+  // evaluation itself), so this is the workers == 0 path.
   for (std::size_t i = 0; i < points.size(); ++i) {
     if (have[i]) continue;
-    try {
+    RunningStats stats;
+    {
       QPS_TRACE_SPAN("sweep/point", "sweep");
-      results[i].stats = eval(points[i]);
-    } catch (const std::exception& e) {
-      if (attempts[i] == 0) throw;
-      results[i].quarantined = true;
-      have[i] = 1;
-      checkpoint.record_quarantine(points[i], attempts[i]);
-      metrics.points_quarantined.increment();
-      std::cerr << "sweep " << spec_.name() << ": point " << points[i].id
-                << " quarantined after " << attempts[i]
-                << " worker attempt(s) and an in-process failure: "
-                << e.what() << "\n";
-      progress.point_done();
-      continue;
+      stats = eval(points[i]);
     }
-    have[i] = 1;
-    checkpoint.record(points[i], results[i].stats);
-    metrics.points_done.increment();
-    progress.point_done();
+    complete(i, stats);
   }
   progress.finish();
   return results;
 }
 
-void SweepRunner::run_sharded(const std::vector<SweepPoint>& points,
-                              std::vector<char>& have,
-                              std::vector<PointResult>& results,
-                              std::vector<std::size_t>& attempts,
-                              SweepCheckpoint& checkpoint,
-                              ProgressMeter& progress) const {
-  std::deque<std::size_t> pending;
-  for (std::size_t i = 0; i < points.size(); ++i)
-    if (!have[i]) pending.push_back(i);
-  if (pending.empty()) return;
-
-  ScopedSigpipeIgnore sigpipe_guard;
-  SweepMetrics& metrics = SweepMetrics::get();
-  const std::uint64_t fingerprint = spec_.fingerprint();
-
-  std::vector<WorkerProc> workers;
-  const std::size_t worker_count =
-      options_.workers < pending.size() ? options_.workers : pending.size();
-  for (std::size_t i = 0; i < worker_count; ++i) {
-    WorkerProc worker = spawn_worker(options_.worker_command);
-    if (worker.pid > 0) workers.push_back(worker);
-  }
-
-  // Dead workers are replaced while work remains, so one poison point
-  // cannot grind the pool down to the in-process fallback.  The budget
-  // bounds the total forks: every respawn is caused by a forfeit, and
-  // each point forfeits at most max_point_retries + 1 times before
-  // quarantine ends its career.
-  std::size_t outstanding = pending.size();
-  std::size_t respawn_budget =
-      worker_count * (options_.max_point_retries + 1);
-  std::vector<std::size_t> withheld;
-
-  // A worker failure forfeits only its in-flight point: push it back to the
-  // head of the queue (preserving index order among the waiting points) --
-  // or, past the point's retry budget, withhold it from the pool for the
-  // in-process last resort -- and drop the worker.
-  const auto fail_worker = [&](WorkerProc& worker) {
-    if (worker.busy) {
-      const std::size_t index = worker.in_flight;
-      worker.busy = false;
-      if (++attempts[index] > options_.max_point_retries) {
-        --outstanding;  // have[] stays 0: run() takes the last resort
-        withheld.push_back(index);
-      } else {
-        pending.push_front(index);
-        metrics.points_requeued.increment();
-      }
-    }
-    if (worker.pid > 0) ::kill(worker.pid, SIGKILL);
-    reap_worker(worker);
-  };
-
-  const auto update_gauges = [&] {
-    metrics.queue_depth.set(static_cast<std::int64_t>(pending.size()));
-    std::int64_t busy = 0;
-    for (const WorkerProc& worker : workers) busy += worker.busy ? 1 : 0;
-    metrics.workers_busy.set(busy);
-  };
-
-  while (outstanding > 0) {
-    // Replace dead workers while undispatched work remains; a failed
-    // fork ends replacement for this run (the fallback still finishes the
-    // sweep).
-    while (!pending.empty() && workers.size() < worker_count &&
-           respawn_budget > 0) {
-      --respawn_budget;
-      WorkerProc worker = spawn_worker(options_.worker_command);
-      if (worker.pid <= 0) {
-        respawn_budget = 0;
-        break;
-      }
-      workers.push_back(worker);
-      metrics.workers_respawned.increment();
-    }
-    if (workers.empty()) break;
-
-    // Dispatch: hand every idle worker its next point.
-    for (std::size_t w = 0; w < workers.size();) {
-      WorkerProc& worker = workers[w];
-      if (worker.busy || pending.empty()) {
-        ++w;
-        continue;
-      }
-      const std::size_t index = pending.front();
-      pending.pop_front();
-      const std::string request = encode_request(index);
-      if (!write_all(worker.request_fd, request.data(), request.size())) {
-        // The worker died before taking the request; charge the forfeit
-        // to this point so a pipeline that keeps dying cannot loop the
-        // respawn path forever.
-        worker.busy = true;
-        worker.in_flight = index;
-        fail_worker(worker);
-        workers.erase(workers.begin() + static_cast<std::ptrdiff_t>(w));
-        continue;
-      }
-      worker.busy = true;
-      worker.in_flight = index;
-      metrics.worker_dispatches.increment();
-      ++w;
-    }
-    if (workers.empty()) break;
-    update_gauges();
-
-    std::vector<pollfd> fds;
-    fds.reserve(workers.size());
-    for (const WorkerProc& worker : workers)
-      fds.push_back({worker.result_fd, POLLIN, 0});
-    if (::poll(fds.data(), fds.size(), -1) < 0) {
-      if (errno == EINTR) continue;
-      break;  // unrecoverable poll failure: fall back to in-process
-    }
-
-    for (std::size_t w = 0; w < workers.size();) {
-      WorkerProc& worker = workers[w];
-      if ((fds[w].revents & (POLLIN | POLLHUP | POLLERR)) == 0) {
-        ++w;
-        continue;
-      }
-      char chunk[4096];
-      const ssize_t n = ::read(worker.result_fd, chunk, sizeof chunk);
-      bool failed = n <= 0 && !(n < 0 && errno == EINTR);
-      if (n > 0) {
-        worker.buffer.append(chunk, static_cast<std::size_t>(n));
-        std::size_t newline;
-        while (!failed &&
-               (newline = worker.buffer.find('\n')) != std::string::npos) {
-          const std::string line = worker.buffer.substr(0, newline);
-          worker.buffer.erase(0, newline + 1);
-          const auto result = decode_result(line);
-          if (!result || result->sweep != spec_.name() ||
-              result->fingerprint != fingerprint || !worker.busy ||
-              result->index != worker.in_flight ||
-              result->id != points[result->index].id) {
-            // Protocol violation: the worker is not running our spec (or
-            // is corrupt).  Treat like a crash.
-            failed = true;
-            break;
-          }
-          results[result->index].stats = result->stats;
-          results[result->index].from_checkpoint = false;
-          have[result->index] = 1;
-          checkpoint.record(points[result->index], result->stats);
-          worker.busy = false;
-          --outstanding;
-          metrics.points_done.increment();
-          progress.point_done();
-        }
-      }
-      if (failed) {
-        fail_worker(worker);
-        // Resize the poll mirror too so indices keep lining up.
-        fds.erase(fds.begin() + static_cast<std::ptrdiff_t>(w));
-        workers.erase(workers.begin() + static_cast<std::ptrdiff_t>(w));
-        continue;
-      }
-      ++w;
-    }
-  }
-
-  if (outstanding > 0 && workers.empty())
-    std::cerr << "sweep " << spec_.name()
-              << ": worker pool exhausted (respawn budget spent); running "
-              << outstanding << " remaining point(s) in-process\n";
-  if (!withheld.empty()) {
-    // One grep-able accounting line: which points burned the pool's retry
-    // budget and go to the in-process last resort.
-    std::ostringstream os;
-    os << "sweep " << spec_.name() << ": " << withheld.size()
-       << " point(s) burned the worker retry budget ("
-       << options_.max_point_retries + 1
-       << " attempts); retrying in-process:";
-    for (const std::size_t index : withheld) os << ' ' << points[index].id;
-    os << '\n';
-    std::cerr << os.str();
-  }
-
-  // Clean shutdown: closing the request pipe EOFs each worker's serve()
-  // loop, which exits 0.
-  for (WorkerProc& worker : workers) reap_worker(worker);
-  update_gauges();
-}
-
 int SweepRunner::serve(const SweepSpec& spec, const PointEvaluator& eval,
                        int in_fd, int out_fd) {
   QPS_REQUIRE(static_cast<bool>(eval), "serve() needs a point evaluator");
-  const std::vector<SweepPoint> points = spec.expand();
-  const std::uint64_t fingerprint = spec.fingerprint();
-
-  std::string buffer;
-  char chunk[4096];
-  for (;;) {
-    const ssize_t n = ::read(in_fd, chunk, sizeof chunk);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return 1;
-    }
-    if (n == 0) return 0;  // runner closed the pipe: we are done
-    buffer.append(chunk, static_cast<std::size_t>(n));
-    std::size_t newline;
-    while ((newline = buffer.find('\n')) != std::string::npos) {
-      const std::string line = buffer.substr(0, newline);
-      buffer.erase(0, newline + 1);
-      const auto index = decode_request(line);
-      if (!index || *index >= points.size()) return 1;
-      RunningStats stats;
-      {
-        QPS_TRACE_SPAN("sweep/point", "sweep");
-        // Worker-side injection site: crash/error/delay here exercises the
-        // runner's forfeit -> respawn -> quarantine machinery.
-        QPS_FAULT_POINT2("sweep/point_eval", points[*index].id);
-        stats = eval(points[*index]);
-      }
-      const std::string reply =
-          encode_result(spec.name(), fingerprint, points[*index], stats);
-      if (!write_all(out_fd, reply.data(), reply.size())) return 1;
-    }
-  }
+  // Both fds carry the same socketpair end (make_local_pool_runner), so the
+  // session runs over in_fd alone.
+  (void)out_fd;
+  net::Hello hello;
+  hello.node = "local:" + std::to_string(::getpid());
+  hello.sweep = spec.name();
+  hello.fingerprint = spec.fingerprint();
+  const PointEvaluator faulted = [&eval](const SweepPoint& point) {
+    // Worker-side injection site: crash/error/delay here exercises the
+    // engine's forfeit -> respawn -> quarantine machinery.
+    QPS_FAULT_POINT2("sweep/point_eval", point.id);
+    return eval(point);
+  };
+  net::TcpStream stream(in_fd);
+  std::string error;
+  const net::ServeOutcome outcome = net::serve_connection(
+      stream, hello, net::pinned_binder(spec, faulted), &error);
+  if (outcome == net::ServeOutcome::kServedBye) return 0;
+  std::cerr << "worker " << hello.node << ": sweep " << spec.name() << ": "
+            << error << "\n";
+  return 1;
 }
 
 }  // namespace qps::sweep

@@ -1,29 +1,21 @@
-// Sweep execution: in-process, or sharded across worker subprocesses.
+// Sweep execution: in-process, or engine-driven across workers.
 //
 // A SweepRunner executes every point of a SweepSpec through a caller-
 // supplied PointEvaluator and returns the results in point-index order.
-// Three execution paths, one output contract:
+// Two execution paths, one output contract:
 //
-//  * workers == 0: each point is evaluated in the calling process, in
-//    index order.
-//  * workers >= 1: the runner fork/execs `worker_command` (normally the
-//    same binary re-invoked in --worker mode) once per worker.  Points are
-//    handed out dynamically -- a worker gets its next point the moment it
-//    finishes the previous one, so a slow high-n point never stalls the
-//    rest of the grid (work stealing by construction).  Requests travel to
-//    a worker's stdin and results come back on worker fd 3 as
-//    line-delimited JSON (core/sweep/wire.h); worker stdout is discarded
-//    so harness chatter cannot corrupt the protocol.
-//  * Failure containment: a worker that crashes (or emits a malformed or
-//    mismatched line) forfeits only its in-flight point, which is re-queued
-//    for the surviving workers, and a replacement worker is spawned while
-//    work remains (bounded by the retry budgets, so a crash loop cannot
-//    fork forever).  A point forfeited more than max_point_retries times
-//    is withheld from the pool and handed to the in-process fallback for
-//    one last-resort evaluation; only a point that fails there too is
-//    quarantined -- reported, with no result, never silently dropped.  If
-//    the pool cannot be kept alive, the remaining points run in-process in
-//    the parent.
+//  * In-process (workers == 0, no remote runner): each point is evaluated
+//    in the calling process, in index order.
+//  * Engine-driven: the pending points go to the socket job server's
+//    engine and coordinator loop (core/net/socket_sweep.h), whose workers
+//    are TCP peers (a remote runner) or, with workers >= 1, children the
+//    runner fork/execs from `worker_command` -- normally the same binary
+//    re-invoked in --worker mode, which enters serve() -- each over a
+//    socketpair.  Points are handed out dynamically, so a slow high-n
+//    point never stalls the grid; a failed, silent, or overdue worker
+//    forfeits only its in-flight point; and a point that burns its retry
+//    budget gets one in-process last resort before it is quarantined --
+//    reported, with no result, never silently dropped.
 //
 // Because every point's result is a pure function of the spec (derived
 // seeds) and the evaluator, and aggregation is by point index, the
@@ -39,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "core/net/job_server.h"
 #include "core/sweep/sweep_spec.h"
 #include "util/stats.h"
 
@@ -63,16 +56,15 @@ using RemoteRecord =
 using RemoteQuarantine =
     std::function<void(std::size_t index, std::size_t attempts)>;
 
-/// Injected distributed-execution hook.  Called with the spec, its
-/// expanded points, and the indices still to be computed; must evaluate
-/// every pending point (remotely, or locally via `eval` as a fallback) and
+/// Engine-driven execution hook.  Called with the spec, its expanded
+/// points, and the indices still to be computed; must evaluate every
+/// pending point (remotely, or locally via `eval` as a fallback) and
 /// report each completion through `record` -- or, for a point that
 /// exhausts its retry budget, through `quarantine`.  `epoch` is the
 /// checkpoint journal's coordinator epoch for this activation (0 when no
 /// journal is in use); the hook stamps it into the protocol so results
 /// from a superseded coordinator can be fenced.  core/net/socket_sweep.h
-/// supplies the socket job-server implementation -- the hook is a
-/// std::function so the sweep layer stays free of any net dependency.
+/// supplies the socket job server's hook and the local worker pool's.
 using RemoteRunner = std::function<void(
     const SweepSpec& spec, const std::vector<SweepPoint>& points,
     std::deque<std::size_t> pending, std::uint64_t epoch,
@@ -80,27 +72,23 @@ using RemoteRunner = std::function<void(
     const RemoteQuarantine& quarantine)>;
 
 struct SweepOptions {
-  /// Worker subprocesses; 0 runs every point in-process.
+  /// Local worker subprocesses; 0 runs every point in-process.
   std::size_t workers = 0;
   /// argv for worker subprocesses (argv[0] is the executable); required
   /// when workers >= 1.  The command must re-enter serve() for this spec.
   std::vector<std::string> worker_command;
+  /// Job-server settings for the local worker pool: the per-point retry
+  /// budget (max_point_retries), the point-deadline watchdog, and the
+  /// liveness timeouts.  A remote runner carries its own copy.
+  net::JobServerOptions engine;
   /// Distributed execution: when set, pending points are handed to this
-  /// hook instead of worker subprocesses (mutually exclusive with
-  /// workers >= 1).  Checkpointing, filters, and result aggregation are
-  /// unchanged -- the hook only replaces who computes the points, so the
-  /// output stays byte-identical.
+  /// hook instead of local workers (mutually exclusive with workers >= 1).
+  /// Checkpointing, filters, and result aggregation are unchanged -- the
+  /// hook only replaces who computes the points, so the output stays
+  /// byte-identical.
   RemoteRunner remote_runner;
   /// Checkpoint journal path; empty disables journaling.
   std::string checkpoint_path;
-  /// Per-point retry budget for the worker-pool path: a point forfeited
-  /// (its worker crashed or misbehaved) more than this many times is
-  /// withheld from the pool -- a point that deterministically kills
-  /// workers must not eat the fleet -- and falls through to one in-process
-  /// last-resort evaluation.  If that throws too, the point is
-  /// *quarantined*: marked PointResult::quarantined, reported, and never
-  /// evaluated again this run.
-  std::size_t max_point_retries = 3;
   /// Emit a throttled progress line to stderr after each completed point:
   /// points done/total, rolling trials/sec (from the engine/trials metric),
   /// and an ETA.  Progress goes to stderr only, so stdout reports stay
@@ -147,7 +135,7 @@ struct PointResult {
   /// True when the point was excluded by SweepOptions::point_filter; the
   /// stats carry no samples.
   bool skipped = false;
-  /// True when the point exhausted SweepOptions::max_point_retries (it
+  /// True when the point exhausted its retry budget (it
   /// repeatedly killed or stalled workers) and every permitted last resort
   /// failed too; the stats carry no samples.
   bool quarantined = false;
@@ -160,27 +148,19 @@ class SweepRunner {
   /// Executes the sweep and returns one result per point, in index order.
   std::vector<PointResult> run(const PointEvaluator& eval) const;
 
-  /// Worker-mode loop: reads request lines from `in_fd`, evaluates the
-  /// requested points of `spec`, writes result lines to `out_fd`; returns
-  /// the process exit code (0 on clean EOF).  The conventional fds when
-  /// spawned by run() are in_fd = 0 and out_fd = 3.
+  /// Worker-mode entry of a child spawned by run(): serves `spec` as a
+  /// pinned job-server session over the socket the runner passed down and
+  /// returns the process exit code (0 once the runner says bye).  run()
+  /// puts the same socketpair end on fds 0 and 3, so the conventional call
+  /// is serve(spec, eval, 0, 3); the session runs over `in_fd`, which
+  /// must be that socket.  Every evaluation passes the
+  /// "sweep/point_eval" fault point first.
   static int serve(const SweepSpec& spec, const PointEvaluator& eval,
                    int in_fd, int out_fd);
 
   const SweepSpec& spec() const { return spec_; }
 
  private:
-  /// Runs the worker-pool path, depositing whatever the workers complete
-  /// into `results`/`have` and the per-point forfeit counts into
-  /// `attempts`; points still missing afterwards fall back to the
-  /// in-process path in run(), which quarantines any point with a nonzero
-  /// attempt count whose last-resort evaluation throws.
-  void run_sharded(const std::vector<SweepPoint>& points,
-                   std::vector<char>& have, std::vector<PointResult>& results,
-                   std::vector<std::size_t>& attempts,
-                   class SweepCheckpoint& checkpoint,
-                   class ProgressMeter& progress) const;
-
   SweepSpec spec_;
   SweepOptions options_;
 };

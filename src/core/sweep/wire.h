@@ -6,7 +6,7 @@
 // spec fingerprint, the point's index and id, and the five raw moments of
 // its RunningStats.  Doubles are printed with max_digits10 and non-finite
 // values as their string encodings (util/json.h), so a result that crosses
-// a pipe or a restart reconstructs bit-for-bit -- the aggregated output of
+// a socket or a restart reconstructs bit-for-bit -- the aggregated output of
 // a sharded or resumed sweep is byte-identical to an in-process run.
 //
 // decode_result() returns std::nullopt on any malformed line instead of
@@ -40,8 +40,9 @@ struct WireResult {
   std::size_t index = 0;
   std::string id;
   RunningStats stats;
-  /// Coordinator activation that produced the result; 0 = unfenced (pipe
-  /// workers and journal entries, which need no fencing).
+  /// Coordinator activation that produced the result; 0 = unfenced (a
+  /// job server without a journal, and journal entries, which need no
+  /// fencing).
   std::uint64_t epoch = 0;
 };
 

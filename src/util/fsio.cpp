@@ -17,20 +17,6 @@ std::string errno_text() {
   return std::strerror(errno) + (" (errno " + std::to_string(errno) + ")");
 }
 
-/// Writes the whole buffer, retrying on EINTR; false on any other error.
-bool write_all(int fd, const char* data, std::size_t size) {
-  while (size > 0) {
-    const ssize_t n = ::write(fd, data, size);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    data += static_cast<std::size_t>(n);
-    size -= static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
 std::string parent_dir(const std::string& path) {
   const std::size_t slash = path.rfind('/');
   if (slash == std::string::npos) return ".";
@@ -59,6 +45,18 @@ bool fail(std::string* error, const std::string& why) {
 
 }  // namespace
 
+bool write_all(int fd, std::string_view bytes) {
+  while (!bytes.empty()) {
+    const ssize_t n = ::write(fd, bytes.data(), bytes.size());
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    bytes.remove_prefix(static_cast<std::size_t>(n));
+  }
+  return true;
+}
+
 bool write_file_atomic(const std::string& path, std::string_view content,
                        std::string* error) {
   // The tmp file must live in the target's directory: rename(2) is atomic
@@ -68,7 +66,7 @@ bool write_file_atomic(const std::string& path, std::string_view content,
                         0644);
   if (fd < 0)
     return fail(error, "cannot create " + tmp + ": " + errno_text());
-  if (!write_all(fd, content.data(), content.size())) {
+  if (!write_all(fd, content)) {
     const std::string why = "cannot write " + tmp + ": " + errno_text();
     ::close(fd);
     ::unlink(tmp.c_str());
@@ -137,7 +135,7 @@ void AppendFile::append_line(std::string_view line) {
     if (const auto frac = qps::fault::consume_torn(fault_point_))
       size = static_cast<std::size_t>(static_cast<double>(size) * *frac);
   }
-  if (!write_all(fd_, line.data(), size))
+  if (!write_all(fd_, line.substr(0, size)))
     throw IoError("failed writing " + path_ + ": " + errno_text(), path_);
   if (::fdatasync(fd_) != 0)
     throw IoError("failed syncing " + path_ + ": " + errno_text(), path_);

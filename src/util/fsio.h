@@ -41,6 +41,10 @@ class IoError : public std::runtime_error {
   std::string path_;
 };
 
+/// Writes all of `bytes` to `fd`, retrying on EINTR and short writes;
+/// false (with errno set) on any other error.
+bool write_all(int fd, std::string_view bytes);
+
 /// Atomically replaces `path` with `content` (tmp file + fsync + rename).
 /// Returns false and fills `error` (when non-null) on failure instead of
 /// throwing -- the obs dump sites treat a failed dump as a warning.

@@ -4,8 +4,9 @@
 //
 // The sharded tests re-exec this binary as the worker process (the same
 // trick the bench harnesses use with --worker): main() below intercepts
-// --sweep-test-worker MODE before GoogleTest sees argv and enters
-// SweepRunner::serve() on the protocol fds.
+// --sweep-test-worker MODE [ARG] before GoogleTest sees argv and enters
+// SweepRunner::serve() on the protocol socket.
+#include <fcntl.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
@@ -19,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "core/obs/metrics.h"
 #include "core/sweep/checkpoint.h"
 #include "core/sweep/sweep_report.h"
 #include "core/sweep/sweep_runner.h"
@@ -332,6 +334,36 @@ TEST(SweepRunner, ForeignWorkersAreContainedByTheFingerprintCheck) {
   expect_same_results(baseline, results);
 }
 
+TEST(SweepRunner, HungWorkerIsFreedByThePointDeadline) {
+  // "hang" workers block forever on point index 2 -- only the first one to
+  // draw it, which claims an exclusive marker file -- while their heartbeat
+  // thread keeps them live, so only the point-deadline watchdog can get the
+  // point back.  It must be forfeited exactly once, to the other worker,
+  // and the results must match the in-process run bit for bit.
+  const std::string marker = temp_path("hang.marker");
+  std::remove(marker.c_str());
+  obs::Counter& deadline_forfeits =
+      obs::MetricsRegistry::instance().counter("net/deadline_forfeits");
+  const std::uint64_t forfeits_before = deadline_forfeits.value();
+
+  SweepOptions options;
+  options.workers = 2;
+  options.worker_command = self_worker_command("hang");
+  options.worker_command.push_back(marker);
+  options.engine.heartbeat_interval = 0.2;
+  options.engine.point_deadline = 1.0;
+  const auto recovered = SweepRunner(make_grid_spec(), options).run(eval_point);
+
+  EXPECT_EQ(::access(marker.c_str(), F_OK), 0) << "no worker hung";
+  if (obs::kMetricsCompiled) {
+    EXPECT_EQ(deadline_forfeits.value() - forfeits_before, 1u);
+  }
+  const auto baseline =
+      SweepRunner(make_grid_spec(), SweepOptions{}).run(eval_point);
+  expect_same_results(baseline, recovered);
+  std::remove(marker.c_str());
+}
+
 TEST(SweepCheckpoint, ResumeSkipsJournaledPointsExactly) {
   const std::string path = temp_path("resume.jsonl");
   std::remove(path.c_str());
@@ -444,7 +476,7 @@ TEST(SweepReport, RendersInPointOrderAndFindsById) {
 
 /// Worker-mode entry, reached from main() below in re-exec'ed copies of
 /// this binary.
-int run_test_worker(const std::string& mode) {
+int run_test_worker(const std::string& mode, const std::string& arg) {
   const SweepSpec spec = make_grid_spec();
   if (mode == "grid") return SweepRunner::serve(spec, eval_point, 0, 3);
   if (mode == "crash") {
@@ -456,6 +488,17 @@ int run_test_worker(const std::string& mode) {
         },
         0, 3);
   }
+  if (mode == "hang") {
+    return SweepRunner::serve(
+        spec,
+        [&arg](const SweepPoint& point) {
+          if (point.index == 2 &&
+              ::open(arg.c_str(), O_CREAT | O_EXCL | O_WRONLY, 0644) >= 0)
+            for (;;) ::pause();  // the heartbeat thread keeps beating
+          return eval_point(point);
+        },
+        0, 3);
+  }
   return 2;
 }
 
@@ -463,7 +506,7 @@ int run_test_worker(const std::string& mode) {
 
 int main(int argc, char** argv) {
   if (argc >= 3 && std::string(argv[1]) == "--sweep-test-worker")
-    return qps::sweep::run_test_worker(argv[2]);
+    return qps::sweep::run_test_worker(argv[2], argc >= 4 ? argv[3] : "");
   ::testing::InitGoogleTest(&argc, argv);
   return RUN_ALL_TESTS();
 }

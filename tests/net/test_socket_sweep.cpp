@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <deque>
 #include <fstream>
@@ -153,13 +154,31 @@ TEST(SocketSweep, ByteIdenticalAcrossOneTwoAndFourSocketWorkers) {
 
     std::vector<ServeOutcome> outcomes(worker_count,
                                        ServeOutcome::kConnectFailed);
+    // Each worker's first evaluation waits (bounded) until every worker
+    // holds a point: otherwise the first workers can finish all ten points
+    // before a slow-starting thread connects, and that late joiner parks
+    // in the finished coordinator's backlog forever.
+    std::atomic<std::size_t> joined{0};
+    const auto rendezvous_eval = [&](const sweep::SweepPoint& point) {
+      thread_local bool counted = false;
+      if (!counted) {
+        counted = true;
+        ++joined;
+        const auto give_up =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (joined.load() < worker_count &&
+               std::chrono::steady_clock::now() < give_up)
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      return eval_point(point);
+    };
     std::vector<std::thread> workers;
     for (std::size_t w = 0; w < worker_count; ++w) {
       workers.emplace_back([&, w] {
         WorkerServeOptions serve;
         serve.node = "test-worker-" + std::to_string(w);
         outcomes[w] = serve_pinned_sweep("127.0.0.1", listener.port(), spec,
-                                         eval_point, serve);
+                                         rendezvous_eval, serve);
       });
     }
     for (std::thread& worker : workers) worker.join();
