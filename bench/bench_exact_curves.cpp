@@ -146,7 +146,7 @@ int main(int argc, char** argv) {
     const std::size_t n = system->universe_size();
     return engine.run([&](Rng& rng) {
       const Coloring coloring = sample_iid_coloring(n, point.p, rng);
-      return static_cast<double>(tree->evaluate(coloring).second);
+      return static_cast<std::uint32_t>(tree->evaluate(coloring).second);
     });
   };
   const auto mc_results = bench::run_sweep(ctx, mc_spec, evaluate_mc);

@@ -21,6 +21,7 @@
 #include "quorum/tree_system.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
+#include "util/stats.h"
 
 namespace {
 
@@ -189,9 +190,9 @@ void run_batch_trials(benchmark::State& state, const QuorumSystem& system,
   block.configure(kernels, n);
   const std::size_t lanes = block.lane_capacity();
   std::size_t next = kBatch;
-  std::uint64_t checksum = 0;
-  // One iteration = one super-block of 64*W lanes, probe-count gather
-  // included (the engine reads every lane's count into its statistics).
+  CountMoments moments;
+  // One iteration = one super-block of 64*W lanes, the reduction included
+  // (the engine folds every lane's count into its exact moments).
   for (auto _ : state) {
     if (next == kBatch) {
       sample_iid_coloring_words(masks, kBatch, n, p, rng);
@@ -199,11 +200,10 @@ void run_batch_trials(benchmark::State& state, const QuorumSystem& system,
     }
     block.load(masks + next, lanes);
     strategy.run_batch(block, rng);
-    for (std::size_t lane = 0; lane < lanes; ++lane)
-      checksum += block.probe_count(lane);
+    block.fold_probe_counts(moments);
     next += lanes;
   }
-  benchmark::DoNotOptimize(checksum);
+  benchmark::DoNotOptimize(moments.sum());
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(lanes));
 }
@@ -452,23 +452,68 @@ void BM_EngineBatchSize(benchmark::State& state) {
 BENCHMARK(BM_EngineBatchSize)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
 
 void BM_EngineMergeOverhead(benchmark::State& state) {
-  // The merge reduction in isolation: fold `range` per-batch accumulators,
-  // each holding 1024 samples, exactly as run() does after the workers
-  // finish.
+  // The merge reduction in isolation: fold `range` per-batch exact-moment
+  // accumulators, each holding 1024 probe counts, in batch order as the
+  // merge frontier does, then convert once.
   const std::size_t batches = static_cast<std::size_t>(state.range(0));
-  std::vector<RunningStats> parts(batches);
+  std::vector<CountMoments> parts(batches);
   Rng rng(11);
   for (auto& part : parts)
-    for (int i = 0; i < 1024; ++i) part.add(rng.uniform01());
+    for (int i = 0; i < 1024; ++i)
+      part.add(static_cast<std::uint32_t>(rng.below(64)));
   for (auto _ : state) {
-    RunningStats merged;
+    CountMoments merged;
     for (const auto& part : parts) merged.merge(part);
-    benchmark::DoNotOptimize(merged.mean());
+    benchmark::DoNotOptimize(merged.stats().mean());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(batches));
 }
 BENCHMARK(BM_EngineMergeOverhead)->Arg(16)->Arg(256)->Arg(4096);
+
+// The per-super-block reduction layer on its own: one Maj63 super-block
+// (64*W lanes at p = 1/2, best ISA) already scanned, then reduced.
+// PlaneFold is the engine's fold_probe_planes into exact moments;
+// GatherWelford is the reduction it replaced -- one probe_count gather and
+// one floating-point Welford add per lane -- kept here only as the
+// baseline.  items_per_second is trials/sec of the reduction alone.
+template <typename Reduce>
+void run_engine_reduce(benchmark::State& state, Reduce reduce) {
+  const MajoritySystem maj(63);
+  const ProbeMaj strategy(maj);
+  TrialWorkspace ws(63);
+  BatchTrialBlock& block = ws.batch_block();
+  block.configure(resolve_simd_kernels(SimdIsa::kAuto), 63);
+  const std::size_t lanes = block.lane_capacity();
+  Rng rng(29);
+  std::uint64_t* masks = ws.coloring_masks(lanes);
+  sample_iid_coloring_words(masks, lanes, 63, 0.5, rng);
+  block.load(masks, lanes);
+  strategy.run_batch(block, rng);
+  for (auto _ : state) reduce(block, lanes);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(lanes));
+}
+
+void BM_EngineReduce_PlaneFold(benchmark::State& state) {
+  run_engine_reduce(state, [](const BatchTrialBlock& block, std::size_t) {
+    CountMoments moments;
+    block.fold_probe_counts(moments);
+    benchmark::DoNotOptimize(moments);
+  });
+}
+BENCHMARK(BM_EngineReduce_PlaneFold);
+
+void BM_EngineReduce_GatherWelford(benchmark::State& state) {
+  run_engine_reduce(state, [](const BatchTrialBlock& block,
+                              std::size_t lanes) {
+    RunningStats stats;
+    for (std::size_t lane = 0; lane < lanes; ++lane)
+      stats.add(static_cast<double>(block.probe_count(lane)));
+    benchmark::DoNotOptimize(stats);
+  });
+}
+BENCHMARK(BM_EngineReduce_GatherWelford);
 
 void BM_EngineThreadScaling(benchmark::State& state) {
   const MajoritySystem maj(1001);

@@ -24,13 +24,69 @@ struct KernelMetrics {
   }
 };
 
+// Most probe planes fold_probe_planes() accepts: 29 planes keep one lane
+// word's sum of squared counts (below 64 * 2^58) under 2^64.
+constexpr std::size_t kMaxFoldPlanes = 29;
+
 }  // namespace
+
+void fold_probe_planes(const std::uint64_t* planes, std::size_t plane_count,
+                       const std::uint64_t* active, std::size_t width,
+                       CountMoments& out) {
+  QPS_REQUIRE(plane_count <= kMaxFoldPlanes, "too many probe planes to fold");
+  std::uint64_t count = 0;
+  std::uint64_t sum = 0;
+  unsigned __int128 sum_sq = 0;
+  std::uint32_t min = UINT32_MAX;
+  std::uint32_t max = 0;
+  std::uint64_t m[kMaxFoldPlanes];
+  for (std::size_t k = 0; k < width; ++k) {
+    const std::uint64_t a = active[k];
+    if (a == 0) continue;
+    count += static_cast<std::uint64_t>(std::popcount(a));
+    for (std::size_t b = 0; b < plane_count; ++b)
+      m[b] = planes[b * width + k] & a;
+    // One word's sum of squares is below 2^64 (kMaxFoldPlanes), and every
+    // term below is a nonnegative part of it.
+    std::uint64_t word_sq = 0;
+    for (std::size_t b = 0; b < plane_count; ++b) {
+      const auto ones = static_cast<std::uint64_t>(std::popcount(m[b]));
+      sum += ones << b;
+      word_sq += ones << (2 * b);
+      for (std::size_t c = b + 1; c < plane_count; ++c)
+        word_sq += static_cast<std::uint64_t>(std::popcount(m[b] & m[c]))
+                   << (b + c + 1);
+    }
+    sum_sq += word_sq;
+    // MSB-down descent: keep the candidate lanes whose counts agree with
+    // the extreme so far on every higher bit.
+    std::uint64_t hi = a;
+    std::uint64_t lo = a;
+    std::uint32_t word_max = 0;
+    std::uint32_t word_min = 0;
+    for (std::size_t b = plane_count; b-- > 0;) {
+      const std::uint64_t hi_set = hi & m[b];
+      if (hi_set != 0) {
+        hi = hi_set;
+        word_max |= std::uint32_t{1} << b;
+      }
+      const std::uint64_t lo_clear = lo & ~m[b];
+      if (lo_clear != 0)
+        lo = lo_clear;
+      else
+        word_min |= std::uint32_t{1} << b;
+    }
+    max = std::max(max, word_max);
+    min = std::min(min, word_min);
+  }
+  out.merge(CountMoments::from_sums(count, sum, sum_sq, min, max));
+}
 
 void run_bit_sliced_trials(const ProbeStrategy& strategy,
                            BatchTrialBlock& block,
                            const std::uint64_t* trial_green_masks,
                            std::size_t trial_count, std::size_t universe_size,
-                           Rng& rng, RunningStats& out) {
+                           Rng& rng, CountMoments& out) {
   QPS_REQUIRE(block.universe_size() == universe_size,
               "batch block configured for a different universe");
   KernelMetrics& metrics = KernelMetrics::get();
@@ -43,8 +99,7 @@ void run_bit_sliced_trials(const ProbeStrategy& strategy,
     strategy.run_batch(block, rng);
     metrics.blocks.add((lanes + 63) / 64);   // 64-lane blocks, as in PR 5
     metrics.simd_blocks.increment();         // one W-wide super-block
-    for (std::size_t lane = 0; lane < lanes; ++lane)
-      out.add(static_cast<double>(block.probe_count(lane)));
+    block.fold_probe_counts(out);
   }
 }
 

@@ -18,18 +18,21 @@
 //  * probe accounting is bit-sliced too: per-lane counters live as
 //    bit_width(n) bit planes of W words each, charged by ripple-carry adds
 //    inside the kernels, and per-lane stop detection is a plane-fold
-//    equality against a constant.
+//    equality against a constant;
+//  * the reduction never unpacks a lane: fold_probe_planes() turns the
+//    planes straight into exact integer moments (CountMoments, util/stats.h)
+//    with popcounts -- sum, sum of squares, min and max of the counts.
 //
 // Contract: for every lane t < trial_count(), the probe count recovered by
 // probe_count(t) must be bit-identical to what the scalar
 // ProbeStrategy::run_with() path reports for trial t's coloring
 // (tests/core/test_batch_kernel.cpp and test_simd.cpp enforce this per
-// strategy x family x ISA).  The engine dispatches to this kernel via
-// EngineOptions::execution, with the ISA picked once per run through
-// EngineOptions::simd (parallel_estimator.h).
+// strategy x family x ISA), and fold_probe_counts() must equal those counts
+// fed one by one through CountMoments::add.  The engine dispatches to this
+// kernel via EngineOptions::execution, with the ISA picked once per run
+// through EngineOptions::simd (parallel_estimator.h).
 #pragma once
 
-#include <array>
 #include <bit>
 #include <cstdint>
 #include <vector>
@@ -40,46 +43,20 @@
 
 namespace qps {
 
-/// 64 per-lane counters stored as bit-planes: plane b holds bit b of every
-/// lane's counter.  Counts up to 64, hence 7 planes.  The single-word
-/// reference model of the in-kernel tallies; tests diff the wide kernels
-/// against it.
-class LaneTally {
- public:
-  static constexpr std::size_t kPlanes = 7;
+class CountMoments;
 
-  /// Increments the counter of every lane set in `lanes` (ripple-carry add
-  /// of a 1-bit across the planes).
-  void add(std::uint64_t lanes) {
-    std::uint64_t carry = lanes;
-    for (std::size_t b = 0; b < kPlanes && carry != 0; ++b) {
-      const std::uint64_t t = planes_[b] & carry;
-      planes_[b] ^= carry;
-      carry = t;
-    }
-  }
-
-  /// The lanes whose counter currently equals `value` (a 7-word fold).
-  std::uint64_t equals(std::size_t value) const {
-    std::uint64_t eq = ~0ULL;
-    for (std::size_t b = 0; b < kPlanes; ++b)
-      eq &= ((value >> b) & 1U) != 0 ? planes_[b] : ~planes_[b];
-    return eq;
-  }
-
-  /// One lane's counter, gathered from the planes.
-  std::uint32_t get(std::size_t lane) const {
-    std::uint32_t value = 0;
-    for (std::size_t b = 0; b < kPlanes; ++b)
-      value |= static_cast<std::uint32_t>((planes_[b] >> lane) & 1ULL) << b;
-    return value;
-  }
-
-  void clear() { planes_.fill(0); }
-
- private:
-  std::array<std::uint64_t, kPlanes> planes_{};
-};
+/// Folds the probe counts of the lanes set in `active` into `out` without
+/// gathering a single lane.  `planes` holds `plane_count` planes of `width`
+/// lane words each (plane b, word k at planes[b * width + k]: bit b of the
+/// counts of lanes 64k..64k+63); with M_b = P_b & A,
+///   sum    = sum_b 2^b popcount(M_b),
+///   sum_sq = sum_b 4^b popcount(M_b) + sum_{b<c} 2^(b+c+1) popcount(M_b & M_c),
+/// and max / min come from an MSB-down descent over a candidate-lane mask.
+/// Bits outside `active` are ignored.  Takes at most 29 planes (counts
+/// below 2^29); more throw std::invalid_argument.
+void fold_probe_planes(const std::uint64_t* planes, std::size_t plane_count,
+                       const std::uint64_t* active, std::size_t width,
+                       CountMoments& out);
 
 /// One super-block of up to 64*width trials in transposed (bit-sliced)
 /// coloring layout, plus the bit-sliced probe accounting and the side
@@ -189,8 +166,16 @@ class BatchTrialBlock {
     return plan_masks_.data();
   }
 
+  /// Folds every loaded trial's probe count into `out` (fold_probe_planes
+  /// over the probe planes and the active mask); call after a kernel ran.
+  void fold_probe_counts(CountMoments& out) const {
+    fold_probe_planes(probe_planes_.data(), planes_, active_.data(), width(),
+                      out);
+  }
+
   /// Trial t's probe count, gathered from the probe planes; defined for
-  /// t < trial_count() after a kernel ran.
+  /// t < trial_count() after a kernel ran.  The engine never gathers (it
+  /// folds); this is the per-lane view tests and diagnostics compare with.
   std::uint32_t probe_count(std::size_t lane) const {
     const std::size_t w = width();
     std::uint32_t value = 0;
@@ -235,13 +220,12 @@ inline void permute_mask_words(const std::uint64_t* src,
 
 class ProbeStrategy;
 class Rng;
-class RunningStats;
 
 /// Drives `trial_count` trials through `strategy`'s bit-sliced kernel in
 /// super-blocks of block.lane_capacity() lanes: load (bind + lazy
-/// transpose), run_batch, then append the per-trial probe counts to `out`
-/// strictly in trial order -- the same order, hence the same RunningStats,
-/// as the scalar path produces.  `rng` feeds the strategies' pre-drawn
+/// transpose), run_batch, then fold the super-block's probe counts into
+/// `out`.  The moments are exact integers, so `out` equals the scalar
+/// path's per-trial adds exactly.  `rng` feeds the strategies' pre-drawn
 /// per-trial randomness (permutations, plans), consumed in trial order so
 /// the draw sequence matches the scalar loop's.  The block must be
 /// configure()d for `universe_size`, and the strategy must support
@@ -250,6 +234,6 @@ void run_bit_sliced_trials(const ProbeStrategy& strategy,
                            BatchTrialBlock& block,
                            const std::uint64_t* trial_green_masks,
                            std::size_t trial_count, std::size_t universe_size,
-                           Rng& rng, RunningStats& out);
+                           Rng& rng, CountMoments& out);
 
 }  // namespace qps

@@ -49,21 +49,22 @@ struct RunState {
   std::atomic<bool> stop{false};
 
   std::mutex mutex;
-  std::vector<RunningStats> results;
+  std::vector<CountMoments> results;
   std::vector<std::exception_ptr> errors;
   std::vector<char> done;
   std::size_t merged_upto = 0;  // batches [0, merged_upto) are merged
-  RunningStats merged;
+  CountMoments merged;
   std::exception_ptr first_error;
 };
 
 /// One hot-path trial: reset the session, run the strategy through the
 /// scratch-aware entry point, optionally validate.  Allocation-free in the
 /// steady state for n <= 64.
-double run_workspace_trial(TrialWorkspace& workspace, const Coloring& coloring,
-                           const QuorumSystem& system,
-                           const ProbeStrategy& strategy, bool validate,
-                           Rng& rng) {
+std::uint32_t run_workspace_trial(TrialWorkspace& workspace,
+                                  const Coloring& coloring,
+                                  const QuorumSystem& system,
+                                  const ProbeStrategy& strategy, bool validate,
+                                  Rng& rng) {
   ProbeSession& session = workspace.begin_trial(coloring);
   const Witness witness = strategy.run_with(workspace, session, rng);
   if (validate) {
@@ -73,7 +74,7 @@ double run_workspace_trial(TrialWorkspace& workspace, const Coloring& coloring,
       throw std::logic_error(strategy.name() +
                              " returned a bad witness: " + error);
   }
-  return static_cast<double>(session.probe_count());
+  return static_cast<std::uint32_t>(session.probe_count());
 }
 
 }  // namespace
@@ -83,6 +84,8 @@ ParallelEstimator::ParallelEstimator(EngineOptions options)
   QPS_REQUIRE(options_.trials > 0, "need at least one trial");
   QPS_REQUIRE(options_.batch_size > 0, "batch size must be positive");
   QPS_REQUIRE(options_.target_sem >= 0.0, "target SEM must be non-negative");
+  // The one exactness check of a run: no trial or merge re-checks it.
+  CountMoments::require_budget(options_.trials);
 }
 
 std::size_t ParallelEstimator::resolved_threads() const {
@@ -104,9 +107,9 @@ RunningStats ParallelEstimator::run_batches(
   // True once the merged prefix satisfies the early-stop target.  Called
   // only under the mutex with a frontier that advances in index order, so
   // the answer is a function of the batch results alone.
-  const auto stop_satisfied = [&](const RunningStats& merged) {
+  const auto stop_satisfied = [&](const CountMoments& merged) {
     return options_.target_sem > 0.0 && merged.count() >= options_.min_trials &&
-           merged.sem() <= options_.target_sem;
+           merged.stats().sem() <= options_.target_sem;
   };
 
   EngineMetrics& metrics = EngineMetrics::get();
@@ -120,7 +123,7 @@ RunningStats ParallelEstimator::run_batches(
           state.next_batch.fetch_add(1, std::memory_order_relaxed);
       if (k >= num_batches) return;
 
-      RunningStats batch;
+      CountMoments batch;
       std::exception_ptr error;
       try {
         const std::size_t begin = k * batch_size;
@@ -177,14 +180,14 @@ RunningStats ParallelEstimator::run_batches(
   ThreadPool(threads).run_workers(worker);
 
   if (state.first_error) std::rethrow_exception(state.first_error);
-  return state.merged;
+  return state.merged.stats();
 }
 
 RunningStats ParallelEstimator::run(const Trial& trial) const {
   QPS_REQUIRE(static_cast<bool>(trial), "run() needs a trial function");
   return run_batches([&trial] {
     return [&trial](std::size_t begin, std::size_t end, Rng& rng,
-                    RunningStats& out) {
+                    CountMoments& out) {
       for (std::size_t t = begin; t < end; ++t) out.add(trial(rng));
     };
   });
@@ -193,9 +196,9 @@ RunningStats ParallelEstimator::run(const Trial& trial) const {
 RunningStats ParallelEstimator::run_sequential(const Trial& trial,
                                                Rng& rng) const {
   QPS_REQUIRE(static_cast<bool>(trial), "run_sequential() needs a trial");
-  RunningStats stats;
-  for (std::size_t t = 0; t < options_.trials; ++t) stats.add(trial(rng));
-  return stats;
+  CountMoments moments;
+  for (std::size_t t = 0; t < options_.trials; ++t) moments.add(trial(rng));
+  return moments.stats();
 }
 
 RunningStats ParallelEstimator::estimate_ppc(const QuorumSystem& system,
@@ -227,7 +230,7 @@ RunningStats ParallelEstimator::estimate_ppc(const QuorumSystem& system,
       auto workspace = std::make_shared<TrialWorkspace>(n);
       return [workspace, &strategy, &kernels, p, n](
                  std::size_t begin, std::size_t end, Rng& rng,
-                 RunningStats& out) {
+                 CountMoments& out) {
         TrialWorkspace& ws = *workspace;
         const std::size_t count = end - begin;
         std::uint64_t* masks = ws.coloring_masks(count);
@@ -256,7 +259,7 @@ RunningStats ParallelEstimator::estimate_ppc(const QuorumSystem& system,
     auto workspace = std::make_shared<TrialWorkspace>(n);
     return [workspace, &system, &strategy, p, validate, n, sampler](
                std::size_t begin, std::size_t end, Rng& rng,
-               RunningStats& out) {
+               CountMoments& out) {
       TrialWorkspace& ws = *workspace;
       const std::size_t count = end - begin;
       if (sampler == ColoringSampler::kWordBatch) {
@@ -295,7 +298,7 @@ RunningStats ParallelEstimator::expected_probes_on(
     auto workspace = std::make_shared<TrialWorkspace>(n);
     return [workspace, &system, &strategy, &coloring, validate](
                std::size_t begin, std::size_t end, Rng& rng,
-               RunningStats& out) {
+               CountMoments& out) {
       for (std::size_t t = begin; t < end; ++t)
         out.add(run_workspace_trial(*workspace, coloring, system, strategy,
                                     validate, rng));
@@ -303,9 +306,10 @@ RunningStats ParallelEstimator::expected_probes_on(
   });
 }
 
-double run_probe_trial(const QuorumSystem& system,
-                       const ProbeStrategy& strategy, const Coloring& coloring,
-                       bool validate, Rng& rng) {
+std::uint32_t run_probe_trial(const QuorumSystem& system,
+                              const ProbeStrategy& strategy,
+                              const Coloring& coloring, bool validate,
+                              Rng& rng) {
   ProbeSession session(coloring);
   const Witness witness = strategy.run(session, rng);
   if (validate) {
@@ -315,7 +319,7 @@ double run_probe_trial(const QuorumSystem& system,
       throw std::logic_error(strategy.name() +
                              " returned a bad witness: " + error);
   }
-  return static_cast<double>(session.probe_count());
+  return static_cast<std::uint32_t>(session.probe_count());
 }
 
 }  // namespace qps

@@ -8,6 +8,16 @@
 // order, so the returned statistics -- and the early-stop / throw decisions
 // -- are bit-identical for any thread count, including threads=1.
 //
+// Every trial yields an integer probe count, and every path reduces them
+// into exact integer moments (CountMoments, util/stats.h): count, sum, sum
+// of squares, min and max.  The bit-sliced path folds them straight out of
+// its probe bit planes; the scalar paths add one count at a time; either
+// way the batch merge is integer addition and the RunningStats a caller
+// gets is converted once from the exact totals.  The trial budget is
+// checked against CountMoments::kMaxCount when the engine is constructed.
+// kResultStreamVersion names the result stream these rules produce; the
+// sweep layer mixes it into every spec fingerprint.
+//
 // Early stopping: when `target_sem > 0`, merging stops at the first batch
 // prefix whose standard error of the mean reaches the target (after at
 // least `min_trials` samples).  Workers racing ahead of the stop point may
@@ -26,6 +36,12 @@
 #include "util/stats.h"
 
 namespace qps {
+
+/// Version of the engine's result stream: which trials a (seed, options)
+/// pair samples and how their probe counts reduce to statistics.  Bump it
+/// with any change to either, so results of different versions never mix
+/// (SweepSpec::fingerprint includes it).  Version 2: exact integer moments.
+inline constexpr std::uint32_t kResultStreamVersion = 2;
 
 /// How estimate_ppc draws its per-trial colorings on the zero-allocation
 /// hot path.
@@ -77,7 +93,7 @@ struct EngineOptions {
   bool validate_witnesses = false;
   /// Root seed for the per-batch RNG streams.
   std::uint64_t seed = 0x9e3779b97f4a7c15ULL;
-  /// Coloring sampling mode for estimate_ppc's hot path (n <= 64).
+  /// Coloring sampling mode for estimate_ppc's hot path.
   ColoringSampler sampler = ColoringSampler::kWordBatch;
   /// Trial execution mode for estimate_ppc (bit-sliced batch kernel where
   /// eligible vs. always scalar); results are bit-identical either way.
@@ -93,9 +109,9 @@ class ParallelEstimator {
  public:
   explicit ParallelEstimator(EngineOptions options);
 
-  /// One Monte-Carlo sample; draws all randomness from the supplied
-  /// batch-local generator.
-  using Trial = std::function<double(Rng&)>;
+  /// One Monte-Carlo sample -- an integer count, such as the probes of one
+  /// run; draws all randomness from the supplied batch-local generator.
+  using Trial = std::function<std::uint32_t(Rng&)>;
 
   /// Runs the trial budget through the worker pool and returns the merged
   /// statistics.  Exceptions thrown by `trial` propagate, and which
@@ -130,7 +146,7 @@ class ParallelEstimator {
   /// from `rng` (the batch's stream).
   using BatchFn =
       std::function<void(std::size_t begin, std::size_t end, Rng& rng,
-                         RunningStats& out)>;
+                         CountMoments& out)>;
   /// Called once per worker thread, so the returned BatchFn can own
   /// per-worker state (a TrialWorkspace); may be invoked concurrently.
   using BatchFnFactory = std::function<BatchFn()>;
@@ -145,8 +161,9 @@ class ParallelEstimator {
 /// One probe run of `strategy` against `coloring`: the engine's innermost
 /// trial, shared with the legacy estimator API.  Returns the probe count;
 /// throws std::logic_error when validation is on and the witness is bad.
-double run_probe_trial(const QuorumSystem& system,
-                       const ProbeStrategy& strategy, const Coloring& coloring,
-                       bool validate, Rng& rng);
+std::uint32_t run_probe_trial(const QuorumSystem& system,
+                              const ProbeStrategy& strategy,
+                              const Coloring& coloring, bool validate,
+                              Rng& rng);
 
 }  // namespace qps

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 
+#include "core/engine/parallel_estimator.h"
 #include "util/require.h"
 #include "util/rng.h"
 
@@ -133,6 +134,8 @@ std::uint64_t SweepSpec::fingerprint() const {
   h = fnv1a(h, std::to_string(base_seed_));
   h = fnv1a(h, "#");
   h = fnv1a(h, config_tag_);
+  h = fnv1a(h, "#stream=");
+  h = fnv1a(h, std::to_string(kResultStreamVersion));
   for (const SweepPoint& pt : expand()) {
     h = fnv1a(h, "#");
     h = fnv1a(h, pt.id);

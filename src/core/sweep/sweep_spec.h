@@ -85,10 +85,11 @@ class SweepSpec {
   /// Number of points expand() will produce.
   std::size_t point_count() const;
 
-  /// Hash of the sweep identity: name, base seed, config tag and every
-  /// point id.  Two processes agree on point indices iff their
-  /// fingerprints agree; the checkpoint layer and the worker protocol both
-  /// verify it.
+  /// Hash of the sweep identity: name, base seed, config tag, the engine's
+  /// kResultStreamVersion and every point id.  Two processes agree on point
+  /// indices -- and on the results behind them -- iff their fingerprints
+  /// agree; the checkpoint layer and the worker protocol both verify it, so
+  /// a journal or worker from another stream version is never mixed in.
   std::uint64_t fingerprint() const;
 
   /// The stable id for a point with the given coordinates.

@@ -51,6 +51,36 @@ RunningStats RunningStats::from_moments(std::size_t count, double mean,
   return stats;
 }
 
+void CountMoments::require_budget(std::uint64_t count) {
+  QPS_REQUIRE(count <= kMaxCount,
+              "trial budget above 2^32 would overflow the exact moments");
+}
+
+CountMoments CountMoments::from_sums(std::uint64_t count, std::uint64_t sum,
+                                     unsigned __int128 sum_sq,
+                                     std::uint32_t min, std::uint32_t max) {
+  CountMoments moments;
+  if (count == 0) return moments;
+  moments.count_ = count;
+  moments.sum_ = sum;
+  moments.sum_sq_ = sum_sq;
+  moments.min_ = min;
+  moments.max_ = max;
+  return moments;
+}
+
+RunningStats CountMoments::stats() const {
+  if (count_ == 0) return RunningStats();
+  // N * sum_sq - sum^2 = N * M2 >= 0 (Cauchy-Schwarz), exact in 128 bits.
+  const unsigned __int128 n = count_;
+  const unsigned __int128 n_m2 =
+      n * sum_sq_ - static_cast<unsigned __int128>(sum_) * sum_;
+  const auto count = static_cast<double>(count_);
+  return RunningStats::from_moments(
+      count_, static_cast<double>(sum_) / count,
+      static_cast<double>(n_m2) / count, min_, max_);
+}
+
 double RunningStats::mean() const { return count_ == 0 ? 0.0 : mean_; }
 
 double RunningStats::variance() const {

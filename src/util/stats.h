@@ -1,10 +1,12 @@
 // Summary statistics and small fitting helpers used by the benchmark
-// harnesses: online mean/variance (Welford), normal-approximation confidence
-// intervals, and least-squares log-log regression for exponent fits
-// (e.g. verifying PPC(HQS) ~ n^0.834).
+// harnesses: online mean/variance (Welford), exact integer moments of probe
+// counts, normal-approximation confidence intervals, and least-squares
+// log-log regression for exponent fits (e.g. verifying PPC(HQS) ~ n^0.834).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 namespace qps {
@@ -15,8 +17,7 @@ class RunningStats {
   void add(double x);
 
   /// Folds another accumulator into this one (Chan et al. pairwise update),
-  /// as if every sample of `other` had been added after this one's.  The
-  /// parallel estimation engine reduces per-batch accumulators with this.
+  /// as if every sample of `other` had been added after this one's.
   void merge(const RunningStats& other);
 
   /// Reconstructs an accumulator from its five raw moments, exactly as
@@ -47,6 +48,66 @@ class RunningStats {
   double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
+};
+
+/// Exact moments of a stream of unsigned 32-bit integers (probe counts):
+/// the count, the sum, the sum of squares, min and max, all as integers.
+/// add() and merge() are plain integer arithmetic, so merging is
+/// associative and commutative and a result never depends on how the
+/// stream was split.  stats() converts once, at the end: the mean is the
+/// correctly rounded sum/count whenever the sum is below 2^53.
+///
+/// Exactness bound: with count <= kMaxCount = 2^32 and every value below
+/// 2^32, the sum stays below 2^64 and count * sum_sq (the widest term of
+/// the conversion) below 2^128.  Callers check a whole trial budget once
+/// with require_budget(); add() and merge() never check.
+class CountMoments {
+ public:
+  static constexpr std::uint64_t kMaxCount = std::uint64_t{1} << 32;
+
+  /// Throws std::invalid_argument when `count` samples could overflow the
+  /// exact integers (count > kMaxCount).
+  static void require_budget(std::uint64_t count);
+
+  /// An accumulator holding `count` samples with the given sums and
+  /// extremes (count 0 ignores the rest and gives the empty accumulator).
+  static CountMoments from_sums(std::uint64_t count, std::uint64_t sum,
+                                unsigned __int128 sum_sq, std::uint32_t min,
+                                std::uint32_t max);
+
+  void add(std::uint32_t x) {
+    min_ = std::min(min_, x);
+    max_ = std::max(max_, x);
+    ++count_;
+    sum_ += x;
+    sum_sq_ += std::uint64_t{x} * x;
+  }
+
+  void merge(const CountMoments& other) {
+    min_ = std::min(min_, other.min_);
+    max_ = std::max(max_, other.max_);
+    count_ += other.count_;
+    sum_ += other.sum_;
+    sum_sq_ += other.sum_sq_;
+  }
+
+  std::uint64_t count() const { return count_; }
+  std::uint64_t sum() const { return sum_; }
+  unsigned __int128 sum_squares() const { return sum_sq_; }
+  /// Extremes of the samples; UINT32_MAX and 0 while empty.
+  std::uint32_t min() const { return min_; }
+  std::uint32_t max() const { return max_; }
+
+  /// The RunningStats view: mean = sum / count and
+  /// M2 = (count * sum_sq - sum^2) / count, from the exact integers.
+  RunningStats stats() const;
+
+ private:
+  std::uint64_t count_ = 0;
+  std::uint64_t sum_ = 0;
+  unsigned __int128 sum_sq_ = 0;
+  std::uint32_t min_ = UINT32_MAX;
+  std::uint32_t max_ = 0;
 };
 
 /// Result of an ordinary least-squares fit y = slope * x + intercept.

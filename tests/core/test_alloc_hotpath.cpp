@@ -182,7 +182,7 @@ TEST(ZeroAllocationHotPath, LegacyRProbeCwEntryPointIsClean) {
 TEST(ZeroAllocationHotPath, BitSlicedBatchKernelIsAllocationFree) {
   // The bit-sliced batch path: sample a batch of masks, load super-blocks
   // into the workspace's BatchTrialBlock, run the strategy's batch kernel,
-  // gather per-lane probe counts.  Zero allocations in the steady state for
+  // fold the probe counts into exact moments.  Zero allocations in the steady state for
   // every batch-eligible strategy, including the randomized-order kernels
   // (their pre-drawn permutations and plan masks live in block-owned
   // buffers that grow once during warmup).
@@ -218,7 +218,7 @@ TEST(ZeroAllocationHotPath, BitSlicedBatchKernelIsAllocationFree) {
     Rng rng(20010826);
     constexpr std::size_t kBatch = 256;
     std::uint64_t* masks = ws.coloring_masks(kBatch);
-    std::uint64_t checksum = 0;
+    CountMoments moments;
 
     const auto run_batch = [&] {
       sample_iid_coloring_words(masks, kBatch, n, 0.5, rng);
@@ -230,8 +230,7 @@ TEST(ZeroAllocationHotPath, BitSlicedBatchKernelIsAllocationFree) {
             std::min(block.lane_capacity(), kBatch - off);
         block.load(masks + off, lanes);
         c.strategy->run_batch(block, rng);
-        for (std::size_t lane = 0; lane < lanes; ++lane)
-          checksum += block.probe_count(lane);
+        block.fold_probe_counts(moments);
       }
     };
 
@@ -240,7 +239,7 @@ TEST(ZeroAllocationHotPath, BitSlicedBatchKernelIsAllocationFree) {
     for (int i = 0; i < 8; ++i) run_batch();
     EXPECT_EQ(g_allocations.load() - before, 0u)
         << c.strategy->name() << " on " << c.system->name();
-    if (checksum == 0) std::abort();  // keep the counts alive
+    if (moments.sum() == 0) std::abort();  // keep the counts alive
   }
 }
 
@@ -262,7 +261,7 @@ TEST(ZeroAllocationHotPath, MetricsEnabledHotPathStaysAllocationFree) {
       obs::MetricsRegistry::instance().counter("test/alloc_hotpath_counter");
   obs::Histogram& histogram = obs::MetricsRegistry::instance().histogram(
       "test/alloc_hotpath_histogram");
-  RunningStats stats;
+  CountMoments stats;
 
   ws.batch_block().configure(resolve_simd_kernels(SimdIsa::kAuto), n);
   const auto run_batch = [&] {
@@ -270,7 +269,7 @@ TEST(ZeroAllocationHotPath, MetricsEnabledHotPathStaysAllocationFree) {
     run_bit_sliced_trials(probe_maj, ws.batch_block(), masks, kBatch, n, rng,
                           stats);
     counter.add(kBatch);
-    histogram.record(static_cast<std::uint64_t>(stats.count()));
+    histogram.record(stats.count());
   };
 
   run_batch();  // warmup: buffer growth and instrument registration

@@ -3,13 +3,17 @@
 // for every eligible strategy x family -- deterministic scans AND the
 // pre-drawing randomized-order strategies -- for full and partial lane
 // blocks, for the single-word and wide (portable W=4) kernel tables, and
-// through the engine for any thread count.  Per-ISA native coverage and
-// the n > 64 boundary matrix live in test_simd.cpp.
+// through the engine for any thread count.  The plane fold that reduces a
+// block to exact moments must equal the per-lane gather fed through
+// CountMoments::add.  Per-ISA native coverage and the n > 64 boundary
+// matrix live in test_simd.cpp.
 #include "core/engine/batch_kernel.h"
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/algorithms/greedy.h"
@@ -24,9 +28,60 @@
 #include "quorum/hqs.h"
 #include "quorum/majority.h"
 #include "quorum/tree_system.h"
+#include "util/stats.h"
 
 namespace qps {
 namespace {
+
+/// 64 per-lane counters stored as bit-planes: plane b holds bit b of every
+/// lane's counter.  Counts up to 64, hence 7 planes.  The single-word
+/// reference model of the kernels' in-kernel tallies (ripple-carry add,
+/// plane-fold equality), kept here as a differential oracle.
+class LaneTally {
+ public:
+  static constexpr std::size_t kPlanes = 7;
+
+  /// Increments the counter of every lane set in `lanes` (ripple-carry add
+  /// of a 1-bit across the planes).
+  void add(std::uint64_t lanes) {
+    std::uint64_t carry = lanes;
+    for (std::size_t b = 0; b < kPlanes && carry != 0; ++b) {
+      const std::uint64_t t = planes_[b] & carry;
+      planes_[b] ^= carry;
+      carry = t;
+    }
+  }
+
+  /// The lanes whose counter currently equals `value` (a 7-word fold).
+  std::uint64_t equals(std::size_t value) const {
+    std::uint64_t eq = ~0ULL;
+    for (std::size_t b = 0; b < kPlanes; ++b)
+      eq &= ((value >> b) & 1U) != 0 ? planes_[b] : ~planes_[b];
+    return eq;
+  }
+
+  /// One lane's counter, gathered from the planes.
+  std::uint32_t get(std::size_t lane) const {
+    std::uint32_t value = 0;
+    for (std::size_t b = 0; b < kPlanes; ++b)
+      value |= static_cast<std::uint32_t>((planes_[b] >> lane) & 1ULL) << b;
+    return value;
+  }
+
+  void clear() { planes_.fill(0); }
+
+ private:
+  std::array<std::uint64_t, kPlanes> planes_{};
+};
+
+void expect_same_moments(const CountMoments& got, const CountMoments& want,
+                         const std::string& label) {
+  EXPECT_EQ(got.count(), want.count()) << label;
+  EXPECT_EQ(got.sum(), want.sum()) << label;
+  EXPECT_TRUE(got.sum_squares() == want.sum_squares()) << label;
+  EXPECT_EQ(got.min(), want.min()) << label;
+  EXPECT_EQ(got.max(), want.max()) << label;
+}
 
 TEST(LaneTally, AddEqualsAndGetAgreeWithScalarCounters) {
   LaneTally tally;
@@ -158,6 +213,7 @@ TEST(BatchKernel, ProbeCountsMatchScalarRunWithPerLane) {
           Rng batch_rng(config_seed);
           c.strategy->run_batch(block, batch_rng);
           Rng scalar_rng(config_seed);
+          CountMoments gathered;
           for (std::size_t t = 0; t < count; ++t) {
             ws.coloring().assign_greens_words(masks.data() + t * stride);
             ProbeSession& session = ws.begin_trial(ws.coloring());
@@ -165,18 +221,105 @@ TEST(BatchKernel, ProbeCountsMatchScalarRunWithPerLane) {
             ASSERT_EQ(block.probe_count(t), session.probe_count())
                 << c.label << " isa=" << simd_isa_name(isa)
                 << " count=" << count << " p=" << p << " lane=" << t;
+            gathered.add(block.probe_count(t));
           }
+          CountMoments folded;
+          block.fold_probe_counts(folded);
+          expect_same_moments(folded, gathered, c.label);
         }
       }
     }
   }
 }
 
+/// Lane t's count gathered bit by bit from W-word planes: the definition
+/// fold_probe_planes must agree with (BatchTrialBlock::probe_count's rule).
+std::uint32_t gather_lane(const std::vector<std::uint64_t>& planes,
+                          std::size_t plane_count, std::size_t width,
+                          std::size_t lane) {
+  std::uint32_t value = 0;
+  for (std::size_t b = 0; b < plane_count; ++b)
+    value |= static_cast<std::uint32_t>(
+                 (planes[b * width + lane / 64] >> (lane % 64)) & 1ULL)
+             << b;
+  return value;
+}
+
+TEST(BatchKernel, FoldProbePlanesMatchesPerLaneGatherAndAdd) {
+  // Random planes -- with bits set in inactive lanes, which the fold must
+  // mask away -- for every lane width, 1..8 planes, and lane counts at the
+  // word seams.  Plus a random, non-prefix active mask per shape.
+  Rng rng(314159);
+  for (const std::size_t width : {1u, 2u, 4u, 8u}) {
+    const std::size_t cap = 64 * width;
+    for (std::size_t plane_count = 1; plane_count <= 8; ++plane_count) {
+      std::vector<std::size_t> lane_counts = {1, 63, 64, 65, cap - 1, cap};
+      std::vector<std::vector<std::uint64_t>> actives;
+      for (const std::size_t lanes : lane_counts) {
+        if (lanes > cap) continue;
+        std::vector<std::uint64_t> active(width, 0);
+        for (std::size_t t = 0; t < lanes; ++t)
+          active[t / 64] |= 1ULL << (t % 64);
+        actives.push_back(std::move(active));
+      }
+      std::vector<std::uint64_t> sparse(width);
+      for (auto& word : sparse) word = rng.next_u64() & rng.next_u64();
+      actives.push_back(std::move(sparse));
+      for (const auto& active : actives) {
+        std::vector<std::uint64_t> planes(plane_count * width);
+        for (auto& word : planes) word = rng.next_u64();
+        CountMoments folded;
+        fold_probe_planes(planes.data(), plane_count, active.data(), width,
+                          folded);
+        CountMoments gathered;
+        for (std::size_t t = 0; t < cap; ++t)
+          if ((active[t / 64] >> (t % 64)) & 1ULL)
+            gathered.add(gather_lane(planes, plane_count, width, t));
+        expect_same_moments(folded, gathered,
+                            "W=" + std::to_string(width) +
+                                " planes=" + std::to_string(plane_count) +
+                                " lanes=" + std::to_string(gathered.count()));
+      }
+    }
+  }
+}
+
+TEST(BatchKernel, FoldProbePlanesHandlesExtremeCounts) {
+  // All-ones planes (every lane at the largest count), all-zero planes,
+  // and an empty active mask, which must leave the accumulator untouched.
+  const std::size_t width = 2;
+  const std::size_t plane_count = 8;
+  const std::vector<std::uint64_t> active = {~0ULL, 0x5ULL};
+  const std::vector<std::uint64_t> ones(plane_count * width, ~0ULL);
+  CountMoments full;
+  fold_probe_planes(ones.data(), plane_count, active.data(), width, full);
+  EXPECT_EQ(full.count(), 66u);
+  EXPECT_EQ(full.min(), 255u);
+  EXPECT_EQ(full.max(), 255u);
+  EXPECT_EQ(full.sum(), 66u * 255u);
+  EXPECT_TRUE(full.sum_squares() == 66u * 255u * 255u);
+  const std::vector<std::uint64_t> zeros(plane_count * width, 0);
+  CountMoments none;
+  fold_probe_planes(zeros.data(), plane_count, active.data(), width, none);
+  EXPECT_EQ(none.count(), 66u);
+  EXPECT_EQ(none.min(), 0u);
+  EXPECT_EQ(none.max(), 0u);
+  const std::vector<std::uint64_t> idle(width, 0);
+  CountMoments untouched;
+  fold_probe_planes(ones.data(), plane_count, idle.data(), width, untouched);
+  EXPECT_EQ(untouched.count(), 0u);
+  EXPECT_EQ(untouched.stats().count(), 0u);
+  // Counts of 2^29 and up could overflow one word's sum of squares.
+  const std::vector<std::uint64_t> deep(30 * width, 0);
+  EXPECT_THROW(fold_probe_planes(deep.data(), 30, active.data(), width, none),
+               std::invalid_argument);
+}
+
 TEST(BatchKernel, RunBitSlicedTrialsMatchesScalarStatsAcrossBlockSeams) {
   // Three full super-blocks plus an 8-lane partial for each kernel width;
-  // the driver must consume the rng and append counts strictly in trial
-  // order so the RunningStats (and a randomized strategy's draw stream)
-  // match the scalar loop exactly.
+  // run_bit_sliced_trials must consume the rng strictly in trial order (a
+  // randomized strategy's draw stream) and fold every lane, so its exact
+  // integer moments equal the scalar loop's per-trial adds.
   const MajoritySystem maj(63);
   const ProbeMaj det(maj);
   const RProbeMaj rnd(maj);
@@ -190,27 +333,25 @@ TEST(BatchKernel, RunBitSlicedTrialsMatchesScalarStatsAcrossBlockSeams) {
       std::vector<std::uint64_t> masks(trials);
       sample_iid_coloring_words(masks.data(), trials, 63, 0.5, rng);
 
-      RunningStats batch;
+      CountMoments batch;
       BatchTrialBlock block;
       block.configure(kernels, 63);
       Rng batch_rng(4242);
       run_bit_sliced_trials(*strategy, block, masks.data(), trials, 63,
                             batch_rng, batch);
 
-      RunningStats scalar;
+      CountMoments scalar;
       TrialWorkspace ws(63);
       Rng scalar_rng(4242);
       for (std::size_t t = 0; t < trials; ++t) {
         ws.coloring().assign_greens_mask(masks[t]);
         ProbeSession& session = ws.begin_trial(ws.coloring());
         (void)strategy->run_with(ws, session, scalar_rng);
-        scalar.add(static_cast<double>(session.probe_count()));
+        scalar.add(static_cast<std::uint32_t>(session.probe_count()));
       }
-      EXPECT_EQ(batch.count(), scalar.count());
-      EXPECT_EQ(batch.mean(), scalar.mean());
-      EXPECT_EQ(batch.variance(), scalar.variance());
-      EXPECT_EQ(batch.min(), scalar.min());
-      EXPECT_EQ(batch.max(), scalar.max());
+      expect_same_moments(batch, scalar,
+                          strategy->name() + " " + simd_isa_name(isa));
+      EXPECT_EQ(batch_rng.next_u64(), scalar_rng.next_u64());
     }
   }
 }

@@ -136,7 +136,7 @@ TEST(DpKernel, PpcAgreesWithMonteCarloOptimalStrategy) {
     const ParallelEstimator engine(options);
     const RunningStats stats = engine.run([&](Rng& rng) {
       const Coloring coloring = sample_iid_coloring(7, p, rng);
-      return static_cast<double>(tree->evaluate(coloring).second);
+      return static_cast<std::uint32_t>(tree->evaluate(coloring).second);
     });
     EXPECT_NEAR(stats.mean(), optimum,
                 std::max(4.0 * stats.sem(), 1e-9))

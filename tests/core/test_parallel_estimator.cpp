@@ -152,6 +152,16 @@ TEST(ParallelEstimator, RejectsBadOptions) {
   EXPECT_THROW(ParallelEstimator{negative_sem}, std::invalid_argument);
 }
 
+TEST(ParallelEstimator, RefusesABudgetBeyondTheExactMomentsBound) {
+  // Checked once, at construction: the largest exact budget is accepted.
+  EngineOptions largest;
+  largest.trials = CountMoments::kMaxCount;
+  EXPECT_NO_THROW(ParallelEstimator{largest});
+  EngineOptions too_many;
+  too_many.trials = CountMoments::kMaxCount + 1;
+  EXPECT_THROW(ParallelEstimator{too_many}, std::invalid_argument);
+}
+
 TEST(ParallelEstimator, EngineBackedApiOverloadsAgree) {
   const MajoritySystem maj(9);
   const ProbeMaj strategy(maj);

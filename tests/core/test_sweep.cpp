@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "core/engine/parallel_estimator.h"
 #include "core/obs/metrics.h"
 #include "core/sweep/checkpoint.h"
 #include "core/sweep/sweep_report.h"
@@ -39,6 +40,11 @@ SweepSpec make_grid_spec() {
   spec.set_ps({0.25, 0.5});
   return spec;
 }
+
+// make_grid_spec()'s fingerprint under result-stream version 1, the
+// Welford-reduced stream: journals and workers of that version must never
+// be mixed into a version-2 sweep.
+constexpr std::uint64_t kStreamV1GridFingerprint = 0xdc106afb06f7fd11ULL;
 
 /// Deterministic pure function of the point: what every process computes.
 RunningStats eval_point(const SweepPoint& point) {
@@ -121,6 +127,14 @@ TEST(SweepSpec, FingerprintCoversIdentityAndConfig) {
   SweepSpec tagged = make_grid_spec();
   tagged.set_config_tag("trials=1000");
   EXPECT_NE(tagged.fingerprint(), base);
+}
+
+TEST(SweepSpec, FingerprintPinsTheResultStreamVersion) {
+  // A change to the engine's result stream must bump kResultStreamVersion,
+  // which moves every fingerprint: update both pins together, on purpose.
+  EXPECT_EQ(kResultStreamVersion, 2u);
+  EXPECT_EQ(make_grid_spec().fingerprint(), 0x7b6ac39c652377b1ULL);
+  EXPECT_NE(make_grid_spec().fingerprint(), kStreamV1GridFingerprint);
 }
 
 TEST(SweepWire, ResultLinesRoundTripExactly) {
@@ -444,6 +458,33 @@ TEST(SweepCheckpoint, MismatchedFingerprintsAndGarbageLinesAreIgnored) {
     return eval_point(p);
   });
   EXPECT_EQ(calls.load(), 0);
+
+  // The same journal as written by the previous result-stream version (the
+  // spec's version-1 fingerprint on every line): all ten are recomputed.
+  const std::string v1_path = temp_path("mismatch_v1.jsonl");
+  {
+    std::ifstream in(path);
+    std::ofstream out(v1_path, std::ios::trunc);
+    const std::string current = encode_hex_u64(make_grid_spec().fingerprint());
+    const std::string previous = encode_hex_u64(kStreamV1GridFingerprint);
+    std::string line;
+    while (std::getline(in, line)) {
+      for (std::size_t at = line.find(current); at != std::string::npos;
+           at = line.find(current, at))
+        line.replace(at, current.size(), previous);
+      out << line << '\n';
+    }
+  }
+  calls = 0;
+  SweepOptions v1_options;
+  v1_options.checkpoint_path = v1_path;
+  v1_options.resume = true;
+  SweepRunner(make_grid_spec(), v1_options).run([&](const SweepPoint& p) {
+    ++calls;
+    return eval_point(p);
+  });
+  EXPECT_EQ(calls.load(), 10);
+  std::remove(v1_path.c_str());
   std::remove(path.c_str());
 }
 
