@@ -80,11 +80,6 @@ struct BenchContext {
   // the scalar per-trial path).  Results are bit-identical either way --
   // CI's bench-smoke job cmp's the two JSONs to prove it.
   Execution execution = Execution::kBitSliced;
-  // --simd auto|avx512|avx2|neon|portable|off: instruction set for the
-  // bit-sliced kernels (core/engine/simd.h).  Results are bit-identical
-  // across ISAs -- CI cmp's --simd portable against --simd auto -- so this
-  // only moves throughput; a concrete ISA this build/CPU lacks exits 2.
-  SimdIsa simd = SimdIsa::kAuto;
 
   // Sweep orchestration (core/sweep/).
   std::size_t workers = 0;       // subprocess count; 0 = in-process
@@ -173,7 +168,6 @@ struct BenchContext {
     options.target_sem = target_sem;
     options.seed = seed + 0x9e3779b97f4a7c15ULL * stream;
     options.execution = execution;
-    options.simd = simd;
     return options;
   }
 
@@ -243,17 +237,6 @@ inline BenchContext parse_context(int argc, char** argv) {
   } else {
     std::cerr << "--execution must be 'bitsliced' or 'scalar', got '"
               << execution << "'\n";
-    std::exit(2);
-  }
-  const std::string simd = flags.get_string("simd", "auto");
-  if (!parse_simd_isa(simd, &ctx.simd)) {
-    std::cerr << "--simd must be one of auto/avx512/avx2/neon/portable/off, "
-                 "got '" << simd << "'\n";
-    std::exit(2);
-  }
-  if (!simd_isa_available(ctx.simd)) {
-    std::cerr << "--simd " << simd
-              << " is not available in this build / on this CPU\n";
     std::exit(2);
   }
   ctx.workers = static_cast<std::size_t>(flags.get_int("workers", 0));
@@ -341,7 +324,7 @@ inline BenchContext parse_context(int argc, char** argv) {
   if (!unused.empty()) {
     std::cerr << "unknown flag --" << unused.front()
               << " (supported: --seed --trials --quick --threads "
-                 "--target-sem --execution --simd --json --workers --checkpoint "
+                 "--target-sem --execution --json --workers --checkpoint "
                  "--resume --readmit --point --family --size --listen "
                  "--connect --dial --net-timeout --net-heartbeat "
                  "--net-idle-timeout --no-local-fallback --standby "

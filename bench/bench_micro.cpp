@@ -130,13 +130,13 @@ BENCHMARK(BM_ExactTreeExpectation)->Arg(8)->Arg(12)->Arg(16);
 //    (sample_iid_coloring_words), and the scratch-aware run_with() entry
 //    point.
 //  * Batch: the bit-sliced 64-trials-per-word kernel
-//    (core/engine/batch_kernel.h) pinned to the single-word table
-//    (--simd off's shape) -- transposed colorings, mask-arithmetic lane
-//    control, bit-sliced probe tallies.
-//  * Simd: the same batch kernel on the best compiled ISA
-//    (core/engine/simd.h, W lane words per pass), deterministic-order
+//    (core/engine/batch_kernel.h) pinned to the single-word W = 1 table
+//    -- transposed colorings, mask-arithmetic lane control, bit-sliced
+//    probe tallies.
+//  * Simd: the same batch kernel on the production W = 4 table
+//    (core/engine/simd.h, 4 lane words per pass), deterministic-order
 //    strategies -- the Batch/Simd pair isolates the widening win.
-//  * RandBatch: the batch kernel (best ISA) on the randomized-order
+//  * RandBatch: the batch kernel (W = 4) on the randomized-order
 //    strategies, which pre-draw per-lane permutations / plans and run on
 //    permuted colorings -- paired with Hot on the same strategy.
 // items_per_second is trials/sec.  CI pairs Generic/Hot, Hot/Batch,
@@ -351,7 +351,7 @@ void BM_ProbeTrials_Simd_DetCw55(benchmark::State& state) {
 BENCHMARK(BM_ProbeTrials_Simd_DetCw55);
 
 // Randomized-order strategies through the batch kernel (pre-drawn
-// per-lane permutations / plans, best ISA), paired with Hot on the same
+// per-lane permutations / plans, W = 4), paired with Hot on the same
 // strategy: the randomized_batch_vs_hot series.
 void BM_ProbeTrials_RandBatch_RMaj63(benchmark::State& state) {
   const MajoritySystem maj(63);
@@ -472,7 +472,7 @@ void BM_EngineMergeOverhead(benchmark::State& state) {
 BENCHMARK(BM_EngineMergeOverhead)->Arg(16)->Arg(256)->Arg(4096);
 
 // The per-super-block reduction layer on its own: one Maj63 super-block
-// (64*W lanes at p = 1/2, best ISA) already scanned, then reduced.
+// (64*W lanes at p = 1/2, W = 4) already scanned, then reduced.
 // PlaneFold is the engine's fold_probe_planes into exact moments;
 // GatherWelford is the reduction it replaced -- one probe_count gather and
 // one floating-point Welford add per lane -- kept here only as the

@@ -4,7 +4,9 @@
 Usage: obs_overhead_gate.py OBS_ON_JSON OBS_OFF_JSON [--max-loss 0.02]
 
 Both inputs are raw google-benchmark JSON (bench_micro --benchmark_out=...)
-from the same machine and commit: OBS_ON_JSON from the default build
+from the same machine and commit, each benchmark read at its `median`
+aggregate when the run used --benchmark_repetitions (the single run
+otherwise): OBS_ON_JSON from the default build
 (QPS_OBS_METRICS=1), OBS_OFF_JSON from a tree configured with
 -DQPS_OBS_METRICS=OFF -DQPS_OBS_TRACE=OFF.  Every benchmark reporting
 items_per_second in BOTH files is compared; the engine end-to-end series
@@ -23,10 +25,16 @@ GATED_SUBSTRING = "EstimatePpc"
 
 
 def load_rates(path):
+    """items_per_second per benchmark: the median aggregate of a repeated
+    run, else the single iteration run."""
     with open(path) as f:
         raw = json.load(f)
-    return {b["name"]: b["items_per_second"]
-            for b in raw["benchmarks"] if "items_per_second" in b}
+    rates = [b for b in raw["benchmarks"] if "items_per_second" in b]
+    medians = {b["run_name"]: b["items_per_second"] for b in rates
+               if b.get("aggregate_name") == "median"}
+    if medians:
+        return medians
+    return {b["name"]: b["items_per_second"] for b in rates}
 
 
 def main() -> int:

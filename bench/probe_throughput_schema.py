@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Distill bench_micro's probe-throughput run into the stable BENCH schema.
 
-Reads the raw google-benchmark JSON (bench_micro --benchmark_out=...) and
-writes BENCH_micro_probe.json in the same {experiment, metrics, checks,
-all_pass} shape every other BENCH_*.json artifact uses, under STABLE metric
+Reads the raw google-benchmark JSON (bench_micro --benchmark_out=...),
+taking each benchmark's `median` aggregate when the run used
+--benchmark_repetitions (the single run otherwise), and writes
+BENCH_micro_probe.json in the same {experiment, metrics, checks, all_pass}
+shape every other BENCH_*.json artifact uses, under STABLE metric
 names -- `probe_trials/<Case>/<path>_trials_per_sec` and
 `speedup/<series>/<Case>` -- so the per-commit artifacts are
 machine-comparable PR-over-PR instead of raw benchmark dumps.
@@ -16,13 +18,15 @@ Benchmarks pair up by suffix:
                            -> speedup/randomized_batch_vs_hot/X
   BM_EstimatePpcGenericLambda / BM_EstimatePpcHotPath / BM_EstimatePpcBitSliced
                            -> the engine end-to-end series
-The Batch tier pins --simd off (one lane word) so simd_vs_batch isolates the
-wide-ISA gain; Simd and RandBatch run whatever ISA the dispatcher picks.
+The Batch tier pins the single-word table (W = 1) so simd_vs_batch isolates
+the lane-width gain; Simd and RandBatch run the production W = 4 table.
 Every speedup is gated > 1 (a path that stops beating its baseline fails
 the job); the exit code doubles as the CI gate.
 """
 import json
 import sys
+
+from obs_overhead_gate import load_rates
 
 GENERIC, HOT, BATCH = "_Generic_", "_Hot_", "_Batch_"
 SIMD, RANDBATCH = "_Simd_", "_RandBatch_"
@@ -33,10 +37,7 @@ def main() -> int:
         print(f"usage: {sys.argv[0]} RAW_BENCHMARK_JSON OUT_SCHEMA_JSON")
         return 2
     raw_path, out_path = sys.argv[1], sys.argv[2]
-    with open(raw_path) as f:
-        raw = json.load(f)
-    rate = {b["name"]: b["items_per_second"]
-            for b in raw["benchmarks"] if "items_per_second" in b}
+    rate = load_rates(raw_path)
 
     metrics, checks = {}, {}
 
@@ -67,7 +68,7 @@ def main() -> int:
             record(case_of(name, RANDBATCH), "randomized_batch", rate[name])
 
     # Pairing is strict: a Generic benchmark without its Hot counterpart, a
-    # Batch one without its Hot baseline, a Simd one without its off-ISA
+    # Batch one without its Hot baseline, a Simd one without its W = 1
     # Batch twin, or a RandBatch one without its scalar Hot baseline, is a
     # broken suite and must fail the job (KeyError), not silently drop the
     # gate.

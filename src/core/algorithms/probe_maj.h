@@ -21,7 +21,7 @@ class ProbeMaj final : public ProbeStrategy {
   explicit ProbeMaj(const MajoritySystem& system) : system_(&system) {}
   std::string name() const override { return "Probe_Maj"; }
   Witness run(ProbeSession& session, Rng& rng) const override;
-  /// Bit-sliced batch kernel: 64*W trials per block via the ISA table's
+  /// Bit-sliced batch kernel: 64*W trials per block via the kernel table's
   /// count_scan -- bit-sliced green tallies, per-lane stop detection by
   /// plane equality against the threshold.  Any universe size.
   bool supports_batch(std::size_t universe_size) const override;

@@ -37,17 +37,6 @@ Coloring sample_iid_coloring(std::size_t universe_size, double p, Rng& rng) {
   return Coloring(universe_size, std::move(greens));
 }
 
-std::uint64_t sample_iid_coloring_mask(std::size_t universe_size, double p,
-                                       Rng& rng) {
-  QPS_REQUIRE(universe_size >= 1 && universe_size <= 64,
-              "mask sampling needs a universe of 1..64");
-  QPS_REQUIRE(p >= 0.0 && p <= 1.0, "probability outside [0,1]");
-  std::uint64_t greens = 0;
-  for (Element e = 0; e < universe_size; ++e)
-    if (!rng.bernoulli(p)) greens |= 1ULL << e;
-  return greens;
-}
-
 void sample_iid_coloring_words(std::uint64_t* out, std::size_t count,
                                std::size_t universe_size, double p, Rng& rng) {
   QPS_REQUIRE(universe_size >= 1, "word sampling needs a nonempty universe");
@@ -93,19 +82,46 @@ void sample_iid_coloring_words(std::uint64_t* out, std::size_t count,
 namespace {
 
 // Hacker's-Delight 64x64 in-place bit-matrix transpose by masked delta
-// swaps.  The classic algorithm transposes under the MSB-left convention,
-// i.e. with LSB indexing it maps (row r, bit b) to (63-b, 63-r); callers
-// load and store with reversed row indices to get the plain (r, b) ->
-// (b, r).
-void transpose_64x64(std::uint64_t x[64]) {
+// swaps, applied to G tiles in lockstep (tile g is column g of x, so each
+// swap step is G independent word operations the compiler vectorizes).
+// The classic algorithm transposes under the MSB-left convention, i.e.
+// with LSB indexing it maps (row r, bit b) to (63-b, 63-r); callers load
+// and store with reversed row indices to get the plain (r, b) -> (b, r).
+template <std::size_t G>
+void transpose_64x64_tiles(std::uint64_t (&x)[64][G]) {
   for (std::uint64_t j = 32, m = 0x00000000FFFFFFFFULL; j != 0;
        j >>= 1, m ^= m << j) {
     for (std::uint64_t k = 0; k < 64; k = (k + j + 1) & ~j) {
-      const std::uint64_t t = (x[k] ^ (x[k + j] >> j)) & m;
-      x[k] ^= t;
-      x[k + j] ^= t << j;
+      for (std::size_t g = 0; g < G; ++g) {
+        const std::uint64_t t = (x[k][g] ^ (x[k + j][g] >> j)) & m;
+        x[k][g] ^= t;
+        x[k + j][g] ^= t << j;
+      }
     }
   }
+}
+
+/// Lane words [k0, k0 + G) of element chunk c: tile (k, c) holds trials
+/// [64k, 64k+64) x elements [64c, 64c+64).
+template <std::size_t G>
+void transpose_lane_words(const std::uint64_t* trial_masks,
+                          std::size_t trial_count, std::size_t universe_size,
+                          std::size_t lane_words, std::size_t k0,
+                          std::size_t c, std::uint64_t* element_words) {
+  const std::size_t stride = (universe_size + 63) / 64;
+  std::uint64_t x[64][G];
+  for (std::size_t t = 0; t < 64; ++t) {
+    for (std::size_t g = 0; g < G; ++g) {
+      const std::size_t trial = 64 * (k0 + g) + t;
+      x[63 - t][g] = trial < trial_count ? trial_masks[trial * stride + c] : 0;
+    }
+  }
+  transpose_64x64_tiles(x);
+  const std::size_t chunk_elems =
+      universe_size - 64 * c < 64 ? universe_size - 64 * c : 64;
+  for (std::size_t e = 0; e < chunk_elems; ++e)
+    for (std::size_t g = 0; g < G; ++g)
+      element_words[(64 * c + e) * lane_words + k0 + g] = x[63 - e][g];
 }
 
 }  // namespace
@@ -117,11 +133,8 @@ void transpose_coloring_words(const std::uint64_t* trial_masks,
   QPS_REQUIRE(universe_size >= 1 && universe_size <= 64,
               "transpose needs a universe of 1..64");
   QPS_REQUIRE(trial_count <= 64, "at most 64 trials per transpose");
-  std::uint64_t x[64];
-  for (std::size_t t = 0; t < 64; ++t)
-    x[63 - t] = t < trial_count ? trial_masks[t] : 0;
-  transpose_64x64(x);
-  for (std::size_t e = 0; e < universe_size; ++e) element_words[e] = x[63 - e];
+  transpose_lane_words<1>(trial_masks, trial_count, universe_size, 1, 0, 0,
+                          element_words);
 }
 
 void transpose_coloring_words_strided(const std::uint64_t* trial_masks,
@@ -134,20 +147,14 @@ void transpose_coloring_words_strided(const std::uint64_t* trial_masks,
   QPS_REQUIRE(trial_count <= 64 * lane_words,
               "more trials than the lane words can hold");
   const std::size_t stride = (universe_size + 63) / 64;
-  std::uint64_t x[64];
-  for (std::size_t k = 0; k < lane_words; ++k) {
-    for (std::size_t c = 0; c < stride; ++c) {
-      // Tile (k, c): trials [64k, 64k+64) x elements [64c, 64c+64).
-      for (std::size_t t = 0; t < 64; ++t) {
-        const std::size_t trial = 64 * k + t;
-        x[63 - t] = trial < trial_count ? trial_masks[trial * stride + c] : 0;
-      }
-      transpose_64x64(x);
-      const std::size_t chunk_elems =
-          universe_size - 64 * c < 64 ? universe_size - 64 * c : 64;
-      for (std::size_t e = 0; e < chunk_elems; ++e)
-        element_words[(64 * c + e) * lane_words + k] = x[63 - e];
-    }
+  for (std::size_t c = 0; c < stride; ++c) {
+    std::size_t k = 0;
+    for (; k + 4 <= lane_words; k += 4)
+      transpose_lane_words<4>(trial_masks, trial_count, universe_size,
+                              lane_words, k, c, element_words);
+    for (; k < lane_words; ++k)
+      transpose_lane_words<1>(trial_masks, trial_count, universe_size,
+                              lane_words, k, c, element_words);
   }
 }
 

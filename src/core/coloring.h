@@ -69,14 +69,6 @@ class Coloring {
 /// probability `p` (the probabilistic model of Section 3).
 Coloring sample_iid_coloring(std::size_t universe_size, double p, Rng& rng);
 
-/// Green-mask variant of sample_iid_coloring for universes of at most 64
-/// elements: same distribution, same generator draw sequence (one uniform
-/// per element), no ElementSet materialization.  sample_iid_coloring(n,p,r)
-/// == Coloring(n, ElementSet::from_mask(n, sample_iid_coloring_mask(n,p,r)))
-/// for equal generator states.
-std::uint64_t sample_iid_coloring_mask(std::size_t universe_size, double p,
-                                       Rng& rng);
-
 /// Batched word-level i.i.d. sampling: fills `out` with one green mask row
 /// of ceil(n/64) words per trial (trial t occupies
 /// out[t*stride .. t*stride+stride)).  Each word is built by the bit-sliced
@@ -113,7 +105,7 @@ void transpose_coloring_words(const std::uint64_t* trial_masks,
 /// `element_words[e*lane_words + k]` = colors of element e across trials
 /// [64k, 64k+64).  Requires trial_count <= 64*lane_words; lanes beyond
 /// trial_count come out zero.  Tiled 64x64 bit-matrix transposes, one tile
-/// per (lane word, element chunk) pair.
+/// per (lane word, element chunk) pair, four lane words' tiles in lockstep.
 void transpose_coloring_words_strided(const std::uint64_t* trial_masks,
                                       std::size_t trial_count,
                                       std::size_t universe_size,

@@ -12,7 +12,7 @@
 //    answers in W word loads;
 //  * a strategy's run_batch() override (core/strategy.h) pre-draws its
 //    per-trial randomness into the block's side buffers (permuted masks,
-//    plan masks) and then calls one of the block's ISA kernels, which walk
+//    plan masks) and then calls one of the block's width kernels, which walk
 //    the probe structure once carrying an active-lane matrix -- divergence
 //    between trials becomes mask arithmetic, never a per-trial branch;
 //  * probe accounting is bit-sliced too: per-lane counters live as
@@ -27,10 +27,10 @@
 // probe_count(t) must be bit-identical to what the scalar
 // ProbeStrategy::run_with() path reports for trial t's coloring
 // (tests/core/test_batch_kernel.cpp and test_simd.cpp enforce this per
-// strategy x family x ISA), and fold_probe_counts() must equal those counts
-// fed one by one through CountMoments::add.  The engine dispatches to this
-// kernel via EngineOptions::execution, with the ISA picked once per run
-// through EngineOptions::simd (parallel_estimator.h).
+// strategy x family x lane width), and fold_probe_counts() must equal those
+// counts fed one by one through CountMoments::add.  The engine dispatches to
+// this kernel via EngineOptions::execution (parallel_estimator.h) and always
+// runs the production W = 4 table (core/engine/simd.h).
 #pragma once
 
 #include <bit>
@@ -66,7 +66,7 @@ void fold_probe_planes(const std::uint64_t* planes, std::size_t plane_count,
 /// super-blocks without touching the heap.
 class BatchTrialBlock {
  public:
-  /// Binds the block to an ISA kernel table and a universe size, sizing all
+  /// Binds the block to a kernel table and a universe size, sizing all
   /// storage.  No-op when already configured identically; invalidates any
   /// loaded trials otherwise.
   void configure(const SimdKernels& kernels, std::size_t universe_size) {
@@ -127,7 +127,7 @@ class BatchTrialBlock {
 
   std::size_t universe_size() const { return n_; }
   std::size_t trial_count() const { return trial_count_; }
-  /// Lane words per element row (the configured ISA's W).
+  /// Lane words per element row (the configured table's W).
   std::size_t width() const { return kernels_ == nullptr ? 0 : kernels_->width; }
   /// Trials per super-block: 64 * width().
   std::size_t lane_capacity() const { return 64 * width(); }

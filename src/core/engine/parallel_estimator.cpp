@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/engine/parallel_for.h"
+#include "core/engine/simd.h"
 #include "core/engine/trial_workspace.h"
 #include "core/fault/fault.h"
 #include "core/obs/metrics.h"
@@ -215,17 +216,16 @@ RunningStats ParallelEstimator::estimate_ppc(const QuorumSystem& system,
   }
   // Bit-sliced batch kernels: 64*W trials per super-block for every
   // strategy with a batch kernel, any universe size.  The masks are
-  // sampled exactly as on the scalar kWordBatch path (same draws, same rng
+  // sampled exactly as on the scalar path below (same draws, same rng
   // sequence) and batch strategies pre-draw their per-trial randomness in
   // trial order (the exact draws the scalar loop makes), so the per-trial
   // probe counts -- and therefore the merged statistics -- are
-  // bit-identical to the scalar path's, for every ISA.  Validation needs
-  // materialized witnesses, which the kernels never build: that
+  // bit-identical to the scalar path's at any lane width.  Validation
+  // needs materialized witnesses, which the kernels never build: that
   // combination falls back to the scalar path below.
-  if (options_.execution == Execution::kBitSliced &&
-      options_.sampler == ColoringSampler::kWordBatch && !validate &&
+  if (options_.execution == Execution::kBitSliced && !validate &&
       strategy.supports_batch(n)) {
-    const SimdKernels& kernels = resolve_simd_kernels(options_.simd);
+    const SimdKernels& kernels = resolve_simd_kernels(SimdIsa::kAuto);
     return run_batches([&strategy, &kernels, p, n] {
       auto workspace = std::make_shared<TrialWorkspace>(n);
       return [workspace, &strategy, &kernels, p, n](
@@ -241,42 +241,22 @@ RunningStats ParallelEstimator::estimate_ppc(const QuorumSystem& system,
       };
     });
   }
-  if (options_.sampler == ColoringSampler::kPerElement && n > 64) {
-    // The per-element sampler only exists single-word; larger universes
-    // keep the original allocating per-trial path (same draw sequence).
-    return run([&](Rng& rng) {
-      const Coloring coloring = sample_iid_coloring(n, p, rng);
-      return run_probe_trial(system, strategy, coloring, validate, rng);
-    });
-  }
-  // Zero-allocation scalar hot path: one workspace per worker, colorings
-  // filled in place.  kWordBatch samples the whole batch's mask rows up
-  // front (the sampling and strategy draws are then contiguous per batch);
-  // kPerElement interleaves them per trial, exactly like the generic path,
-  // so its results are bit-identical to it.
-  const ColoringSampler sampler = options_.sampler;
-  return run_batches([&system, &strategy, p, validate, n, sampler] {
+  // Zero-allocation scalar hot path: one workspace per worker, the whole
+  // batch's mask rows sampled up front, colorings filled in place.
+  return run_batches([&system, &strategy, p, validate, n] {
     auto workspace = std::make_shared<TrialWorkspace>(n);
-    return [workspace, &system, &strategy, p, validate, n, sampler](
+    return [workspace, &system, &strategy, p, validate, n](
                std::size_t begin, std::size_t end, Rng& rng,
                CountMoments& out) {
       TrialWorkspace& ws = *workspace;
       const std::size_t count = end - begin;
-      if (sampler == ColoringSampler::kWordBatch) {
-        const std::size_t stride = (n + 63) / 64;
-        std::uint64_t* masks = ws.coloring_masks(count);
-        sample_iid_coloring_words(masks, count, n, p, rng);
-        for (std::size_t i = 0; i < count; ++i) {
-          ws.coloring().assign_greens_words(masks + i * stride);
-          out.add(run_workspace_trial(ws, ws.coloring(), system, strategy,
-                                      validate, rng));
-        }
-      } else {
-        for (std::size_t i = 0; i < count; ++i) {
-          ws.coloring().assign_greens_mask(sample_iid_coloring_mask(n, p, rng));
-          out.add(run_workspace_trial(ws, ws.coloring(), system, strategy,
-                                      validate, rng));
-        }
+      const std::size_t stride = (n + 63) / 64;
+      std::uint64_t* masks = ws.coloring_masks(count);
+      sample_iid_coloring_words(masks, count, n, p, rng);
+      for (std::size_t i = 0; i < count; ++i) {
+        ws.coloring().assign_greens_words(masks + i * stride);
+        out.add(run_workspace_trial(ws, ws.coloring(), system, strategy,
+                                    validate, rng));
       }
     };
   });

@@ -29,7 +29,6 @@
 #include <functional>
 
 #include "core/coloring.h"
-#include "core/engine/simd.h"
 #include "core/strategy.h"
 #include "quorum/quorum_system.h"
 #include "util/rng.h"
@@ -43,32 +42,17 @@ namespace qps {
 /// (SweepSpec::fingerprint includes it).  Version 2: exact integer moments.
 inline constexpr std::uint32_t kResultStreamVersion = 2;
 
-/// How estimate_ppc draws its per-trial colorings on the zero-allocation
-/// hot path.
-enum class ColoringSampler {
-  /// One whole batch of green-mask rows up front, word-at-a-time, via
-  /// sample_iid_coloring_words: the fastest path, any universe size.
-  /// Statistically equivalent to -- but a different draw sequence than --
-  /// the per-element sampler.
-  kWordBatch,
-  /// Per-trial, one uniform per element, interleaved with the strategy's
-  /// own draws: bit-identical results to the pre-workspace generic path
-  /// (used by differential tests and available for reproducing old runs).
-  /// Universes above 64 elements take the generic allocating trial.
-  kPerElement,
-};
-
 /// How estimate_ppc executes the trials of a batch.
 enum class Execution {
   /// Bit-sliced batch kernels (core/engine/batch_kernel.h) where eligible:
   /// the strategy has a batch kernel (ProbeStrategy::supports_batch --
   /// deterministic-order scans and the pre-drawing randomized-order
-  /// strategies, any universe size), the kWordBatch sampler, and witness
-  /// validation off (the kernels resolve win/loss as lane masks and never
-  /// materialize witnesses).  Ineligible combinations -- strategies
-  /// without a kernel, kPerElement, validation -- fall back to the scalar
-  /// path, so the default is always safe.  Per-trial probe counts are
-  /// bit-identical to kScalar's, hence so are the returned statistics.
+  /// strategies, any universe size) and witness validation is off (the
+  /// kernels resolve win/loss as lane masks and never materialize
+  /// witnesses).  Ineligible combinations -- strategies without a kernel,
+  /// validation -- fall back to the scalar path, so the default is always
+  /// safe.  Per-trial probe counts are bit-identical to kScalar's, hence so
+  /// are the returned statistics.
   kBitSliced,
   /// Always the per-trial run_with scalar hot path (the PR 4 shape).
   kScalar,
@@ -93,16 +77,9 @@ struct EngineOptions {
   bool validate_witnesses = false;
   /// Root seed for the per-batch RNG streams.
   std::uint64_t seed = 0x9e3779b97f4a7c15ULL;
-  /// Coloring sampling mode for estimate_ppc's hot path.
-  ColoringSampler sampler = ColoringSampler::kWordBatch;
   /// Trial execution mode for estimate_ppc (bit-sliced batch kernel where
   /// eligible vs. always scalar); results are bit-identical either way.
   Execution execution = Execution::kBitSliced;
-  /// Instruction set for the bit-sliced kernels (core/engine/simd.h):
-  /// kAuto picks the best the build and CPU support, resolved once per
-  /// estimate_ppc call.  Per-trial results are bit-identical across ISAs
-  /// (only the number of lane words per pass changes).
-  SimdIsa simd = SimdIsa::kAuto;
 };
 
 class ParallelEstimator {

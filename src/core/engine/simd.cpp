@@ -1,72 +1,31 @@
 #include "core/engine/simd.h"
 
-#include "core/obs/metrics.h"
-#include "util/require.h"
-
 namespace qps {
 
 namespace {
 
-const SimdKernels* table_for(SimdIsa isa) {
-  switch (isa) {
-    case SimdIsa::kOff:
-      return simd_detail::off_table();
-    case SimdIsa::kPortable:
-      return simd_detail::portable_table();
-    case SimdIsa::kNeon:
-      return simd_detail::neon_table();
-    case SimdIsa::kAvx2:
-      return simd_detail::avx2_table();
-    case SimdIsa::kAvx512:
-      return simd_detail::avx512_table();
-    case SimdIsa::kAuto:
-      break;
-  }
-  return nullptr;
-}
+// The two widths of simd_kernels.inc.h, each in its own namespace.
+namespace w1 {
+constexpr std::size_t kW = 1;
+#include "core/engine/simd_kernels.inc.h"
+}  // namespace w1
 
-bool cpu_supports(SimdIsa isa) {
-  switch (isa) {
-    case SimdIsa::kAvx2:
-#if (defined(__x86_64__) || defined(__i386__)) && \
-    (defined(__GNUC__) || defined(__clang__))
-      return __builtin_cpu_supports("avx2") != 0;
-#else
-      return false;
-#endif
-    case SimdIsa::kAvx512:
-#if (defined(__x86_64__) || defined(__i386__)) && \
-    (defined(__GNUC__) || defined(__clang__))
-      return __builtin_cpu_supports("avx512f") != 0;
-#else
-      return false;
-#endif
-    case SimdIsa::kNeon:
-      // The NEON table only exists on AArch64, where NEON is baseline.
-      return true;
-    default:
-      return true;
-  }
-}
+namespace w4 {
+constexpr std::size_t kW = 4;
+#include "core/engine/simd_kernels.inc.h"
+}  // namespace w4
 
-SimdIsa detect_best() {
-  for (SimdIsa isa : {SimdIsa::kAvx512, SimdIsa::kAvx2, SimdIsa::kNeon})
-    if (simd_isa_available(isa)) return isa;
-  return SimdIsa::kPortable;
-}
+constexpr SimdKernels kOffTable = {
+    SimdIsa::kOff,   1,
+    &w1::count_scan, &w1::tree_scan, &w1::rtree_scan, &w1::hqs_scan,
+    &w1::rhqs_scan,  &w1::cw_scan,   &w1::rcw_scan};
+
+constexpr SimdKernels kPortableTable = {
+    SimdIsa::kPortable, 4,
+    &w4::count_scan,    &w4::tree_scan, &w4::rtree_scan, &w4::hqs_scan,
+    &w4::rhqs_scan,     &w4::cw_scan,   &w4::rcw_scan};
 
 }  // namespace
-
-bool parse_simd_isa(const std::string& text, SimdIsa* out) {
-  if (text == "auto") *out = SimdIsa::kAuto;
-  else if (text == "off") *out = SimdIsa::kOff;
-  else if (text == "portable") *out = SimdIsa::kPortable;
-  else if (text == "neon") *out = SimdIsa::kNeon;
-  else if (text == "avx2") *out = SimdIsa::kAvx2;
-  else if (text == "avx512") *out = SimdIsa::kAvx512;
-  else return false;
-  return true;
-}
 
 const char* simd_isa_name(SimdIsa isa) {
   switch (isa) {
@@ -76,35 +35,12 @@ const char* simd_isa_name(SimdIsa isa) {
       return "off";
     case SimdIsa::kPortable:
       return "portable";
-    case SimdIsa::kNeon:
-      return "neon";
-    case SimdIsa::kAvx2:
-      return "avx2";
-    case SimdIsa::kAvx512:
-      return "avx512";
   }
   return "unknown";
 }
 
-bool simd_isa_available(SimdIsa isa) {
-  if (isa == SimdIsa::kAuto) return true;
-  return table_for(isa) != nullptr && cpu_supports(isa);
-}
-
 const SimdKernels& resolve_simd_kernels(SimdIsa requested) {
-  SimdIsa isa = requested;
-  if (isa == SimdIsa::kAuto) {
-    static const SimdIsa best = detect_best();  // detected once per process
-    isa = best;
-  }
-  QPS_REQUIRE(simd_isa_available(isa),
-              std::string("SIMD ISA '") + simd_isa_name(isa) +
-                  "' is not compiled into this build or not supported by "
-                  "this CPU (use --simd=auto)");
-  obs::MetricsRegistry::instance()
-      .gauge("engine/simd_isa")
-      .set(static_cast<std::int64_t>(isa));
-  return *table_for(isa);
+  return requested == SimdIsa::kOff ? kOffTable : kPortableTable;
 }
 
 }  // namespace qps

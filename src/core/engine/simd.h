@@ -1,48 +1,36 @@
-// SIMD portability shim for the bit-sliced batch engine.
+// Lane-width layer of the bit-sliced batch engine.
 //
 // The batch kernel (batch_kernel.h) packs 64 Monte-Carlo trials into every
 // machine word; this layer widens that to W words processed in lock-step,
 // so one pass of a scan kernel advances 64*W trials.  The hot loops (the
 // ripple-carry tally add, the stop-detection equality fold, the masked
-// recursions of Probe_Tree/HQS/CW) are compiled once per instruction set
-// with fixed-trip-count W loops the compiler turns into vector code:
+// recursions of Probe_Tree/HQS/CW) are written once, width-generic, in
+// simd_kernels.inc.h and instantiated at two widths in plain C++ under the
+// build's baseline flags (the fixed-trip W loops unroll, and compilers
+// vectorize them where the target allows):
 //
-//   ISA       W   words per op  requires
-//   avx512    8   512 bits      AVX-512F (x86-64)
-//   avx2      4   256 bits      AVX2 (x86-64)
-//   neon      2   128 bits      AArch64 (NEON is baseline there)
-//   portable  4   4x64 scalar   nothing (plain C++, any target)
-//   off       1   64 bits       nothing (PR 5's single-word layout)
+//   table     W   trials per block  role
+//   portable  4   256               the production table (kAuto)
+//   off       1   64                single-word reference: tests and the
+//                                   bench_micro Batch baseline
 //
-// The kernels never touch project headers beyond this one: each ISA
-// translation unit is compiled with its own -m flags, and letting it emit,
-// say, an AVX-encoded copy of an inline function that other TUs also define
-// would let the linker pick the wide encoding for everyone (an illegal
-// instruction on older CPUs).  So the contract between the engine and the
-// kernels is the POD BlockView below plus plain arrays for structure
-// (tree shape is implied by the heap indexing, HQS by its height, CW by a
-// row-offset array), and every kernel body lives in an anonymous namespace
-// of its own TU (simd_kernels.inc.h).
-//
-// Dispatch happens once per engine run: resolve_simd_kernels() picks the
-// best ISA the build and the CPU both support (overridable through
-// EngineOptions::simd / the benches' --simd= flag) and returns the kernel
-// table; the ISA in use is published as the `engine/simd_isa` gauge.
+// Lane width never changes a trial: every table charges each lane exactly
+// the probes the scalar strategy makes on that lane's coloring, so only
+// the number of lane words per pass differs.  The contract between the
+// engine and the kernels is the POD BlockView below plus plain arrays for
+// structure (tree shape is implied by the heap indexing, HQS by its
+// height, CW by a row-offset array).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 
 namespace qps {
 
 enum class SimdIsa : std::uint8_t {
-  kAuto = 0,      // best available: avx512 > avx2 > neon > portable
-  kOff = 1,       // single 64-bit word per step (the PR 5 layout)
-  kPortable = 2,  // plain C++ over uint64[4]; compiles anywhere
-  kNeon = 3,      // AArch64
-  kAvx2 = 4,      // x86-64 with AVX2
-  kAvx512 = 5,    // x86-64 with AVX-512F
+  kAuto = 0,      // the production table: kPortable
+  kOff = 1,       // single 64-bit word per step (the reference layout)
+  kPortable = 2,  // plain C++ over uint64[4]
 };
 
 /// The kernels' window into one loaded BatchTrialBlock.  All arrays are
@@ -52,7 +40,7 @@ enum class SimdIsa : std::uint8_t {
 ///   tally_planes           kernel-owned scratch counters, same layout
 ///   active[k]              bit t set iff lane 64k+t carries a trial
 /// `planes` is the number of bit planes in each counter (enough for counts
-/// up to `universe`).  POD on purpose -- see the ODR note above.
+/// up to `universe`).
 struct BlockView {
   std::uint64_t* greens;
   std::uint64_t* probe_planes;
@@ -62,7 +50,7 @@ struct BlockView {
   std::size_t planes;
 };
 
-/// One ISA's kernel table.  Every entry charges probes into
+/// One lane width's kernel table.  Every entry charges probes into
 /// `probe_planes` for exactly the element set the scalar strategy would
 /// probe on each lane's coloring -- the bit-identity contract.
 struct SimdKernels {
@@ -105,30 +93,9 @@ struct SimdKernels {
                    std::size_t row_count);
 };
 
-/// Parses "auto" / "avx512" / "avx2" / "neon" / "portable" / "off".
-/// Returns false (and leaves *out untouched) on anything else.
-bool parse_simd_isa(const std::string& text, SimdIsa* out);
-
 const char* simd_isa_name(SimdIsa isa);
 
-/// True when `isa` can run here: compiled into this build and supported by
-/// the CPU.  kAuto, kOff and kPortable are always available.
-bool simd_isa_available(SimdIsa isa);
-
-/// Resolves a requested ISA to its kernel table (kAuto picks the best
-/// available, detected once per process) and publishes the choice as the
-/// `engine/simd_isa` gauge.  Throws when a concrete request is not
-/// available in this build or on this CPU.
+/// Resolves a requested table (kAuto is kPortable) to its kernels.
 const SimdKernels& resolve_simd_kernels(SimdIsa requested);
-
-namespace simd_detail {
-// Per-TU kernel tables; nullptr when the ISA is not compiled in
-// (-DQPS_SIMD=OFF or an unsupported target).
-const SimdKernels* off_table();
-const SimdKernels* portable_table();
-const SimdKernels* neon_table();
-const SimdKernels* avx2_table();
-const SimdKernels* avx512_table();
-}  // namespace simd_detail
 
 }  // namespace qps

@@ -1,16 +1,14 @@
 // Width-generic bodies of the bit-sliced scan kernels (see simd.h).
 //
-// NOT a normal header: this file is textually included by each ISA
-// translation unit inside an internal-linkage namespace, after defining
+// NOT a normal header: simd.cpp textually includes it once per lane width,
+// each time inside its own internal-linkage namespace after defining
 //
 //   constexpr std::size_t kW = <lane words per element>;
 //
-// so every TU gets its own private copy compiled under its own -m flags
-// (fixed-trip kW loops the auto-vectorizer widens), and nothing here can
-// leak across TUs and violate the one-definition rule.  Deliberately no
-// #pragma once (simd_portable.cpp includes it twice at different widths)
-// and no #includes (they would land inside a namespace); the including TU
-// provides <cstdint>/<cstddef> via core/engine/simd.h.
+// so each width gets its own copy with fixed-trip kW loops.  Deliberately
+// no #pragma once (it is included twice) and no #includes (they would land
+// inside a namespace); simd.cpp provides <cstdint>/<cstddef> via
+// core/engine/simd.h.
 //
 // Contract for every kernel: charge exactly the probes the scalar strategy
 // performs on each lane's coloring, by ripple-carry adds into

@@ -63,7 +63,7 @@ class ProbeStrategy {
   }
 
   /// Runs one loaded super-block of trials in lock-step through the block's
-  /// ISA kernel table (block.kernels()).  Randomized strategies draw their
+  /// kernel table (block.kernels()).  Randomized strategies draw their
   /// per-trial randomness from `rng` for lanes 0 .. trial_count()-1 IN
   /// TRIAL ORDER, with exactly the draws run_with() makes per trial, so the
   /// batch path consumes the same stream as the scalar loop.  For every

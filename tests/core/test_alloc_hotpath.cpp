@@ -166,8 +166,10 @@ TEST(ZeroAllocationHotPath, LegacyRProbeCwEntryPointIsClean) {
     const std::size_t n = system.universe_size();
     Coloring coloring(n);
     ProbeSession session(coloring);
+    std::uint64_t mask = 0;
     const auto trial = [&] {
-      coloring.assign_greens_mask(sample_iid_coloring_mask(n, 0.5, rng));
+      sample_iid_coloring_words(&mask, 1, n, 0.5, rng);
+      coloring.assign_greens_mask(mask);
       session.reset(coloring);
       (void)strategy.run(session, rng);
     };

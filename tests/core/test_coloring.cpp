@@ -151,20 +151,6 @@ TEST(HqsWorstCase, FamilyPStructure) {
   EXPECT_EQ(c.green_count(), 5u);
 }
 
-TEST(IidSampling, MaskSamplerMatchesSetSamplerDrawForDraw) {
-  // sample_iid_coloring_mask consumes the same generator sequence as
-  // sample_iid_coloring and must produce the same coloring.
-  for (double p : {0.0, 0.3, 0.5, 0.8, 1.0}) {
-    Rng set_rng(11), mask_rng(11);
-    for (int trial = 0; trial < 50; ++trial) {
-      const Coloring c = sample_iid_coloring(21, p, set_rng);
-      const std::uint64_t mask = sample_iid_coloring_mask(21, p, mask_rng);
-      ASSERT_EQ(c.greens().to_mask(), mask) << "p=" << p;
-    }
-    EXPECT_EQ(set_rng.next_u64(), mask_rng.next_u64()) << "p=" << p;
-  }
-}
-
 TEST(IidSampling, WordSamplerIsDeterministic) {
   std::uint64_t a[16], b[16];
   Rng rng_a(123), rng_b(123);
@@ -255,7 +241,6 @@ TEST(IidSampling, WordSamplerRejectsBadArguments) {
                std::invalid_argument);
   EXPECT_THROW(sample_iid_coloring_words(&mask, 1, 8, 1.5, rng),
                std::invalid_argument);
-  EXPECT_THROW(sample_iid_coloring_mask(65, 0.5, rng), std::invalid_argument);
 }
 
 TEST(IidSampling, WordSamplerCoversMultiWordUniverses) {

@@ -6,9 +6,8 @@
 //    same witness at the same probe cost for equal generator states, on
 //    any coloring.
 //  * Engine layer: estimate_ppc / expected_probes_on on the hot path must
-//    be bit-identical across thread counts, and with the kPerElement
-//    sampler bit-identical to the generic run() path (same colorings, same
-//    interleaving, same stats).
+//    be bit-identical across thread counts, and expected_probes_on
+//    bit-identical to the generic run() path (same draws, same stats).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -124,35 +123,6 @@ EngineOptions engine_options(std::size_t threads) {
   options.batch_size = 512;
   options.seed = 42;
   return options;
-}
-
-TEST(HotPathIdentity, PerElementSamplerMatchesGenericEnginePath) {
-  // The generic path through the public run() API is exactly the pre-
-  // workspace engine trial; with the kPerElement sampler the hot path must
-  // reproduce it bit for bit, for deterministic and randomized strategies.
-  const MajoritySystem maj(21);
-  const ProbeMaj det(maj);
-  const RProbeMaj randomized(maj);
-  for (const ProbeStrategy* strategy :
-       {static_cast<const ProbeStrategy*>(&det),
-        static_cast<const ProbeStrategy*>(&randomized)}) {
-    for (std::size_t threads : {1u, 4u}) {
-      auto options = engine_options(threads);
-      const ParallelEstimator engine(options);
-      const RunningStats generic = engine.run([&](Rng& rng) {
-        const Coloring coloring = sample_iid_coloring(21, 0.4, rng);
-        return run_probe_trial(maj, *strategy, coloring, false, rng);
-      });
-      options.sampler = ColoringSampler::kPerElement;
-      const RunningStats hot =
-          ParallelEstimator(options).estimate_ppc(maj, *strategy, 0.4);
-      EXPECT_EQ(generic.count(), hot.count()) << threads;
-      EXPECT_EQ(generic.mean(), hot.mean()) << threads;
-      EXPECT_EQ(generic.variance(), hot.variance()) << threads;
-      EXPECT_EQ(generic.min(), hot.min()) << threads;
-      EXPECT_EQ(generic.max(), hot.max()) << threads;
-    }
-  }
 }
 
 TEST(HotPathIdentity, ExpectedProbesOnMatchesGenericEnginePath) {
