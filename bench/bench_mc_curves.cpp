@@ -19,6 +19,7 @@
 #include <cmath>
 #include <iostream>
 #include <memory>
+#include <optional>
 
 #include "bench/bench_common.h"
 #include "core/algorithms/probe_cw.h"
@@ -26,7 +27,7 @@
 #include "core/algorithms/probe_maj.h"
 #include "core/algorithms/probe_tree.h"
 #include "core/estimator.h"
-#include "core/exact/ppc_exact.h"
+#include "core/formulas.h"
 #include "quorum/crumbling_wall.h"
 #include "quorum/hqs.h"
 #include "quorum/majority.h"
@@ -79,14 +80,33 @@ ProbeStrategyPtr make_strategy(const std::string& family,
                               family);
 }
 
+// The exact PPC_p of the point's strategy under i.i.d. failures, where a
+// closed form is known: every det point of every family (the paper's
+// recursions, pinned to the algorithms by brute force in test_formulas)
+// and R_Probe_Maj (the binomial mixture of Thm 4.2's urn).
+std::optional<double> exact_ppc(const sweep::SweepPoint& point,
+                                std::size_t n) {
+  const double p = point.p;
+  if (point.strategy == "det") {
+    if (point.family == "maj") return probe_maj_expected(n, p);
+    if (point.family == "tree") return probe_tree_expected(point.size, p);
+    if (point.family == "hqs") return probe_hqs_expected(point.size, p);
+    if (point.family == "cw")
+      return probe_cw_expected(bench_walls().at(point.size), p);
+  }
+  if (point.strategy == "R" && point.family == "maj")
+    return r_probe_maj_ppc(n, p);
+  return std::nullopt;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   const auto ctx = qps::bench::parse_context(argc, argv);
   qps::bench::print_header(
       "Monte-Carlo strategy E(p) curves",
-      "E[probes] of Probe_* / R_Probe_* per family across p; Probe_Maj "
-      "matches exact PPC_p within 4xSEM (it is optimal for Maj)",
+      "E[probes] of Probe_* / R_Probe_* per family across p; every det "
+      "point and R_Probe_Maj match their exact PPC_p within 4xSEM",
       ctx);
   qps::bench::JsonReport report("mc_curves", ctx);
 
@@ -137,13 +157,9 @@ int main(int argc, char** argv) {
     // least one.
     report.add_check("bounds/" + result.point.id,
                      mean >= 1.0 && mean <= static_cast<double>(n));
-    // Exact anchor: any fixed probe order is optimal for Maj (Prop. 3.2),
-    // so Probe_Maj's measured E(p) must agree with the exact PPC_p at
-    // DP-feasible sizes.
-    if (result.point.family == "maj" && result.point.strategy == "det" &&
-        result.point.size <= 13) {
-      const double exact_value = ppc_exact(*system, result.point.p);
-      const double gap = mean - exact_value;
+    // Exact anchors: the strategy's closed-form PPC_p, where one exists.
+    if (const auto exact_value = exact_ppc(result.point, n)) {
+      const double gap = mean - *exact_value;
       report.add_check(
           "matches_exact/" + result.point.id,
           std::abs(gap) <= std::max(4.0 * result.stats.sem(), 1e-9));

@@ -4,6 +4,7 @@
 // performance regressions; they make no paper claims.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <vector>
 
 #include "core/algorithms/probe_cw.h"
@@ -117,6 +118,35 @@ void BM_ExactTreeExpectation(benchmark::State& state) {
     benchmark::DoNotOptimize(r_probe_tree_expectation(tree, c));
 }
 BENCHMARK(BM_ExactTreeExpectation)->Arg(8)->Arg(12)->Arg(16);
+
+// The i.i.d. coloring sampler on its own: one iteration samples a
+// 1024-trial batch of mask rows (ceil(n/64) words each) at p = p_pct/100.
+// ns_per_word is the sampler's cost per 64-lane mask word, the unit its
+// early exit works in: Maj5 settles 5 lanes, Maj63 and the two-word
+// Maj127 rows 63 or 64.  Informational; no gate reads it.
+void BM_SampleColoringWords(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const double p = static_cast<double>(state.range(1)) / 100.0;
+  constexpr std::size_t kBatch = 1024;
+  const std::size_t words = kBatch * ((n + 63) / 64);
+  std::vector<std::uint64_t> masks(words);
+  Rng rng(41);
+  double elapsed_ns = 0.0;
+  for (auto _ : state) {
+    const auto start = std::chrono::steady_clock::now();
+    sample_iid_coloring_words(masks.data(), kBatch, n, p, rng);
+    benchmark::DoNotOptimize(masks.data());
+    elapsed_ns += std::chrono::duration<double, std::nano>(
+                      std::chrono::steady_clock::now() - start)
+                      .count();
+  }
+  state.counters["ns_per_word"] =
+      elapsed_ns / (static_cast<double>(state.iterations()) *
+                    static_cast<double>(words));
+}
+BENCHMARK(BM_SampleColoringWords)
+    ->ArgNames({"n", "p_pct"})
+    ->ArgsProduct({{5, 63, 127}, {10, 30, 50}});
 
 // --- Probe-throughput suite ----------------------------------------------
 // Trials/sec of one full Monte-Carlo trial (coloring sample + probe run)

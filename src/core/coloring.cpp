@@ -37,6 +37,52 @@ Coloring sample_iid_coloring(std::size_t universe_size, double p, Rng& rng) {
   return Coloring(universe_size, std::move(greens));
 }
 
+namespace {
+
+// Words sampled in lockstep: independent splitmix64 chains overlap in the
+// pipeline, and the loop exit is taken once per group, not once per word.
+constexpr std::size_t kGroup = 4;
+
+// Bit-sliced comparison red_e = [U_e < P] for G consecutive mask words,
+// MSB first.  Each word takes exactly one draw d: plane 52 of its lanes'
+// 53-bit uniforms U is ~d, and planes 51, 50, ... are successive
+// splitmix64 steps keyed by d, generated only while needed.  A lane
+// settles at the first plane where its U bit differs from P's bit (red
+// iff P's bit is the 1); lanes still tied after P's lowest set bit have
+// U >= P and stay green.  The walk stops once no lane is undecided, about
+// log2(lanes) + 1.3 planes per word on average; planes walked past a
+// word's last undecided lane leave it unchanged, so a word's mask does not
+// depend on its group.  U depends on neither p nor the data, so reds at p
+// are a subset of reds at any p' > p on the same stream.
+template <std::size_t G, typename NextLanes>
+void sample_word_group(std::uint64_t* out, std::uint64_t threshold,
+                       int lowest, NextLanes& next_lanes, Rng& rng) {
+  std::uint64_t key[G], u[G], lanes[G], undecided[G], reds[G];
+  for (std::size_t g = 0; g < G; ++g) {
+    key[g] = rng.next_u64();
+    u[g] = ~key[g];
+    lanes[g] = next_lanes();
+    undecided[g] = lanes[g];
+    reds[g] = 0;
+  }
+  for (int b = 52;; --b) {
+    // All ones where P's bit b is set: a 0 in U settles red there, and a
+    // 1 in U settles green where P's bit is clear.
+    const std::uint64_t p_bit = 0 - ((threshold >> b) & 1ULL);
+    std::uint64_t live = 0;
+    for (std::size_t g = 0; g < G; ++g) {
+      reds[g] |= undecided[g] & ~u[g] & p_bit;
+      undecided[g] &= ~(u[g] ^ p_bit);
+      live |= undecided[g];
+    }
+    if (b == lowest || live == 0) break;
+    for (std::size_t g = 0; g < G; ++g) u[g] = splitmix64(key[g]);
+  }
+  for (std::size_t g = 0; g < G; ++g) out[g] = ~reds[g] & lanes[g];
+}
+
+}  // namespace
+
 void sample_iid_coloring_words(std::uint64_t* out, std::size_t count,
                                std::size_t universe_size, double p, Rng& rng) {
   QPS_REQUIRE(universe_size >= 1, "word sampling needs a nonempty universe");
@@ -59,24 +105,21 @@ void sample_iid_coloring_words(std::uint64_t* out, std::size_t count,
     for (std::size_t i = 0; i < count * stride; ++i) out[i] = 0;
     return;
   }
-  // Bit-sliced comparison red_e = [U_e < P], one word of 64 lanes at a
-  // time, LSB to MSB: a set P bit ORs in a fresh random word, a clear bit
-  // ANDs one.  Bits below P's lowest set one leave an all-zero accumulator
-  // unchanged, so they are skipped and each word costs 53 - countr_zero(P)
-  // draws regardless of the data (fixed construction per word).  Words are
-  // drawn trial-major then chunk-major, so for n <= 64 (stride 1) the
-  // sequence is the original single-word sampler's, draw for draw.
+  // Words are drawn in order, trial-major then chunk-major; kGroup of them
+  // walk their planes in lockstep (see sample_word_group).
   const int lowest = std::countr_zero(threshold);
-  for (std::size_t i = 0; i < count; ++i) {
-    for (std::size_t c = 0; c < stride; ++c) {
-      std::uint64_t reds = 0;
-      for (int b = lowest; b < 53; ++b) {
-        const std::uint64_t w = rng.next_u64();
-        reds = ((threshold >> b) & 1ULL) != 0 ? (reds | w) : (reds & w);
-      }
-      out[i * stride + c] = ~reds & (c + 1 == stride ? tail_mask : ~0ULL);
-    }
-  }
+  const std::size_t words = count * stride;
+  std::size_t chunk = 0;  // chunk index of the next word within its row
+  const auto next_lanes = [&] {
+    const bool last = chunk + 1 == stride;
+    chunk = last ? 0 : chunk + 1;
+    return last ? tail_mask : ~0ULL;
+  };
+  std::size_t w = 0;
+  for (; w + kGroup <= words; w += kGroup)
+    sample_word_group<kGroup>(out + w, threshold, lowest, next_lanes, rng);
+  for (; w < words; ++w)
+    sample_word_group<1>(out + w, threshold, lowest, next_lanes, rng);
 }
 
 namespace {

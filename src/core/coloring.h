@@ -74,15 +74,24 @@ Coloring sample_iid_coloring(std::size_t universe_size, double p, Rng& rng);
 /// out[t*stride .. t*stride+stride)).  Each word is built by the bit-sliced
 /// Bernoulli construction: p is read as a 53-bit fixed-point threshold
 /// P = ceil(p * 2^53) -- exactly the acceptance region of Rng::bernoulli --
-/// and the word of per-element comparisons [U_e < P] is assembled from one
-/// 64-lane draw per significant bit of P (at most 53 draws per word, and
-/// e.g. a single draw at p = 1/2).  The marginal of every element is
-/// therefore bit-exactly Bernoulli(p), while the joint draw sequence
-/// differs from the per-element samplers; estimates built on it are
-/// statistically equivalent, not stream-identical.  Deterministic function
-/// of (p, rng state), so engine results stay bit-identical across thread
-/// counts; for n <= 64 (stride 1) the draw sequence is unchanged from the
-/// original single-word sampler.
+/// and element e is red iff its 53-bit uniform U_e < P.  A word takes
+/// exactly one draw d from `rng`: the top bit plane of its 64 lanes' U is
+/// ~d, and the lower planes are successive splitmix64 steps keyed by d,
+/// compared from the top down and only until every lane is settled (about
+/// log2(lanes) + 1.3 planes; at p = 1/2 one plane, the reds being d
+/// itself).  Consequences:
+///   * the marginal of every element is bit-exactly Bernoulli(p), while
+///     the joint sequence differs from the per-element samplers;
+///     estimates built on it are statistically equivalent, not
+///     stream-identical;
+///   * U depends on neither p nor the data, so for 0 < p < p' < 1 on the
+///     same rng state every red lane at p is red at p' (comonotone
+///     coupling across the whole p grid);
+///   * for 0 < p < 1 the rng advances exactly count * ceil(n/64) draws
+///     (none at p = 0 or 1), so one call equals any split into
+///     consecutive calls;
+///   * the output is a deterministic function of (p, rng state), so engine
+///     results stay bit-identical across thread counts.
 void sample_iid_coloring_words(std::uint64_t* out, std::size_t count,
                                std::size_t universe_size, double p, Rng& rng);
 

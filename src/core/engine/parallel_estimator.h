@@ -15,6 +15,11 @@
 // way the batch merge is integer addition and the RunningStats a caller
 // gets is converted once from the exact totals.  The trial budget is
 // checked against CountMoments::kMaxCount when the engine is constructed.
+// estimate_ppc samples each batch's colorings with
+// sample_iid_coloring_words (core/coloring.h): one draw per 64-element
+// mask word for every 0 < p < 1, and comonotone in p, so two points that
+// share a seed and differ only in p see coupled colorings and identically
+// placed strategy draws.
 // kResultStreamVersion names the result stream these rules produce; the
 // sweep layer mixes it into every spec fingerprint.
 //
@@ -40,7 +45,9 @@ namespace qps {
 /// pair samples and how their probe counts reduce to statistics.  Bump it
 /// with any change to either, so results of different versions never mix
 /// (SweepSpec::fingerprint includes it).  Version 2: exact integer moments.
-inline constexpr std::uint32_t kResultStreamVersion = 2;
+/// Version 3: the MSB-first, early-exit coloring sampler (one draw per
+/// mask word, p-coupled; see sample_iid_coloring_words).
+inline constexpr std::uint32_t kResultStreamVersion = 3;
 
 /// How estimate_ppc executes the trials of a batch.
 enum class Execution {

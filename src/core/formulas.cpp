@@ -79,6 +79,25 @@ Rational r_probe_maj_worst_case(std::size_t n) {
   return r_probe_maj_expected(n, (n + 1) / 2);
 }
 
+double r_probe_maj_ppc(std::size_t n, double p) {
+  QPS_REQUIRE(n % 2 == 1, "Maj needs odd n");
+  QPS_REQUIRE(p >= 0.0 && p <= 1.0, "probability outside [0,1]");
+  if (p == 0.0) return r_probe_maj_expected(n, 0).to_double();
+  if (p == 1.0) return r_probe_maj_expected(n, n).to_double();
+  // Binomial weights in log space: no factorial or power overflows or
+  // underflows to a wrong total at any n.
+  const auto nn = static_cast<double>(n);
+  double expected = 0.0;
+  for (std::size_t r = 0; r <= n; ++r) {
+    const auto rr = static_cast<double>(r);
+    const double log_weight = std::lgamma(nn + 1.0) - std::lgamma(rr + 1.0) -
+                              std::lgamma(nn - rr + 1.0) + rr * std::log(p) +
+                              (nn - rr) * std::log1p(-p);
+    expected += std::exp(log_weight) * r_probe_maj_expected(n, r).to_double();
+  }
+  return expected;
+}
+
 double r_probe_cw_bound(const std::vector<std::size_t>& widths) {
   const std::size_t k = widths.size();
   double best = 0.0;

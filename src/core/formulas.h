@@ -41,6 +41,12 @@ Rational r_probe_maj_worst_case(std::size_t n);
 /// red elements (the urn formula (n+1)(k+1)/(max(r,g)+1) with k+1=(n+1)/2).
 Rational r_probe_maj_expected(std::size_t n, std::size_t reds);
 
+/// Exact E[probes] of R_Probe_Maj on odd n under i.i.d. failure
+/// probability p.  Its expectation on a coloring depends only on the red
+/// count (Thm 4.2's urn formula), so PPC_p is the binomial mixture
+///   sum_r C(n,r) p^r (1-p)^(n-r) r_probe_maj_expected(n, r).
+double r_probe_maj_ppc(std::size_t n, double p);
+
 /// Thm 4.4's worst-case bound for R_Probe_CW:
 ///   max_j { n_j + sum_{i>j} ((n_i+1)/2 + 1/n_i) }.
 double r_probe_cw_bound(const std::vector<std::size_t>& widths);

@@ -6,54 +6,12 @@
 
 namespace qps {
 
-std::uint64_t splitmix64(std::uint64_t& state) {
-  std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-namespace {
-inline std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-}  // namespace
-
 Rng::Rng(std::uint64_t seed) {
   std::uint64_t sm = seed;
   for (auto& word : s_) word = splitmix64(sm);
   // All-zero state is the one forbidden state of xoshiro; splitmix64 cannot
   // produce four zero outputs in a row, but keep the guard for clarity.
   if (s_[0] == 0 && s_[1] == 0 && s_[2] == 0 && s_[3] == 0) s_[0] = 1;
-}
-
-std::uint64_t Rng::next_u64() {
-  const std::uint64_t result = rotl(s_[0] + s_[3], 23) + s_[0];
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-std::uint64_t Rng::below(std::uint64_t bound) {
-  QPS_REQUIRE(bound > 0, "below() needs a positive bound");
-  // Lemire's method: multiply-shift with rejection in the biased band.
-  std::uint64_t x = next_u64();
-  __uint128_t m = static_cast<__uint128_t>(x) * bound;
-  auto lo = static_cast<std::uint64_t>(m);
-  if (lo < bound) {
-    const std::uint64_t threshold = -bound % bound;
-    while (lo < threshold) {
-      x = next_u64();
-      m = static_cast<__uint128_t>(x) * bound;
-      lo = static_cast<std::uint64_t>(m);
-    }
-  }
-  return static_cast<std::uint64_t>(m >> 64);
 }
 
 std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {

@@ -5,17 +5,30 @@
 // printed 64-bit seed.  The generator is xoshiro256++ seeded via splitmix64,
 // which is fast, has a 2^256-1 period, and passes BigCrush; we avoid
 // std::mt19937 because its seeding from a single integer is notoriously weak
-// and its state is large.
+// and its state is large.  The hot draws -- splitmix64, next_u64 and
+// below -- are defined inline here: the batched coloring sampler and the
+// randomized strategies' permutation pre-draw call them per word and per
+// element, where an out-of-line call costs more than the draw itself.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <vector>
 
+#include "util/require.h"
+
 namespace qps {
 
-/// splitmix64 step; used for seeding and as a cheap stateless mixer.
-std::uint64_t splitmix64(std::uint64_t& state);
+/// splitmix64 step (Steele, Lea & Flood, OOPSLA 2014): advances `state` by
+/// the golden-ratio increment and returns its finalizer mix.  Used for
+/// seeding, as a cheap stateless mixer, and as the per-word keyed stream
+/// of the batched coloring sampler (core/coloring.h).
+inline std::uint64_t splitmix64(std::uint64_t& state) {
+  std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
 
 /// xoshiro256++ generator with convenience distributions.
 class Rng {
@@ -26,11 +39,36 @@ class Rng {
   explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL);
 
   /// Raw 64 uniform random bits.
-  std::uint64_t next_u64();
+  std::uint64_t next_u64() {
+    const std::uint64_t result = rotl(s_[0] + s_[3], 23) + s_[0];
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform integer in [0, bound).  `bound` must be positive.
   /// Uses Lemire's multiply-shift rejection method (unbiased).
-  std::uint64_t below(std::uint64_t bound);
+  std::uint64_t below(std::uint64_t bound) {
+    QPS_REQUIRE(bound > 0, "below() needs a positive bound");
+    // Lemire's method: multiply-shift with rejection in the biased band.
+    std::uint64_t x = next_u64();
+    __uint128_t m = static_cast<__uint128_t>(x) * bound;
+    auto lo = static_cast<std::uint64_t>(m);
+    if (lo < bound) {
+      const std::uint64_t threshold = -bound % bound;
+      while (lo < threshold) {
+        x = next_u64();
+        m = static_cast<__uint128_t>(x) * bound;
+        lo = static_cast<std::uint64_t>(m);
+      }
+    }
+    return static_cast<std::uint64_t>(m >> 64);
+  }
 
   /// Uniform integer in [lo, hi] inclusive.  Requires lo <= hi.
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
@@ -98,6 +136,10 @@ class Rng {
   result_type operator()() { return next_u64(); }
 
  private:
+  static std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::array<std::uint64_t, 4> s_;
 };
 

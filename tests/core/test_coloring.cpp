@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <set>
@@ -194,44 +195,147 @@ TEST(IidSampling, WordSamplerRespectsTheUniverseBoundary) {
 
 TEST(IidSampling, WordSamplerMarginalsMatchBernoulli) {
   // Statistical equivalence to the per-element sampler: the green count
-  // over many trials must match (1-p) * n well within 6 sigma.
+  // over many trials must match (1-p) * n well within 6 sigma.  n = 5
+  // uses a few lanes of one word, n = 127 two words with a 63-bit tail.
   const std::size_t kTrials = 40000;
-  std::vector<std::uint64_t> masks(kTrials);
-  for (double p : {0.1, 0.37, 0.5, 0.75}) {
-    Rng rng(1234);
-    sample_iid_coloring_words(masks.data(), kTrials, 48, p, rng);
-    double greens = 0;
-    std::vector<std::size_t> per_element(48, 0);
-    for (auto m : masks) {
-      greens += std::popcount(m);
-      for (int e = 0; e < 48; ++e) per_element[e] += (m >> e) & 1;
+  for (const std::size_t n : {5u, 48u, 127u}) {
+    const std::size_t stride = (n + 63) / 64;
+    std::vector<std::uint64_t> masks(kTrials * stride);
+    for (double p : {0.1, 0.37, 0.5, 0.75}) {
+      Rng rng(1234);
+      sample_iid_coloring_words(masks.data(), kTrials, n, p, rng);
+      double greens = 0;
+      std::vector<std::size_t> per_element(n, 0);
+      for (std::size_t t = 0; t < kTrials; ++t) {
+        for (std::size_t e = 0; e < n; ++e) {
+          const std::uint64_t bit =
+              (masks[t * stride + e / 64] >> (e % 64)) & 1;
+          per_element[e] += bit;
+          greens += static_cast<double>(bit);
+        }
+      }
+      const double n_trials = static_cast<double>(kTrials);
+      const double elems = static_cast<double>(n);
+      const double expected = (1.0 - p) * elems * n_trials;
+      const double sigma = std::sqrt(elems * p * (1.0 - p) * n_trials);
+      EXPECT_NEAR(greens, expected, 6.0 * sigma) << "n=" << n << " p=" << p;
+      // And element marginals individually (no positional bias).
+      const double elem_sigma = std::sqrt(p * (1.0 - p) * n_trials);
+      for (std::size_t e = 0; e < n; ++e)
+        ASSERT_NEAR(static_cast<double>(per_element[e]), (1.0 - p) * n_trials,
+                    6.0 * elem_sigma)
+            << "n=" << n << " p=" << p << " element " << e;
     }
-    const double n_trials = static_cast<double>(kTrials);
-    const double expected = (1.0 - p) * 48.0 * n_trials;
-    const double sigma = std::sqrt(48.0 * p * (1.0 - p) * n_trials);
-    EXPECT_NEAR(greens, expected, 6.0 * sigma) << "p=" << p;
-    // And element marginals individually (no positional bias).
-    const double elem_sigma = std::sqrt(p * (1.0 - p) * n_trials);
-    for (int e = 0; e < 48; ++e)
-      ASSERT_NEAR(static_cast<double>(per_element[e]), (1.0 - p) * n_trials,
-                  6.0 * elem_sigma)
-          << "p=" << p << " element " << e;
   }
 }
 
 TEST(IidSampling, WordSamplerCouplesMonotonicallyAcrossP) {
-  // On a shared stream, dyadic thresholds with the same trailing-zero
-  // count consume the same draws, and a lane red at the smaller p is red
-  // at the larger one: the comonotone coupling that keeps CRN E(p) curves
-  // smooth along dyadic grids.
-  std::uint64_t lo[32], hi[32];
-  Rng rng_lo(5), rng_hi(5);
-  sample_iid_coloring_words(lo, 32, 64, 0.25, rng_lo);   // P = 2^51
-  sample_iid_coloring_words(hi, 32, 64, 0.75, rng_hi);   // P = 3 * 2^51
-  // 0.25 consumes 2 draws/word, 0.75 consumes 2 draws/word: same stream
-  // offsets; reds at 0.25 must be a subset of reds at 0.75.
-  for (int i = 0; i < 32; ++i)
-    ASSERT_EQ(~lo[i] & hi[i], 0ULL) << i;  // reds(lo) subset reds(hi)
+  // On a shared stream every p consumes the same draws, and a lane red at
+  // the smaller p is red at the larger one: the comonotone coupling that
+  // keeps CRN E(p) curves smooth along the whole p grid.
+  const auto reds_subset = [](double p_lo, double p_hi, std::size_t n) {
+    const std::size_t stride = (n + 63) / 64;
+    std::vector<std::uint64_t> lo(32 * stride), hi(32 * stride);
+    Rng rng_lo(5), rng_hi(5);
+    sample_iid_coloring_words(lo.data(), 32, n, p_lo, rng_lo);
+    sample_iid_coloring_words(hi.data(), 32, n, p_hi, rng_hi);
+    for (std::size_t i = 0; i < lo.size(); ++i)
+      if ((~lo[i] & hi[i]) != 0) return false;  // green at p_lo, red at p_hi
+    return true;
+  };
+  EXPECT_TRUE(reds_subset(0.25, 0.75, 64));
+  const std::vector<double> grid = {0.1, 0.2, 0.3, 0.4, 0.5,
+                                    0.6, 0.7, 0.8, 0.9};
+  for (const std::size_t n : {5u, 64u, 127u})
+    for (std::size_t i = 0; i < grid.size(); ++i)
+      for (std::size_t j = i + 1; j < grid.size(); ++j)
+        ASSERT_TRUE(reds_subset(grid[i], grid[j], n))
+            << "n=" << n << " p=" << grid[i] << " < " << grid[j];
+  Rng pick(2024);
+  for (int k = 0; k < 100; ++k) {
+    const double a = pick.uniform01();
+    const double b = pick.uniform01();
+    ASSERT_TRUE(reds_subset(std::min(a, b), std::max(a, b), 63))
+        << "p=" << a << ", " << b;
+  }
+}
+
+TEST(IidSampling, WordSamplerFollowsThePerLaneDefinition) {
+  // Rebuild every lane's 53-bit uniform U from the word's one draw d: bit
+  // 52 is ~d, bits 51, 50, ... come from successive splitmix64 steps
+  // keyed by d.  The element is red iff U < P = ceil(p * 2^53), exactly
+  // Rng::bernoulli's acceptance region.
+  const double ps[] = {0x1.0p-53, 0.1, 0.37, 0.5, 0.75, 1.0 - 0x1.0p-53};
+  for (const double p : ps) {
+    const auto threshold =
+        static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
+    for (const std::size_t n : {5u, 63u, 64u, 127u}) {
+      const std::size_t stride = (n + 63) / 64;
+      // An odd count: whole lockstep groups, groups straddling row
+      // boundaries (n = 127) and a tail of single words.
+      const std::size_t kCount = 15;
+      std::vector<std::uint64_t> masks(kCount * stride);
+      Rng rng(99), reference(99);
+      sample_iid_coloring_words(masks.data(), kCount, n, p, rng);
+      for (std::size_t w = 0; w < masks.size(); ++w) {
+        std::uint64_t key = reference.next_u64();
+        std::uint64_t planes[53];
+        planes[52] = ~key;
+        for (int b = 51; b >= 0; --b) planes[b] = splitmix64(key);
+        const std::size_t chunk = w % stride;
+        const std::size_t lanes = std::min<std::size_t>(64, n - 64 * chunk);
+        for (std::size_t e = 0; e < 64; ++e) {
+          std::uint64_t u = 0;
+          for (int b = 52; b >= 0; --b) u = (u << 1) | ((planes[b] >> e) & 1);
+          const bool green = e < lanes && u >= threshold;
+          ASSERT_EQ((masks[w] >> e) & 1, green ? 1u : 0u)
+              << "p=" << p << " n=" << n << " word " << w << " lane " << e;
+        }
+      }
+      // And the sampler consumed exactly those draws.
+      EXPECT_EQ(rng.next_u64(), reference.next_u64()) << "p=" << p;
+    }
+  }
+}
+
+TEST(IidSampling, WordSamplerAdvancesOneDrawPerWord) {
+  // For any p in (0, 1) the batch rng moves exactly count * stride draws,
+  // so everything drawn after the masks (R strategies' permutations, the
+  // next chunk of a split call) lines up across the p grid.
+  Rng pick(17);
+  for (int k = 0; k < 40; ++k) {
+    const double p = pick.uniform01();
+    if (p == 0.0) continue;
+    for (const std::size_t n : {1u, 5u, 64u, 65u, 129u}) {
+      const std::size_t stride = (n + 63) / 64;
+      const std::size_t count = 1 + pick.below(50);
+      std::vector<std::uint64_t> masks(count * stride);
+      Rng rng(k), reference(k);
+      sample_iid_coloring_words(masks.data(), count, n, p, rng);
+      for (std::size_t i = 0; i < count * stride; ++i) reference.next_u64();
+      ASSERT_EQ(rng.next_u64(), reference.next_u64())
+          << "p=" << p << " n=" << n << " count=" << count;
+    }
+  }
+}
+
+TEST(IidSampling, WordSamplerAtOneHalfIsTheRawDraw) {
+  // P = 2^52 settles every lane on plane 52, so the reds are exactly the
+  // set bits of the word's draw: each green mask is that draw's
+  // complement, cut to the universe.
+  for (const std::size_t n : {7u, 64u, 100u}) {
+    const std::size_t stride = (n + 63) / 64;
+    std::vector<std::uint64_t> masks(8 * stride);
+    Rng rng(3), reference(3);
+    sample_iid_coloring_words(masks.data(), 8, n, 0.5, rng);
+    for (std::size_t w = 0; w < masks.size(); ++w) {
+      const std::size_t lanes =
+          std::min<std::size_t>(64, n - 64 * (w % stride));
+      const std::uint64_t universe = lanes == 64 ? ~0ULL : (1ULL << lanes) - 1;
+      ASSERT_EQ(masks[w], ~reference.next_u64() & universe)
+          << "n=" << n << " word " << w;
+    }
+  }
 }
 
 TEST(IidSampling, WordSamplerRejectsBadArguments) {
@@ -245,8 +349,7 @@ TEST(IidSampling, WordSamplerRejectsBadArguments) {
 
 TEST(IidSampling, WordSamplerCoversMultiWordUniverses) {
   // n > 64 rows are ceil(n/64) words with the bits above n zeroed in the
-  // last word; the single-word n <= 64 draw sequence is unchanged (the
-  // sampler is trial-major, chunk-major, so one chunk is the old layout).
+  // last word (words are drawn trial-major, then chunk-major).
   Rng rng(31);
   for (const std::size_t n : {65u, 127u, 128u, 129u}) {
     const std::size_t words = (n + 63) / 64;

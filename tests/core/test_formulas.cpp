@@ -4,9 +4,65 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <vector>
+
+#include "core/algorithms/probe_cw.h"
+#include "core/algorithms/probe_hqs.h"
+#include "core/algorithms/probe_maj.h"
+#include "core/algorithms/probe_tree.h"
+#include "core/exact/ppc_exact.h"
+#include "quorum/crumbling_wall.h"
+#include "quorum/hqs.h"
+#include "quorum/majority.h"
+#include "quorum/tree_system.h"
 
 namespace qps {
 namespace {
+
+// Sum over all 2^n colorings of p^reds (1-p)^greens * value(coloring),
+// accumulated in long double: a plain double sum of 2^13 terms drifts by
+// about 1e-12 on its own.
+double enumerate_iid(std::size_t n, double p,
+                     const std::function<double(const Coloring&)>& value) {
+  long double total = 0.0;
+  for (std::uint64_t greens = 0; greens < (1ULL << n); ++greens) {
+    const Coloring coloring(n, ElementSet::from_mask(n, greens));
+    const double weight =
+        std::pow(p, static_cast<double>(coloring.red_count())) *
+        std::pow(1.0 - p, static_cast<double>(coloring.green_count()));
+    total += weight * value(coloring);
+  }
+  return static_cast<double>(total);
+}
+
+// Probes a deterministic strategy makes on one coloring.
+double probes_on(const ProbeStrategy& strategy, const Coloring& coloring) {
+  Rng unused(0);
+  ProbeSession session(coloring);
+  strategy.run(session, unused);
+  return static_cast<double>(session.probe_count());
+}
+
+// R_Probe_Maj on a coloring with `reds` reds, from first principles: draw
+// elements without replacement until one color has (n+1)/2 members.
+double urn_stopping_time(std::size_t n, std::size_t reds) {
+  const std::size_t need = (n + 1) / 2;
+  std::function<double(std::size_t, std::size_t)> remaining =
+      [&](std::size_t r, std::size_t g) -> double {
+    if (r == need || g == need) return 0.0;
+    const auto left = static_cast<double>(n - r - g);
+    const double p_red = static_cast<double>(reds - r) / left;
+    double cost = 1.0;
+    if (reds > r) cost += p_red * remaining(r + 1, g);
+    if (n - reds > g) cost += (1.0 - p_red) * remaining(r, g + 1);
+    return cost;
+  };
+  return remaining(0, 0);
+}
+
+const std::vector<double> kGridPs = {0.1, 0.2, 0.3, 0.4, 0.5,
+                                     0.6, 0.7, 0.8, 0.9, 0.37};
 
 TEST(Formulas, ProbeMajExpectedEqualsGridWalk) {
   // Spot value: n = 3, p = 1/2 -> grid walk with N = 2: 2.5 probes.
@@ -78,6 +134,92 @@ TEST(Formulas, TreeRandomizedBounds) {
   EXPECT_DOUBLE_EQ(r_probe_tree_bound(3), tree_randomized_lower_bound(3));
   for (std::size_t n : {7u, 15u, 1023u})
     EXPECT_GT(r_probe_tree_bound(n), tree_randomized_lower_bound(n));
+}
+
+TEST(Formulas, RProbeMajPpcIsTheBinomialMixtureOfTheUrn) {
+  for (std::size_t n = 1; n <= 13; n += 2) {
+    std::vector<double> urn(n + 1);
+    for (std::size_t r = 0; r <= n; ++r) urn[r] = urn_stopping_time(n, r);
+    for (const double p : {0.0, 0.1, 0.25, 0.37, 0.5, 0.8, 0.9, 1.0}) {
+      const double brute = enumerate_iid(
+          n, p, [&urn](const Coloring& c) { return urn[c.red_count()]; });
+      EXPECT_NEAR(r_probe_maj_ppc(n, p), brute, 1e-12)
+          << "n=" << n << " p=" << p;
+    }
+  }
+  // Beyond brute force: symmetric in p <-> 1-p, and between the all-one-
+  // color cost (n+1)/2 and the Thm 4.2 worst case.
+  for (const double p : kGridPs) {
+    const double value = r_probe_maj_ppc(63, p);
+    EXPECT_NEAR(value, r_probe_maj_ppc(63, 1.0 - p), 1e-9) << "p=" << p;
+    EXPECT_GE(value, 32.0);
+    EXPECT_LE(value, r_probe_maj_worst_case(63).to_double());
+  }
+  EXPECT_THROW(r_probe_maj_ppc(4, 0.5), std::invalid_argument);
+}
+
+TEST(Formulas, ProbeMajExpectedIsTheExactOptimum) {
+  // Any fixed order is optimal for Maj (Prop. 3.2), so the closed form is
+  // the DP's PPC_p wherever the DP can solve it.
+  for (std::size_t n = 1; n <= 13; n += 2)
+    for (const double p : kGridPs)
+      EXPECT_NEAR(probe_maj_expected(n, p), ppc_exact(MajoritySystem(n), p),
+                  1e-12)
+          << "n=" << n << " p=" << p;
+}
+
+TEST(Formulas, DetClosedFormsMatchTheAlgorithmsOnEveryColoring) {
+  // The closed forms are the algorithms' own PPC_p, enumerated over every
+  // coloring with its i.i.d. weight.  Tree and HQS are not optimal, so the
+  // DP only bounds them (PpcExact.OptimumBelow*); this pins them exactly.
+  for (const double p : kGridPs) {
+    for (std::size_t n = 1; n <= 11; n += 2) {
+      const MajoritySystem maj(n);
+      const ProbeMaj strategy(maj);
+      EXPECT_NEAR(probe_maj_expected(n, p),
+                  enumerate_iid(n, p, [&](const Coloring& c) {
+                    return probes_on(strategy, c);
+                  }),
+                  1e-12)
+          << "Maj" << n << " p=" << p;
+    }
+    for (std::size_t h = 0; h <= 3; ++h) {
+      const TreeSystem tree(h);
+      const ProbeTree strategy(tree);
+      EXPECT_NEAR(probe_tree_expected(h, p),
+                  enumerate_iid(tree.universe_size(), p,
+                                [&](const Coloring& c) {
+                                  return probes_on(strategy, c);
+                                }),
+                  1e-12)
+          << "Tree h=" << h << " p=" << p;
+    }
+    for (std::size_t h = 0; h <= 2; ++h) {
+      const HQSystem hqs(h);
+      const ProbeHQS strategy(hqs);
+      EXPECT_NEAR(probe_hqs_expected(h, p),
+                  enumerate_iid(hqs.universe_size(), p,
+                                [&](const Coloring& c) {
+                                  return probes_on(strategy, c);
+                                }),
+                  1e-12)
+          << "HQS h=" << h << " p=" << p;
+    }
+    // bench_mc_curves' walls, plus a non-monotone one.
+    const std::vector<std::vector<std::size_t>> walls = {
+        {1, 2}, {1, 2, 3}, {1, 2, 3, 4}, {1, 3, 2}};
+    for (const auto& widths : walls) {
+      const CrumblingWall wall(widths);
+      const ProbeCW strategy(wall);
+      EXPECT_NEAR(probe_cw_expected(widths, p),
+                  enumerate_iid(wall.universe_size(), p,
+                                [&](const Coloring& c) {
+                                  return probes_on(strategy, c);
+                                }),
+                  1e-12)
+          << wall.name() << " p=" << p;
+    }
+  }
 }
 
 TEST(Formulas, Table1Exponents) {

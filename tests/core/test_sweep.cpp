@@ -41,10 +41,12 @@ SweepSpec make_grid_spec() {
   return spec;
 }
 
-// make_grid_spec()'s fingerprint under result-stream version 1, the
-// Welford-reduced stream: journals and workers of that version must never
-// be mixed into a version-2 sweep.
+// make_grid_spec()'s fingerprints under earlier result-stream versions:
+// version 1 reduced with Welford, version 2 sampled colorings with the
+// fixed-cost LSB-first sampler.  Journals and workers of those versions
+// must never be mixed into a current sweep.
 constexpr std::uint64_t kStreamV1GridFingerprint = 0xdc106afb06f7fd11ULL;
+constexpr std::uint64_t kStreamV2GridFingerprint = 0x7b6ac39c652377b1ULL;
 
 /// Deterministic pure function of the point: what every process computes.
 RunningStats eval_point(const SweepPoint& point) {
@@ -132,9 +134,10 @@ TEST(SweepSpec, FingerprintCoversIdentityAndConfig) {
 TEST(SweepSpec, FingerprintPinsTheResultStreamVersion) {
   // A change to the engine's result stream must bump kResultStreamVersion,
   // which moves every fingerprint: update both pins together, on purpose.
-  EXPECT_EQ(kResultStreamVersion, 2u);
-  EXPECT_EQ(make_grid_spec().fingerprint(), 0x7b6ac39c652377b1ULL);
+  EXPECT_EQ(kResultStreamVersion, 3u);
+  EXPECT_EQ(make_grid_spec().fingerprint(), 0x1aaac265f67fc1d4ULL);
   EXPECT_NE(make_grid_spec().fingerprint(), kStreamV1GridFingerprint);
+  EXPECT_NE(make_grid_spec().fingerprint(), kStreamV2GridFingerprint);
 }
 
 TEST(SweepWire, ResultLinesRoundTripExactly) {
@@ -459,32 +462,36 @@ TEST(SweepCheckpoint, MismatchedFingerprintsAndGarbageLinesAreIgnored) {
   });
   EXPECT_EQ(calls.load(), 0);
 
-  // The same journal as written by the previous result-stream version (the
-  // spec's version-1 fingerprint on every line): all ten are recomputed.
-  const std::string v1_path = temp_path("mismatch_v1.jsonl");
-  {
-    std::ifstream in(path);
-    std::ofstream out(v1_path, std::ios::trunc);
-    const std::string current = encode_hex_u64(make_grid_spec().fingerprint());
-    const std::string previous = encode_hex_u64(kStreamV1GridFingerprint);
-    std::string line;
-    while (std::getline(in, line)) {
-      for (std::size_t at = line.find(current); at != std::string::npos;
-           at = line.find(current, at))
-        line.replace(at, current.size(), previous);
-      out << line << '\n';
+  // The same journal as written by an earlier result-stream version (that
+  // version's fingerprint on every line): all ten are recomputed.
+  for (const std::uint64_t old_fingerprint :
+       {kStreamV1GridFingerprint, kStreamV2GridFingerprint}) {
+    const std::string old_path = temp_path("mismatch_old.jsonl");
+    {
+      std::ifstream in(path);
+      std::ofstream out(old_path, std::ios::trunc);
+      const std::string current =
+          encode_hex_u64(make_grid_spec().fingerprint());
+      const std::string previous = encode_hex_u64(old_fingerprint);
+      std::string line;
+      while (std::getline(in, line)) {
+        for (std::size_t at = line.find(current); at != std::string::npos;
+             at = line.find(current, at))
+          line.replace(at, current.size(), previous);
+        out << line << '\n';
+      }
     }
+    calls = 0;
+    SweepOptions old_options;
+    old_options.checkpoint_path = old_path;
+    old_options.resume = true;
+    SweepRunner(make_grid_spec(), old_options).run([&](const SweepPoint& p) {
+      ++calls;
+      return eval_point(p);
+    });
+    EXPECT_EQ(calls.load(), 10) << std::hex << old_fingerprint;
+    std::remove(old_path.c_str());
   }
-  calls = 0;
-  SweepOptions v1_options;
-  v1_options.checkpoint_path = v1_path;
-  v1_options.resume = true;
-  SweepRunner(make_grid_spec(), v1_options).run([&](const SweepPoint& p) {
-    ++calls;
-    return eval_point(p);
-  });
-  EXPECT_EQ(calls.load(), 10);
-  std::remove(v1_path.c_str());
   std::remove(path.c_str());
 }
 
