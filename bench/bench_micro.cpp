@@ -148,6 +148,35 @@ BENCHMARK(BM_SampleColoringWords)
     ->ArgNames({"n", "p_pct"})
     ->ArgsProduct({{5, 63, 127}, {10, 30, 50}});
 
+// The sampler at the layout the engine ships (stream v4): one iteration
+// samples a 1024-trial batch lane-major (sample_iid_lane_words, 16 groups
+// of n words).  ns_per_trial is the cost the engine pays per trial for
+// its colorings; it scales with n / 64 words per trial, where the
+// trial-major rows above cost ceil(n / 64).  Informational; no gate reads
+// it.
+void BM_SampleColoringWordsLaneMajor(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const double p = static_cast<double>(state.range(1)) / 100.0;
+  constexpr std::size_t kBatch = 1024;
+  std::vector<std::uint64_t> lanes((kBatch + 63) / 64 * n);
+  Rng rng(41);
+  double elapsed_ns = 0.0;
+  for (auto _ : state) {
+    const auto start = std::chrono::steady_clock::now();
+    sample_iid_lane_words(lanes.data(), kBatch, n, p, rng);
+    benchmark::DoNotOptimize(lanes.data());
+    elapsed_ns += std::chrono::duration<double, std::nano>(
+                      std::chrono::steady_clock::now() - start)
+                      .count();
+  }
+  state.counters["ns_per_trial"] =
+      elapsed_ns / (static_cast<double>(state.iterations()) *
+                    static_cast<double>(kBatch));
+}
+BENCHMARK(BM_SampleColoringWordsLaneMajor)
+    ->ArgNames({"n", "p_pct"})
+    ->ArgsProduct({{5, 13, 63, 127}, {10, 30, 50}});
+
 // --- Probe-throughput suite ----------------------------------------------
 // Trials/sec of one full Monte-Carlo trial (coloring sample + probe run)
 // per family, on three paths:

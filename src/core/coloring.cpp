@@ -122,6 +122,13 @@ void sample_iid_coloring_words(std::uint64_t* out, std::size_t count,
     sample_word_group<1>(out + w, threshold, lowest, next_lanes, rng);
 }
 
+void sample_iid_lane_words(std::uint64_t* out, std::size_t trial_count,
+                           std::size_t universe_size, double p, Rng& rng) {
+  QPS_REQUIRE(universe_size >= 1, "lane sampling needs a nonempty universe");
+  const std::size_t groups = (trial_count + 63) / 64;
+  sample_iid_coloring_words(out, groups * universe_size, 64, p, rng);
+}
+
 namespace {
 
 // Hacker's-Delight 64x64 in-place bit-matrix transpose by masked delta
@@ -167,6 +174,36 @@ void transpose_lane_words(const std::uint64_t* trial_masks,
       element_words[(64 * c + e) * lane_words + k0 + g] = x[63 - e][g];
 }
 
+/// The reverse tiles: lane words of groups [k0, k0 + G) and element chunk
+/// c in, rows of trials [64k0, 64(k0+G)) x chunk c out.
+template <std::size_t G>
+void lane_words_to_rows(const std::uint64_t* lane_words,
+                        std::size_t trial_count, std::size_t universe_size,
+                        std::size_t element_stride, std::size_t group_stride,
+                        std::size_t k0, std::size_t c,
+                        std::uint64_t* trial_masks) {
+  const std::size_t stride = (universe_size + 63) / 64;
+  const std::size_t chunk_elems =
+      universe_size - 64 * c < 64 ? universe_size - 64 * c : 64;
+  std::uint64_t x[64][G];
+  for (std::size_t e = 0; e < 64; ++e) {
+    for (std::size_t g = 0; g < G; ++g) {
+      x[63 - e][g] = e < chunk_elems
+                         ? lane_words[(64 * c + e) * element_stride +
+                                      (k0 + g) * group_stride]
+                         : 0;
+    }
+  }
+  transpose_64x64_tiles(x);
+  for (std::size_t g = 0; g < G; ++g) {
+    const std::size_t first = 64 * (k0 + g);
+    const std::size_t rows =
+        trial_count - first < 64 ? trial_count - first : 64;
+    for (std::size_t t = 0; t < rows; ++t)
+      trial_masks[(first + t) * stride + c] = x[63 - t][g];
+  }
+}
+
 }  // namespace
 
 void transpose_coloring_words(const std::uint64_t* trial_masks,
@@ -198,6 +235,26 @@ void transpose_coloring_words_strided(const std::uint64_t* trial_masks,
     for (; k < lane_words; ++k)
       transpose_lane_words<1>(trial_masks, trial_count, universe_size,
                               lane_words, k, c, element_words);
+  }
+}
+
+void transpose_lane_words_to_rows(const std::uint64_t* lane_words,
+                                  std::size_t trial_count,
+                                  std::size_t universe_size,
+                                  std::size_t element_stride,
+                                  std::size_t group_stride,
+                                  std::uint64_t* trial_masks) {
+  QPS_REQUIRE(universe_size >= 1, "transpose needs a nonempty universe");
+  const std::size_t stride = (universe_size + 63) / 64;
+  const std::size_t groups = (trial_count + 63) / 64;
+  for (std::size_t c = 0; c < stride; ++c) {
+    std::size_t k = 0;
+    for (; k + 4 <= groups; k += 4)
+      lane_words_to_rows<4>(lane_words, trial_count, universe_size,
+                            element_stride, group_stride, k, c, trial_masks);
+    for (; k < groups; ++k)
+      lane_words_to_rows<1>(lane_words, trial_count, universe_size,
+                            element_stride, group_stride, k, c, trial_masks);
   }
 }
 

@@ -95,6 +95,19 @@ Coloring sample_iid_coloring(std::size_t universe_size, double p, Rng& rng);
 void sample_iid_coloring_words(std::uint64_t* out, std::size_t count,
                                std::size_t universe_size, double p, Rng& rng);
 
+/// The engine's batch sampler (result stream v4): the colorings of
+/// `trial_count` trials in lane-major layout.  With G = ceil(trial_count /
+/// 64) groups of 64 trials, word g*n + e holds element e's colors for
+/// trials 64g .. 64g+63 (bit t = trial 64g + t; green = 1), so a group is
+/// exactly the per-element lane words the batch kernels read.  Defined as
+/// one sample_iid_coloring_words(out, G*n, 64, p, rng) call -- each word
+/// is 64 i.i.d. Bernoulli lanes, so every property listed above carries
+/// over (bit-exact marginals, comonotone in p, G*n draws for 0 < p < 1).
+/// Lanes beyond trial_count in the last group are drawn and left as
+/// drawn; consumers ignore them.  `out` holds G*n words.
+void sample_iid_lane_words(std::uint64_t* out, std::size_t trial_count,
+                           std::size_t universe_size, double p, Rng& rng);
+
 /// Transposes up to 64 per-trial green bitmasks (the layout
 /// sample_iid_coloring_words produces: word t = trial t, bit e = element e)
 /// into the bit-sliced per-element layout of the batch trial kernel
@@ -108,9 +121,11 @@ void transpose_coloring_words(const std::uint64_t* trial_masks,
                               std::size_t universe_size);
 
 /// Multi-word, multi-lane transpose for the SIMD batch engine
-/// (core/engine/simd.h): `trial_masks` holds `trial_count` rows of
-/// stride = ceil(universe_size/64) words (the sample_iid_coloring_words
-/// layout, any n), and the output is the lane-word matrix
+/// (core/engine/simd.h), used where a block is bound to per-trial rows --
+/// the permuting strategies' permuted rows, and BatchTrialBlock::load():
+/// `trial_masks` holds `trial_count` rows of stride = ceil(universe_size/64)
+/// words (the sample_iid_coloring_words layout, any n), and the output is
+/// the lane-word matrix
 /// `element_words[e*lane_words + k]` = colors of element e across trials
 /// [64k, 64k+64).  Requires trial_count <= 64*lane_words; lanes beyond
 /// trial_count come out zero.  Tiled 64x64 bit-matrix transposes, one tile
@@ -120,6 +135,21 @@ void transpose_coloring_words_strided(const std::uint64_t* trial_masks,
                                       std::size_t universe_size,
                                       std::size_t lane_words,
                                       std::uint64_t* element_words);
+
+/// The reverse of transpose_coloring_words_strided: lane words back into
+/// per-trial rows of stride = ceil(universe_size/64) words.  The lane word
+/// of element e for trials [64k, 64k+64) is read from
+/// lane_words[e * element_stride + k * group_stride] -- (1, n) is the
+/// sample_iid_lane_words layout, (W, 1) the batch kernel's element rows.
+/// Writes rows 0 .. trial_count-1 only; bits at and beyond universe_size
+/// in a row's last word come out zero.  Same lockstep 64x64 tiles as the
+/// forward transpose.
+void transpose_lane_words_to_rows(const std::uint64_t* lane_words,
+                                  std::size_t trial_count,
+                                  std::size_t universe_size,
+                                  std::size_t element_stride,
+                                  std::size_t group_stride,
+                                  std::uint64_t* trial_masks);
 
 /// A finite distribution over colorings with explicit weights; weights are
 /// normalized on construction.

@@ -84,7 +84,7 @@ void fold_probe_planes(const std::uint64_t* planes, std::size_t plane_count,
 
 void run_bit_sliced_trials(const ProbeStrategy& strategy,
                            BatchTrialBlock& block,
-                           const std::uint64_t* trial_green_masks,
+                           const std::uint64_t* lane_words,
                            std::size_t trial_count, std::size_t universe_size,
                            Rng& rng, CountMoments& out) {
   QPS_REQUIRE(block.universe_size() == universe_size,
@@ -92,10 +92,9 @@ void run_bit_sliced_trials(const ProbeStrategy& strategy,
   KernelMetrics& metrics = KernelMetrics::get();
   metrics.trials.add(trial_count);
   const std::size_t cap = block.lane_capacity();
-  const std::size_t stride = block.mask_words();
   for (std::size_t offset = 0; offset < trial_count; offset += cap) {
     const std::size_t lanes = std::min(cap, trial_count - offset);
-    block.load(trial_green_masks + offset * stride, lanes);
+    block.load_lanes(lane_words + (offset / 64) * universe_size, lanes);
     strategy.run_batch(block, rng);
     metrics.blocks.add((lanes + 63) / 64);   // 64-lane blocks, as in PR 5
     metrics.simd_blocks.increment();         // one W-wide super-block

@@ -5,11 +5,17 @@
 // whole super-block of trials in lock-step, one bit-lane per trial and
 // W = SimdKernels::width lane words side by side (core/engine/simd.h):
 //
-//  * BatchTrialBlock::load() binds up to 64*W per-trial green-mask rows
-//    (the layout sample_iid_coloring_words produces, ceil(n/64) words per
-//    trial -- any universe size); view() transposes them on demand into
-//    one lane-word row PER ELEMENT, so a probe step reads all lanes'
-//    answers in W word loads;
+//  * BatchTrialBlock::load_lanes() copies up to W groups of the engine's
+//    lane-major coloring words (sample_iid_lane_words: one word per
+//    element per 64 trials) straight into one lane-word row PER ELEMENT,
+//    so a probe step reads all lanes' answers in W word loads and a
+//    deterministic scan never transposes anything;
+//  * permuting strategies need per-trial rows: trial_masks() rebuilds them
+//    on demand by the reverse tiled transpose, and after they fill
+//    scratch_masks() and call use_scratch(), view() transposes the
+//    permuted rows forward again.  load() binds per-trial rows directly
+//    (ceil(n/64) words per trial, any universe size) for callers that
+//    hold rows;
 //  * a strategy's run_batch() override (core/strategy.h) pre-draws its
 //    per-trial randomness into the block's side buffers (permuted masks,
 //    plan masks) and then calls one of the block's width kernels, which walk
@@ -58,12 +64,12 @@ void fold_probe_planes(const std::uint64_t* planes, std::size_t plane_count,
                        const std::uint64_t* active, std::size_t width,
                        CountMoments& out);
 
-/// One super-block of up to 64*width trials in transposed (bit-sliced)
+/// One super-block of up to 64*width trials in bit-sliced (per-element)
 /// coloring layout, plus the bit-sliced probe accounting and the side
 /// buffers batch strategies pre-draw their randomness into.  All storage is
-/// sized once by configure(); load()/view()/run_batch never allocate, so a
-/// block can live inside a TrialWorkspace and be reloaded between
-/// super-blocks without touching the heap.
+/// sized once by configure(); load()/load_lanes()/view()/trial_masks() and
+/// run_batch never allocate, so a block can live inside a TrialWorkspace
+/// and be reloaded between super-blocks without touching the heap.
 class BatchTrialBlock {
  public:
   /// Binds the block to a kernel table and a universe size, sizing all
@@ -81,6 +87,7 @@ class BatchTrialBlock {
     probe_planes_.assign(planes_ * w, 0);
     tally_planes_.assign(planes_ * w, 0);
     active_.assign(w, 0);
+    trial_rows_.assign(lane_capacity() * mask_words_, 0);
     scratch_masks_.assign(lane_capacity() * mask_words_, 0);
     trial_count_ = 0;
     source_masks_ = nullptr;
@@ -93,25 +100,30 @@ class BatchTrialBlock {
   /// scratch_masks() and calls use_scratch() never pays for transposing
   /// the originals.  The mask rows must stay valid until the kernel runs.
   void load(const std::uint64_t* trial_green_masks, std::size_t trial_count) {
-    QPS_REQUIRE(kernels_ != nullptr, "configure() the block before load()");
-    QPS_REQUIRE(trial_count >= 1 && trial_count <= lane_capacity(),
-                "a batch block holds 1..64*width trials");
+    begin_trials(trial_count);
     source_masks_ = trial_green_masks;
-    trial_count_ = trial_count;
     transposed_ = false;
-    for (auto& p : probe_planes_) p = 0;
-    for (std::size_t k = 0; k < active_.size(); ++k) {
-      const std::size_t low = 64 * k;
-      if (trial_count >= low + 64)
-        active_[k] = ~0ULL;
-      else if (trial_count > low)
-        active_[k] = (1ULL << (trial_count - low)) - 1;
-      else
-        active_[k] = 0;
-    }
   }
 
-  /// The kernels' window into the block; transposes the bound masks into
+  /// Binds `trial_count` (1 .. lane_capacity()) trials given as lane words
+  /// in the sample_iid_lane_words layout: `group_words` points at the
+  /// block's first group, and word g*n + e holds element e's colors for
+  /// the block's trials [64g, 64g+64).  The ceil(trial_count/64) groups
+  /// are copied into the element rows (lanes beyond trial_count cleared),
+  /// so view() has nothing to transpose; per-trial rows are rebuilt only
+  /// if a strategy asks for trial_masks().
+  void load_lanes(const std::uint64_t* group_words, std::size_t trial_count) {
+    begin_trials(trial_count);
+    const std::size_t w = width();
+    for (std::size_t e = 0; e < n_; ++e)
+      for (std::size_t k = 0; k < w; ++k)
+        element_greens_[e * w + k] =
+            active_[k] != 0 ? group_words[k * n_ + e] & active_[k] : 0;
+    source_masks_ = nullptr;
+    transposed_ = true;
+  }
+
+  /// The kernels' window into the block; transposes bound mask rows into
   /// the per-element layout on first use after load()/use_scratch().
   BlockView view() {
     QPS_REQUIRE(trial_count_ >= 1, "load() trials before view()");
@@ -138,9 +150,19 @@ class BatchTrialBlock {
     return *kernels_;
   }
 
-  /// The currently bound per-trial mask rows (the load() source, or the
-  /// scratch buffer after use_scratch()).
-  const std::uint64_t* trial_masks() const { return source_masks_; }
+  /// The bound trials as per-trial mask rows of mask_words() words: the
+  /// load() source, the scratch buffer after use_scratch(), or -- after
+  /// load_lanes() -- rows rebuilt from the element rows into a buffer
+  /// sized by configure() (once per load).
+  const std::uint64_t* trial_masks() {
+    QPS_REQUIRE(trial_count_ >= 1, "load() trials before trial_masks()");
+    if (source_masks_ == nullptr) {
+      transpose_lane_words_to_rows(element_greens_.data(), trial_count_, n_,
+                                   width(), 1, trial_rows_.data());
+      source_masks_ = trial_rows_.data();
+    }
+    return source_masks_;
+  }
 
   /// Writable buffer of lane_capacity() mask rows for permuting strategies;
   /// sized by configure(), so filling it never allocates.
@@ -187,17 +209,39 @@ class BatchTrialBlock {
   }
 
  private:
+  /// Shared head of load()/load_lanes(): checks the count, sets the active
+  /// lanes and clears the probe tallies.
+  void begin_trials(std::size_t trial_count) {
+    QPS_REQUIRE(kernels_ != nullptr, "configure() the block before load()");
+    QPS_REQUIRE(trial_count >= 1 && trial_count <= lane_capacity(),
+                "a batch block holds 1..64*width trials");
+    trial_count_ = trial_count;
+    for (auto& p : probe_planes_) p = 0;
+    for (std::size_t k = 0; k < active_.size(); ++k) {
+      const std::size_t low = 64 * k;
+      if (trial_count >= low + 64)
+        active_[k] = ~0ULL;
+      else if (trial_count > low)
+        active_[k] = (1ULL << (trial_count - low)) - 1;
+      else
+        active_[k] = 0;
+    }
+  }
+
   const SimdKernels* kernels_ = nullptr;
   std::size_t n_ = 0;
   std::size_t planes_ = 0;
   std::size_t mask_words_ = 0;
   std::size_t trial_count_ = 0;
+  // The bound per-trial rows; null after load_lanes() until trial_masks()
+  // rebuilds them.
   const std::uint64_t* source_masks_ = nullptr;
-  bool transposed_ = false;
+  bool transposed_ = false;  // element_greens_ holds the bound trials
   std::vector<std::uint64_t> element_greens_;  // n * W lane words
   std::vector<std::uint64_t> probe_planes_;    // planes * W
   std::vector<std::uint64_t> tally_planes_;    // planes * W kernel scratch
   std::vector<std::uint64_t> active_;          // W
+  std::vector<std::uint64_t> trial_rows_;      // lane_capacity * mask_words
   std::vector<std::uint64_t> scratch_masks_;   // lane_capacity * mask_words
   std::vector<std::uint64_t> plan_masks_;
   std::vector<std::uint32_t> order_buffer_;
@@ -222,17 +266,18 @@ class ProbeStrategy;
 class Rng;
 
 /// Drives `trial_count` trials through `strategy`'s bit-sliced kernel in
-/// super-blocks of block.lane_capacity() lanes: load (bind + lazy
-/// transpose), run_batch, then fold the super-block's probe counts into
-/// `out`.  The moments are exact integers, so `out` equals the scalar
-/// path's per-trial adds exactly.  `rng` feeds the strategies' pre-drawn
-/// per-trial randomness (permutations, plans), consumed in trial order so
-/// the draw sequence matches the scalar loop's.  The block must be
-/// configure()d for `universe_size`, and the strategy must support
-/// batching (ProbeStrategy::supports_batch).
+/// super-blocks of block.lane_capacity() lanes: load_lanes, run_batch,
+/// then fold the super-block's probe counts into `out`.  `lane_words` is
+/// a batch in the sample_iid_lane_words layout (ceil(trial_count/64)
+/// groups of universe_size words).  The moments are exact integers, so
+/// `out` equals the scalar path's per-trial adds exactly.  `rng` feeds the
+/// strategies' pre-drawn per-trial randomness (permutations, plans),
+/// consumed in trial order so the draw sequence matches the scalar loop's.
+/// The block must be configure()d for `universe_size`, and the strategy
+/// must support batching (ProbeStrategy::supports_batch).
 void run_bit_sliced_trials(const ProbeStrategy& strategy,
                            BatchTrialBlock& block,
-                           const std::uint64_t* trial_green_masks,
+                           const std::uint64_t* lane_words,
                            std::size_t trial_count, std::size_t universe_size,
                            Rng& rng, CountMoments& out);
 

@@ -116,13 +116,15 @@ RunningStats ParallelEstimator::run_batches(
   EngineMetrics& metrics = EngineMetrics::get();
   const auto worker = [&] {
     // Per-worker state (e.g. the trial workspace) lives in the batch
-    // function made here, once per thread.
-    const BatchFn batch_fn = make_batch_fn();
+    // function, made once per thread -- and only by a worker that claims a
+    // batch, so idle workers of a larger pool cost nothing.
+    BatchFn batch_fn;
     for (;;) {
       if (state.stop.load(std::memory_order_relaxed)) return;
       const std::size_t k =
           state.next_batch.fetch_add(1, std::memory_order_relaxed);
       if (k >= num_batches) return;
+      if (!batch_fn) batch_fn = make_batch_fn();
 
       CountMoments batch;
       std::exception_ptr error;
@@ -140,8 +142,7 @@ RunningStats ParallelEstimator::run_batches(
       }
 
       // The merge-wait histogram records how long workers queue on the
-      // merge mutex: the direct measurement of merge contention the
-      // lock-free refactor (ROADMAP) needs a baseline for.
+      // merge mutex.
       std::uint64_t wait_us = 0;
       if constexpr (obs::kMetricsCompiled) {
         const std::uint64_t t0 = obs::monotonic_us();
@@ -176,9 +177,14 @@ RunningStats ParallelEstimator::run_batches(
     }
   };
 
-  // The shared pool runs `worker` on `threads` workers (the calling thread
-  // included); a single-worker pool degenerates to an inline call.
-  ThreadPool(threads).run_workers(worker);
+  // The calling thread's cached pool runs `worker` on every worker (the
+  // calling thread included).  It is sized by the requested thread count,
+  // not by this run's batch count, so calls of any size share it; a run
+  // one worker can cover stays inline.
+  if (threads == 1)
+    worker();
+  else
+    ThreadPool::local(options_.threads).run_workers(worker);
 
   if (state.first_error) std::rethrow_exception(state.first_error);
   return state.merged.stats();
@@ -214,13 +220,13 @@ RunningStats ParallelEstimator::estimate_ppc(const QuorumSystem& system,
       return run_probe_trial(system, strategy, coloring, validate, rng);
     });
   }
-  // Bit-sliced batch kernels: 64*W trials per super-block for every
-  // strategy with a batch kernel, any universe size.  The masks are
-  // sampled exactly as on the scalar path below (same draws, same rng
-  // sequence) and batch strategies pre-draw their per-trial randomness in
-  // trial order (the exact draws the scalar loop makes), so the per-trial
-  // probe counts -- and therefore the merged statistics -- are
-  // bit-identical to the scalar path's at any lane width.  Validation
+  // Every batch samples its colorings lane-major (sample_iid_lane_words:
+  // one word per element per 64 trials), on both paths.  Bit-sliced batch
+  // kernels (64*W trials per super-block, any universe size) load those
+  // words as their element rows; batch strategies pre-draw their per-trial
+  // randomness in trial order (the exact draws the scalar loop makes), so
+  // the per-trial probe counts -- and therefore the merged statistics --
+  // are bit-identical to the scalar path's at any lane width.  Validation
   // needs materialized witnesses, which the kernels never build: that
   // combination falls back to the scalar path below.
   if (options_.execution == Execution::kBitSliced && !validate &&
@@ -233,16 +239,17 @@ RunningStats ParallelEstimator::estimate_ppc(const QuorumSystem& system,
                  CountMoments& out) {
         TrialWorkspace& ws = *workspace;
         const std::size_t count = end - begin;
-        std::uint64_t* masks = ws.coloring_masks(count);
-        sample_iid_coloring_words(masks, count, n, p, rng);
+        std::uint64_t* lanes = ws.lane_words(count);
+        sample_iid_lane_words(lanes, count, n, p, rng);
         ws.batch_block().configure(kernels, n);
-        run_bit_sliced_trials(strategy, ws.batch_block(), masks, count, n,
+        run_bit_sliced_trials(strategy, ws.batch_block(), lanes, count, n,
                               rng, out);
       };
     });
   }
-  // Zero-allocation scalar hot path: one workspace per worker, the whole
-  // batch's mask rows sampled up front, colorings filled in place.
+  // Zero-allocation scalar hot path: one workspace per worker, the batch's
+  // lane words sampled up front and transposed into per-trial rows,
+  // colorings filled in place.
   return run_batches([&system, &strategy, p, validate, n] {
     auto workspace = std::make_shared<TrialWorkspace>(n);
     return [workspace, &system, &strategy, p, validate, n](
@@ -251,8 +258,10 @@ RunningStats ParallelEstimator::estimate_ppc(const QuorumSystem& system,
       TrialWorkspace& ws = *workspace;
       const std::size_t count = end - begin;
       const std::size_t stride = (n + 63) / 64;
+      std::uint64_t* lanes = ws.lane_words(count);
+      sample_iid_lane_words(lanes, count, n, p, rng);
       std::uint64_t* masks = ws.coloring_masks(count);
-      sample_iid_coloring_words(masks, count, n, p, rng);
+      transpose_lane_words_to_rows(lanes, count, n, 1, n, masks);
       for (std::size_t i = 0; i < count; ++i) {
         ws.coloring().assign_greens_words(masks + i * stride);
         out.add(run_workspace_trial(ws, ws.coloring(), system, strategy,

@@ -1,8 +1,10 @@
 // Parallel Monte-Carlo estimation engine.
 //
 // ParallelEstimator shards a trial budget into fixed-size batches and runs
-// the batches on the shared worker pool (core/engine/parallel_for.h), the
-// same pool the exact DP kernel uses.  Determinism is the design
+// the batches on the calling thread's cached worker pool (ThreadPool::local,
+// core/engine/parallel_for.h), the same pool the exact DP kernel uses; it
+// is built on a thread's first call and reused by every later one of the
+// same size.  Determinism is the design
 // center: batch k always draws from the RNG stream derived from
 // (options.seed, k), and batch results are merged strictly in batch-index
 // order, so the returned statistics -- and the early-stop / throw decisions
@@ -15,11 +17,15 @@
 // way the batch merge is integer addition and the RunningStats a caller
 // gets is converted once from the exact totals.  The trial budget is
 // checked against CountMoments::kMaxCount when the engine is constructed.
-// estimate_ppc samples each batch's colorings with
-// sample_iid_coloring_words (core/coloring.h): one draw per 64-element
-// mask word for every 0 < p < 1, and comonotone in p, so two points that
-// share a seed and differ only in p see coupled colorings and identically
-// placed strategy draws.
+// estimate_ppc samples each batch's colorings lane-major with
+// sample_iid_lane_words (core/coloring.h): batch k's rng first draws
+// ceil(count/64) * n words -- word (g, e) is element e across trials
+// 64g .. 64g+63 -- and then the strategies' per-trial draws in trial
+// order.  One draw per word for every 0 < p < 1, and comonotone in p, so
+// two points that share a seed and differ only in p see coupled colorings
+// and identically placed strategy draws.  The bit-sliced path loads those
+// words as its element rows; the scalar path transposes them into
+// per-trial rows, so both see the same trials.
 // kResultStreamVersion names the result stream these rules produce; the
 // sweep layer mixes it into every spec fingerprint.
 //
@@ -46,8 +52,10 @@ namespace qps {
 /// with any change to either, so results of different versions never mix
 /// (SweepSpec::fingerprint includes it).  Version 2: exact integer moments.
 /// Version 3: the MSB-first, early-exit coloring sampler (one draw per
-/// mask word, p-coupled; see sample_iid_coloring_words).
-inline constexpr std::uint32_t kResultStreamVersion = 3;
+/// mask word, p-coupled; see sample_iid_coloring_words).  Version 4: the
+/// same sampler drawn lane-major, one word per element per 64 trials (see
+/// sample_iid_lane_words).
+inline constexpr std::uint32_t kResultStreamVersion = 4;
 
 /// How estimate_ppc executes the trials of a batch.
 enum class Execution {
@@ -131,8 +139,9 @@ class ParallelEstimator {
   using BatchFn =
       std::function<void(std::size_t begin, std::size_t end, Rng& rng,
                          CountMoments& out)>;
-  /// Called once per worker thread, so the returned BatchFn can own
-  /// per-worker state (a TrialWorkspace); may be invoked concurrently.
+  /// Called once per worker thread that claims a batch, so the returned
+  /// BatchFn can own per-worker state (a TrialWorkspace); may be invoked
+  /// concurrently.
   using BatchFnFactory = std::function<BatchFn()>;
 
   /// The batching/merging/early-stop engine shared by run() and the

@@ -1,6 +1,7 @@
 #include "core/engine/parallel_for.h"
 
 #include <atomic>
+#include <memory>
 
 namespace qps {
 
@@ -10,6 +11,18 @@ std::size_t ThreadPool::resolve_threads(std::size_t threads) {
     if (threads == 0) threads = 1;
   }
   return threads;
+}
+
+ThreadPool& ThreadPool::local(std::size_t threads) {
+  thread_local std::unique_ptr<ThreadPool> pool;
+  const std::size_t total = resolve_threads(threads);
+  // A pool in the middle of a dispatch is kept whatever its size: the
+  // nested call runs inline on it anyway.
+  if (!pool || (pool->size() != total && !pool->dispatching_)) {
+    pool.reset();  // join the old workers before spawning the new ones
+    pool = std::make_unique<ThreadPool>(total);
+  }
+  return *pool;
 }
 
 ThreadPool::ThreadPool(std::size_t threads) {
@@ -54,10 +67,15 @@ void ThreadPool::worker_loop() {
 }
 
 void ThreadPool::run_workers(const std::function<void()>& fn) {
-  if (threads_.empty()) {
-    fn();  // pool of one: run inline, nothing to synchronize
+  if (threads_.empty() || dispatching_) {
+    fn();  // pool of one, or a nested dispatch: run inline
     return;
   }
+  dispatching_ = true;
+  struct Clear {
+    bool& flag;
+    ~Clear() { flag = false; }
+  } clear{dispatching_};
 
   {
     std::lock_guard<std::mutex> lock(mutex_);

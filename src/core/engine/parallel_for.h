@@ -15,9 +15,17 @@
 //    its own results, so callers that keep per-index output (the exact DP
 //    kernel) are bit-identical for any pool size.
 //
-// The pool is reusable: the exact DP kernel dispatches one parallel_for
-// per induction level through the same pool, paying the thread spawn cost
-// once per solve instead of once per level.
+// The pool is reusable, and ThreadPool::local() keeps one per calling
+// thread alive across calls: the Monte-Carlo engine (one run_workers per
+// estimate) and the exact DP kernel (one parallel_for per induction level)
+// both take their pool from it, so a thread pays the spawn cost once, not
+// once per ~1 ms estimate or per solve.  The cached pool lives until its
+// thread exits, or until that thread asks for a different size.
+//
+// Fork: a child process gets the parent's memory but none of its pool
+// threads, so it must not use a pool it inherited.  The sweep layer
+// (net/socket_sweep.cpp) forks its workers and immediately execvp()s them,
+// so no child ever runs on an inherited pool.
 #pragma once
 
 #include <condition_variable>
@@ -46,9 +54,17 @@ class ThreadPool {
   /// Resolves a requested thread count the way the pool constructor does.
   static std::size_t resolve_threads(std::size_t threads);
 
+  /// The calling thread's cached pool of resolve_threads(threads) workers:
+  /// built on first use, rebuilt only when the resolved size changes.
+  /// Asked for again from inside one of its own jobs on the calling
+  /// thread, it returns the running pool unchanged, and a nested dispatch
+  /// on it runs inline (see run_workers).
+  static ThreadPool& local(std::size_t threads);
+
   /// Runs `fn` once on every worker and blocks until all return.  The
   /// first exception thrown by any worker is rethrown in the caller after
-  /// the barrier.
+  /// the barrier.  Called again from inside `fn` on the calling thread, it
+  /// runs the inner `fn` inline, once.
   void run_workers(const std::function<void()>& fn);
 
   /// Runs `body(chunk_begin, chunk_end)` over [begin, end) in chunks of at
@@ -70,6 +86,7 @@ class ThreadPool {
   std::uint64_t generation_ = 0;
   std::size_t pending_ = 0;
   bool stopping_ = false;
+  bool dispatching_ = false;  // a run_workers is in flight (caller's view)
   std::exception_ptr first_error_;
 };
 

@@ -63,6 +63,15 @@ class TrialWorkspace {
     return coloring_masks_.data();
   }
 
+  /// Batch buffer of lane words for `count` trials (ceil(count/64) groups
+  /// of n words, the sample_iid_lane_words layout), grown on demand.
+  /// Contents are unspecified until the caller fills them.
+  std::uint64_t* lane_words(std::size_t count) {
+    const std::size_t words = (count + 63) / 64 * universe_size();
+    if (lane_words_.size() < words) lane_words_.resize(words);
+    return lane_words_.data();
+  }
+
   /// Reusable element-order buffer (randomized strategies refill it with
   /// Rng::permutation_into).
   std::vector<std::uint32_t>& order_buffer() { return order_; }
@@ -83,6 +92,7 @@ class TrialWorkspace {
   Coloring coloring_;
   ProbeSession session_;
   std::vector<std::uint64_t> coloring_masks_;
+  std::vector<std::uint64_t> lane_words_;
   std::vector<std::uint32_t> order_;
   std::array<std::vector<std::uint64_t>, kWordBufferCount> word_buffers_;
   BatchTrialBlock batch_block_;

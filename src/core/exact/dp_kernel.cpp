@@ -184,7 +184,7 @@ void DpKernel<Policy>::solve() {
   QPS_TRACE_SPAN("exact/solve", "exact");
   DpMetrics& metrics = DpMetrics::get();
   metrics.solves.increment();
-  ThreadPool pool(options_.threads);
+  ThreadPool& pool = ThreadPool::local(options_.threads);
 
   std::vector<Value> values_next;
   std::vector<Value> values_cur;

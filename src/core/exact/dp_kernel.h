@@ -25,7 +25,8 @@
 // n >= 18 (the exact bound is the memory formula in dp_peak_bytes()).
 //
 // States within a level are independent (transitions only reach level
-// k+1), so the kernel evaluates them in parallel on a reusable ThreadPool:
+// k+1), so the kernel evaluates them in parallel on the calling thread's
+// cached ThreadPool (ThreadPool::local, core/engine/parallel_for.h):
 // the flat state range is carved into fixed-size chunks with disjoint
 // output slots and no cross-thread reduction, making the results
 // bit-identical for any thread count, including 1.

@@ -2,11 +2,11 @@
 //
 // This binary replaces the global allocation functions with counting
 // forwarders (which is why it is its own test executable) and asserts that
-// a steady-state trial -- batched word-level coloring sampling, workspace
-// reset, scratch-aware strategy run -- performs exactly zero heap
-// allocations for every strategy x family at n <= 64.  The first trials of
-// a workspace may allocate (buffers grow to their high-water mark); the
-// measured window starts after a warmup.
+// a steady-state trial -- batched lane-word coloring sampling and its
+// transpose into rows, workspace reset, scratch-aware strategy run --
+// performs exactly zero heap allocations for every strategy x family at
+// n <= 64.  The first trials of a workspace may allocate (buffers grow to
+// their high-water mark); the measured window starts after a warmup.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -95,10 +95,13 @@ std::size_t allocations_in_steady_state(const QuorumSystem& system,
   TrialWorkspace ws(n);
   Rng rng(20010826);
   constexpr std::size_t kBatch = 256;
+  std::uint64_t* lanes = ws.lane_words(kBatch);
   std::uint64_t* masks = ws.coloring_masks(kBatch);
 
+  // The engine's scalar path: lane words sampled, transposed into rows.
   const auto run_batch = [&] {
-    sample_iid_coloring_words(masks, kBatch, n, p, rng);
+    sample_iid_lane_words(lanes, kBatch, n, p, rng);
+    transpose_lane_words_to_rows(lanes, kBatch, n, 1, n, masks);
     for (std::size_t i = 0; i < kBatch; ++i) {
       ws.coloring().assign_greens_mask(masks[i]);
       ProbeSession& session = ws.begin_trial(ws.coloring());
@@ -182,12 +185,13 @@ TEST(ZeroAllocationHotPath, LegacyRProbeCwEntryPointIsClean) {
 }
 
 TEST(ZeroAllocationHotPath, BitSlicedBatchKernelIsAllocationFree) {
-  // The bit-sliced batch path: sample a batch of masks, load super-blocks
-  // into the workspace's BatchTrialBlock, run the strategy's batch kernel,
-  // fold the probe counts into exact moments.  Zero allocations in the steady state for
-  // every batch-eligible strategy, including the randomized-order kernels
-  // (their pre-drawn permutations and plan masks live in block-owned
-  // buffers that grow once during warmup).
+  // The bit-sliced batch path: sample a batch of lane words, load
+  // super-blocks into the workspace's BatchTrialBlock, run the strategy's
+  // batch kernel, fold the probe counts into exact moments.  Zero
+  // allocations in the steady state for every batch-eligible strategy,
+  // including the randomized-order kernels (their rebuilt trial rows,
+  // pre-drawn permutations and plan masks live in block-owned buffers that
+  // are sized by configure() or grow once during warmup).
   const MajoritySystem maj63(63);
   const TreeSystem tree5(5);   // n = 63
   const HQSystem hqs3(3);      // n = 27
@@ -219,18 +223,18 @@ TEST(ZeroAllocationHotPath, BitSlicedBatchKernelIsAllocationFree) {
     TrialWorkspace ws(n);
     Rng rng(20010826);
     constexpr std::size_t kBatch = 256;
-    std::uint64_t* masks = ws.coloring_masks(kBatch);
+    std::uint64_t* words = ws.lane_words(kBatch);
     CountMoments moments;
 
     const auto run_batch = [&] {
-      sample_iid_coloring_words(masks, kBatch, n, 0.5, rng);
+      sample_iid_lane_words(words, kBatch, n, 0.5, rng);
       BatchTrialBlock& block = ws.batch_block();
       block.configure(kernels, n);  // no-op after the first call
       for (std::size_t off = 0; off < kBatch;
            off += block.lane_capacity()) {
         const std::size_t lanes =
             std::min(block.lane_capacity(), kBatch - off);
-        block.load(masks + off, lanes);
+        block.load_lanes(words + off / 64 * n, lanes);
         c.strategy->run_batch(block, rng);
         block.fold_probe_counts(moments);
       }
@@ -257,7 +261,7 @@ TEST(ZeroAllocationHotPath, MetricsEnabledHotPathStaysAllocationFree) {
   TrialWorkspace ws(n);
   Rng rng(20010826);
   constexpr std::size_t kBatch = 256;
-  std::uint64_t* masks = ws.coloring_masks(kBatch);
+  std::uint64_t* lanes = ws.lane_words(kBatch);
 
   obs::Counter& counter =
       obs::MetricsRegistry::instance().counter("test/alloc_hotpath_counter");
@@ -267,8 +271,8 @@ TEST(ZeroAllocationHotPath, MetricsEnabledHotPathStaysAllocationFree) {
 
   ws.batch_block().configure(resolve_simd_kernels(SimdIsa::kAuto), n);
   const auto run_batch = [&] {
-    sample_iid_coloring_words(masks, kBatch, n, 0.5, rng);
-    run_bit_sliced_trials(probe_maj, ws.batch_block(), masks, kBatch, n, rng,
+    sample_iid_lane_words(lanes, kBatch, n, 0.5, rng);
+    run_bit_sliced_trials(probe_maj, ws.batch_block(), lanes, kBatch, n, rng,
                           stats);
     counter.add(kBatch);
     histogram.record(stats.count());

@@ -123,6 +123,44 @@ TEST(BatchTrialBlock, LoadTransposesAndZeroesUnusedLanes) {
           << "e=" << e << " t=" << t;
 }
 
+TEST(BatchTrialBlock, LoadLanesMatchesLoadedRowsAndRebuildsThem) {
+  // load_lanes() must leave the same element rows (unused lanes zero) as
+  // load() of the matching per-trial rows, and trial_masks() must rebuild
+  // exactly those rows -- across n > 64 and a partial last lane word.
+  for (const std::size_t n : {5u, 63u, 65u, 127u}) {
+    const std::size_t stride = (n + 63) / 64;
+    for (const SimdIsa isa : {SimdIsa::kOff, SimdIsa::kPortable}) {
+      BatchTrialBlock lane_block, row_block;
+      lane_block.configure(resolve_simd_kernels(isa), n);
+      row_block.configure(resolve_simd_kernels(isa), n);
+      const std::size_t w = lane_block.width();
+      for (const std::size_t count :
+           {std::size_t{1}, std::size_t{70}, lane_block.lane_capacity()}) {
+        if (count > lane_block.lane_capacity()) continue;
+        Rng rng(n + count);
+        std::vector<std::uint64_t> lanes((count + 63) / 64 * n);
+        sample_iid_lane_words(lanes.data(), count, n, 0.5, rng);
+        std::vector<std::uint64_t> rows(count * stride);
+        transpose_lane_words_to_rows(lanes.data(), count, n, 1, n,
+                                     rows.data());
+        lane_block.load_lanes(lanes.data(), count);
+        row_block.load(rows.data(), count);
+        const BlockView from_lanes = lane_block.view();
+        const BlockView from_rows = row_block.view();
+        for (std::size_t i = 0; i < n * w; ++i)
+          ASSERT_EQ(from_lanes.greens[i], from_rows.greens[i])
+              << "n=" << n << " W=" << w << " count=" << count << " i=" << i;
+        for (std::size_t k = 0; k < w; ++k)
+          ASSERT_EQ(from_lanes.active[k], from_rows.active[k]);
+        const std::uint64_t* rebuilt = lane_block.trial_masks();
+        for (std::size_t i = 0; i < count * stride; ++i)
+          ASSERT_EQ(rebuilt[i], rows[i])
+              << "n=" << n << " W=" << w << " count=" << count << " i=" << i;
+      }
+    }
+  }
+}
+
 struct Case {
   std::string label;
   std::shared_ptr<const QuorumSystem> system;
@@ -205,9 +243,17 @@ TEST(BatchKernel, ProbeCountsMatchScalarRunWithPerLane) {
       for (const std::size_t count :
            {block.lane_capacity(), std::size_t{17}, std::size_t{1}}) {
         for (const double p : {0.1, 0.5, 0.9}) {
+          // Odd configs bind the engine's lane words (load_lanes, rows
+          // rebuilt only for permuting strategies); even ones bind rows.
           std::vector<std::uint64_t> masks(count * stride);
-          sample_iid_coloring_words(masks.data(), count, n, p, sample_rng);
-          block.load(masks.data(), count);
+          std::vector<std::uint64_t> lanes((count + 63) / 64 * n);
+          sample_iid_lane_words(lanes.data(), count, n, p, sample_rng);
+          transpose_lane_words_to_rows(lanes.data(), count, n, 1, n,
+                                       masks.data());
+          if (config_seed % 2 == 1)
+            block.load_lanes(lanes.data(), count);
+          else
+            block.load(masks.data(), count);
           ++config_seed;
           Rng batch_rng(config_seed);
           c.strategy->run_batch(block, batch_rng);
@@ -329,14 +375,17 @@ TEST(BatchKernel, RunBitSlicedTrialsMatchesScalarStatsAcrossBlockSeams) {
       const SimdKernels& kernels = resolve_simd_kernels(isa);
       const std::size_t trials = 3 * 64 * kernels.width + 8;
       Rng rng(99);
+      std::vector<std::uint64_t> lanes((trials + 63) / 64 * 63);
+      sample_iid_lane_words(lanes.data(), trials, 63, 0.5, rng);
       std::vector<std::uint64_t> masks(trials);
-      sample_iid_coloring_words(masks.data(), trials, 63, 0.5, rng);
+      transpose_lane_words_to_rows(lanes.data(), trials, 63, 1, 63,
+                                   masks.data());
 
       CountMoments batch;
       BatchTrialBlock block;
       block.configure(kernels, 63);
       Rng batch_rng(4242);
-      run_bit_sliced_trials(*strategy, block, masks.data(), trials, 63,
+      run_bit_sliced_trials(*strategy, block, lanes.data(), trials, 63,
                             batch_rng, batch);
 
       CountMoments scalar;
@@ -381,6 +430,113 @@ TEST(BatchKernel, EngineBitSlicedIsBitIdenticalToScalarForEveryFamily) {
         ASSERT_EQ(sliced.min(), scalar.min()) << c.label;
         ASSERT_EQ(sliced.max(), scalar.max()) << c.label;
       }
+    }
+  }
+}
+
+TEST(BatchKernel, EngineScalarMatchesBitSlicedForEveryStrategyAcrossSeams) {
+  // Every batch strategy, with a batch size that is not a multiple of 64
+  // (so every batch ends in a partial lane group and a partial super-block)
+  // at universes on both sides of the word boundary: the scalar path's
+  // transposed rows and the bit-sliced path's lane words are the same
+  // trials, so the statistics agree exactly.
+  std::vector<Case> cases;
+  const auto add = [&](std::string label,
+                       std::shared_ptr<const QuorumSystem> system,
+                       std::shared_ptr<const ProbeStrategy> strategy) {
+    cases.push_back({std::move(label), std::move(system), std::move(strategy)});
+  };
+  for (const std::size_t n : {5u, 63u, 65u, 127u}) {
+    const std::string size = std::to_string(n);
+    auto maj = std::make_shared<MajoritySystem>(n);
+    add("Probe_Maj/Maj" + size, maj, std::make_shared<ProbeMaj>(*maj));
+    add("R_Probe_Maj/Maj" + size, maj, std::make_shared<RProbeMaj>(*maj));
+    add("Random_Order/Maj" + size, maj,
+        std::make_shared<RandomOrderProbe>(*maj));
+    auto wheel = std::make_shared<CrumblingWall>(CrumblingWall::wheel(n));
+    add("Probe_CW/Wheel" + size, wheel, std::make_shared<ProbeCW>(*wheel));
+    add("R_Probe_CW/Wheel" + size, wheel, std::make_shared<RProbeCW>(*wheel));
+  }
+  for (const std::size_t h : {5u, 6u}) {  // n = 63, 127
+    auto tree = std::make_shared<TreeSystem>(h);
+    add("Probe_Tree/Tree" + std::to_string(h), tree,
+        std::make_shared<ProbeTree>(*tree));
+    add("R_Probe_Tree/Tree" + std::to_string(h), tree,
+        std::make_shared<RProbeTree>(*tree));
+  }
+  for (const std::size_t h : {1u, 4u}) {  // n = 3, 81: HQS has no n = 5..127
+    auto hqs = std::make_shared<HQSystem>(h);
+    add("Probe_HQS/Hqs" + std::to_string(h), hqs,
+        std::make_shared<ProbeHQS>(*hqs));
+    add("R_Probe_HQS/Hqs" + std::to_string(h), hqs,
+        std::make_shared<RProbeHQS>(*hqs));
+  }
+  for (const Case& c : cases) {
+    ASSERT_TRUE(c.strategy->supports_batch(c.system->universe_size()))
+        << c.label;
+    auto options = engine_options(2, Execution::kScalar);
+    options.trials = 2300;
+    options.batch_size = 1000;
+    const RunningStats scalar =
+        ParallelEstimator(options).estimate_ppc(*c.system, *c.strategy, 0.35);
+    options.execution = Execution::kBitSliced;
+    const RunningStats sliced =
+        ParallelEstimator(options).estimate_ppc(*c.system, *c.strategy, 0.35);
+    ASSERT_EQ(sliced.count(), scalar.count()) << c.label;
+    ASSERT_EQ(sliced.mean(), scalar.mean()) << c.label;
+    ASSERT_EQ(sliced.variance(), scalar.variance()) << c.label;
+    ASSERT_EQ(sliced.min(), scalar.min()) << c.label;
+    ASSERT_EQ(sliced.max(), scalar.max()) << c.label;
+  }
+}
+
+TEST(BatchKernel, EngineSamplesStreamV4LaneWords) {
+  // The stream definition at the engine's surface: batch k's rng draws one
+  // sample_iid_coloring_words(G*n, 64) call first, and trial t's coloring
+  // is bit t mod 64 of word (t/64, e) for each element e.  Rebuilt here bit
+  // by bit and run through the scalar strategy, it must reproduce both
+  // execution paths' statistics; R_Probe_Maj checks that the strategy's
+  // draws follow the lane words on the same rng.
+  const MajoritySystem maj(65);
+  const ProbeMaj det(maj);
+  const RProbeMaj rnd(maj);
+  const std::size_t n = 65;
+  const std::size_t count = 300;  // G = 5, the last group partial
+  for (const ProbeStrategy* strategy :
+       {static_cast<const ProbeStrategy*>(&det),
+        static_cast<const ProbeStrategy*>(&rnd)}) {
+    EngineOptions options;
+    options.trials = count;
+    options.batch_size = count;
+    options.threads = 1;
+    options.seed = 77;
+    Rng rng = Rng::for_stream(options.seed, 0);
+    const std::size_t groups = (count + 63) / 64;
+    std::vector<std::uint64_t> words(groups * n);
+    sample_iid_coloring_words(words.data(), groups * n, 64, 0.3, rng);
+    CountMoments expected;
+    TrialWorkspace ws(n);
+    for (std::size_t t = 0; t < count; ++t) {
+      ElementSet greens(n);
+      for (std::size_t e = 0; e < n; ++e)
+        if ((words[(t / 64) * n + e] >> (t % 64)) & 1ULL)
+          greens.insert(static_cast<Element>(e));
+      const Coloring coloring(n, greens);
+      ProbeSession& session = ws.begin_trial(coloring);
+      (void)strategy->run_with(ws, session, rng);
+      expected.add(static_cast<std::uint32_t>(session.probe_count()));
+    }
+    for (const Execution execution :
+         {Execution::kScalar, Execution::kBitSliced}) {
+      options.execution = execution;
+      const RunningStats stats =
+          ParallelEstimator(options).estimate_ppc(maj, *strategy, 0.3);
+      const RunningStats want = expected.stats();
+      EXPECT_EQ(stats.count(), want.count()) << strategy->name();
+      EXPECT_EQ(stats.mean(), want.mean()) << strategy->name();
+      EXPECT_EQ(stats.variance(), want.variance()) << strategy->name();
+      EXPECT_EQ(stats.min(), want.min()) << strategy->name();
+      EXPECT_EQ(stats.max(), want.max()) << strategy->name();
     }
   }
 }

@@ -409,6 +409,73 @@ TEST(ColoringTranspose, RejectsBadArguments) {
                std::invalid_argument);
 }
 
+TEST(LaneSampling, IsOneWordSamplerCallOverGroupsTimesElements) {
+  // Stream v4: a batch of `count` trials is G*n lane words (G = ceil(count
+  // / 64)), drawn by a single sample_iid_coloring_words(G*n, 64) call,
+  // word (g, e) = element e across trials 64g .. 64g+63.  Trial t's row bit
+  // e is then bit t mod 64 of word (t/64, e).
+  for (const std::size_t n : {1u, 5u, 63u, 64u, 65u, 127u, 200u}) {
+    const std::size_t stride = (n + 63) / 64;
+    for (const std::size_t count : {1u, 64u, 100u, 256u}) {
+      for (const double p : {0.0, 0.3, 0.5, 1.0}) {
+        const std::size_t groups = (count + 63) / 64;
+        std::vector<std::uint64_t> lanes(groups * n), words(groups * n);
+        Rng rng(n * 1000 + count), reference(n * 1000 + count);
+        sample_iid_lane_words(lanes.data(), count, n, p, rng);
+        sample_iid_coloring_words(words.data(), groups * n, 64, p, reference);
+        ASSERT_EQ(lanes, words) << "n=" << n << " count=" << count;
+        ASSERT_EQ(rng.next_u64(), reference.next_u64())
+            << "n=" << n << " count=" << count << " p=" << p;
+
+        std::vector<std::uint64_t> rows(count * stride, ~0ULL);
+        transpose_lane_words_to_rows(lanes.data(), count, n, 1, n,
+                                     rows.data());
+        for (std::size_t t = 0; t < count; ++t) {
+          for (std::size_t e = 0; e < 64 * stride; ++e) {
+            const std::uint64_t want =
+                e < n ? (lanes[(t / 64) * n + e] >> (t % 64)) & 1ULL : 0ULL;
+            ASSERT_EQ((rows[t * stride + e / 64] >> (e % 64)) & 1ULL, want)
+                << "n=" << n << " count=" << count << " t=" << t
+                << " e=" << e;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(LaneSampling, RowsToLanesToRowsIsTheIdentity) {
+  // transpose_coloring_words_strided and transpose_lane_words_to_rows are
+  // inverse on every trial count, partial last groups included, in both
+  // lane layouts: the kernel's element rows (W, 1) and the sampler's
+  // groups (1, n).
+  Rng rng(2718);
+  for (const std::size_t n : {1u, 5u, 63u, 64u, 65u, 127u, 200u}) {
+    const std::size_t stride = (n + 63) / 64;
+    for (std::size_t count = 1; count <= 256; ++count) {
+      const std::size_t groups = (count + 63) / 64;
+      std::vector<std::uint64_t> rows(count * stride);
+      sample_iid_coloring_words(rows.data(), count, n, 0.5, rng);
+      std::vector<std::uint64_t> element_rows(n * groups);
+      transpose_coloring_words_strided(rows.data(), count, n, groups,
+                                       element_rows.data());
+      std::vector<std::uint64_t> back(count * stride, ~0ULL);
+      transpose_lane_words_to_rows(element_rows.data(), count, n, groups, 1,
+                                   back.data());
+      ASSERT_EQ(back, rows) << "n=" << n << " count=" << count;
+
+      std::vector<std::uint64_t> sampler_groups(groups * n);
+      for (std::size_t g = 0; g < groups; ++g)
+        for (std::size_t e = 0; e < n; ++e)
+          sampler_groups[g * n + e] = element_rows[e * groups + g];
+      std::fill(back.begin(), back.end(), ~0ULL);
+      transpose_lane_words_to_rows(sampler_groups.data(), count, n, 1, n,
+                                   back.data());
+      ASSERT_EQ(back, rows) << "n=" << n << " count=" << count;
+    }
+  }
+}
+
 TEST(HqsWorstCase, RedRootIsComplementary) {
   const HQSystem hqs(2);
   const Coloring g = hqs_worst_case_coloring(hqs, Color::kGreen);

@@ -145,9 +145,16 @@ TEST(SimdBoundary, EveryIsaMatchesScalarPerLaneAcrossWordBoundaries) {
       block.configure(kernels, n);
       for (const std::size_t count : {block.lane_capacity(), std::size_t{13}}) {
         for (const double p : {0.0, 0.4, 1.0}) {
+          // Odd configs bind the engine's lane words, even ones mask rows.
           std::vector<std::uint64_t> masks(count * stride);
-          sample_iid_coloring_words(masks.data(), count, n, p, sample_rng);
-          block.load(masks.data(), count);
+          std::vector<std::uint64_t> lanes((count + 63) / 64 * n);
+          sample_iid_lane_words(lanes.data(), count, n, p, sample_rng);
+          transpose_lane_words_to_rows(lanes.data(), count, n, 1, n,
+                                       masks.data());
+          if (config_seed % 2 == 1)
+            block.load_lanes(lanes.data(), count);
+          else
+            block.load(masks.data(), count);
           ++config_seed;
           Rng batch_rng(config_seed);
           c.strategy->run_batch(block, batch_rng);
