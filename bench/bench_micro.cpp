@@ -148,7 +148,7 @@ BENCHMARK(BM_SampleColoringWords)
     ->ArgNames({"n", "p_pct"})
     ->ArgsProduct({{5, 63, 127}, {10, 30, 50}});
 
-// The sampler at the layout the engine ships (stream v4): one iteration
+// The sampler at the layout the engine ships (since stream v4): one iteration
 // samples a 1024-trial batch lane-major (sample_iid_lane_words, 16 groups
 // of n words).  ns_per_trial is the cost the engine pays per trial for
 // its colorings; it scales with n / 64 words per trial, where the
@@ -196,8 +196,9 @@ BENCHMARK(BM_SampleColoringWordsLaneMajor)
 //    (core/engine/simd.h, 4 lane words per pass), deterministic-order
 //    strategies -- the Batch/Simd pair isolates the widening win.
 //  * RandBatch: the batch kernel (W = 4) on the randomized-order
-//    strategies, which pre-draw per-lane permutations / plans and run on
-//    permuted colorings -- paired with Hot on the same strategy.
+//    strategies, which draw their choices lane-major (64 trials per word:
+//    plan masks, or shuffles of the element rows) -- paired with Hot on
+//    the same strategy.
 // items_per_second is trials/sec.  CI pairs Generic/Hot, Hot/Batch,
 // Batch/Simd and Hot/RandBatch by suffix
 // (bench/probe_throughput_schema.py), records the hot_vs_generic,
@@ -360,6 +361,13 @@ void BM_ProbeTrials_Hot_Hqs27(benchmark::State& state) {
 }
 BENCHMARK(BM_ProbeTrials_Hot_Hqs27);
 
+void BM_ProbeTrials_Hot_RHqs27(benchmark::State& state) {
+  const HQSystem hqs(3);
+  const RProbeHQS strategy(hqs);
+  run_hot_trials(state, hqs, strategy, 0.5);
+}
+BENCHMARK(BM_ProbeTrials_Hot_RHqs27);
+
 void BM_ProbeTrials_Batch_Hqs27(benchmark::State& state) {
   const HQSystem hqs(3);
   const ProbeHQS strategy(hqs);
@@ -409,9 +417,9 @@ void BM_ProbeTrials_Simd_DetCw55(benchmark::State& state) {
 }
 BENCHMARK(BM_ProbeTrials_Simd_DetCw55);
 
-// Randomized-order strategies through the batch kernel (pre-drawn
-// per-lane permutations / plans, W = 4), paired with Hot on the same
-// strategy: the randomized_batch_vs_hot series.
+// Randomized-order strategies through the batch kernel (lane-major
+// choices, W = 4), paired with Hot on the same strategy: the
+// randomized_batch_vs_hot series.
 void BM_ProbeTrials_RandBatch_RMaj63(benchmark::State& state) {
   const MajoritySystem maj(63);
   const RProbeMaj strategy(maj);
@@ -425,6 +433,13 @@ void BM_ProbeTrials_RandBatch_Tree63(benchmark::State& state) {
   run_batch_trials(state, tree, strategy, 0.5, SimdIsa::kAuto);
 }
 BENCHMARK(BM_ProbeTrials_RandBatch_Tree63);
+
+void BM_ProbeTrials_RandBatch_RHqs27(benchmark::State& state) {
+  const HQSystem hqs(3);
+  const RProbeHQS strategy(hqs);
+  run_batch_trials(state, hqs, strategy, 0.5, SimdIsa::kAuto);
+}
+BENCHMARK(BM_ProbeTrials_RandBatch_RHqs27);
 
 void BM_ProbeTrials_RandBatch_Cw55(benchmark::State& state) {
   const CrumblingWall wall = CrumblingWall::triang(10);

@@ -108,23 +108,25 @@ struct HeapCwScratch {
   }
 };
 
-template <typename Scratch>
+/// `shuffle_row(data, width)` shuffles one row's elements in place: an
+/// Rng's Fisher-Yates for run(), one lane of the drawn lane-major shuffles
+/// for run_lane().
+template <typename Scratch, typename ShuffleRow>
 Witness r_probe_cw_impl(const CrumblingWall& wall, ProbeSession& session,
-                        Rng& rng, Scratch scratch) {
+                        ShuffleRow&& shuffle_row, Scratch scratch) {
   const std::size_t n = wall.universe_size();
   const std::size_t k = wall.row_count();
 
   // Pre-draw every row's random order BEFORE any probing, in the scan's
   // row order (bottom-up): the draw sequence is then independent of the
-  // trial's control flow (which row ends the scan), so the bit-sliced
-  // batch path can replicate it lane by lane and stay stream-identical to
-  // the scalar loop.  Orders of unscanned rows are simply never read.
+  // trial's control flow (which row ends the scan).  Orders of unscanned
+  // rows are simply never read.
   for (std::size_t row = k; row-- > 0;) {
     const std::size_t width = wall.row_width(row);
     const Element base = wall.row_begin(row);
     for (std::size_t i = 0; i < width; ++i)
       scratch.row_elems[base + i] = base + static_cast<Element>(i);
-    rng.shuffle_span(scratch.row_elems.data() + base, width);
+    shuffle_row(scratch.row_elems.data() + base, width);
   }
 
   for (std::size_t row = k; row-- > 0;) {
@@ -166,13 +168,21 @@ bool fits_stack_scratch(const CrumblingWall& wall) {
   return wall.universe_size() <= 64;
 }
 
+/// R_Probe_CW on the wall's scratch flavor (see fits_stack_scratch).
+template <typename ShuffleRow>
+Witness run_r_probe_cw(const CrumblingWall& wall, ProbeSession& session,
+                       ShuffleRow&& shuffle_row) {
+  if (fits_stack_scratch(wall))
+    return r_probe_cw_impl(wall, session, shuffle_row, StackCwScratch(wall));
+  return r_probe_cw_impl(wall, session, shuffle_row, HeapCwScratch(wall));
+}
+
 }  // namespace
 
 Witness RProbeCW::run(ProbeSession& session, Rng& rng) const {
-  const CrumblingWall& wall = *wall_;
-  if (fits_stack_scratch(wall))
-    return r_probe_cw_impl(wall, session, rng, StackCwScratch(wall));
-  return r_probe_cw_impl(wall, session, rng, HeapCwScratch(wall));
+  return run_r_probe_cw(*wall_, session, [&rng](Element* row, std::size_t w) {
+    rng.shuffle_span(row, w);
+  });
 }
 
 bool RProbeCW::supports_batch(std::size_t universe_size) const {
@@ -183,30 +193,45 @@ bool RProbeCW::supports_batch(std::size_t universe_size) const {
 
 void RProbeCW::run_batch(BatchTrialBlock& block, Rng& rng) const {
   const CrumblingWall& wall = *wall_;
-  const std::size_t n = wall.universe_size();
-  QPS_REQUIRE(block.universe_size() == n,
+  QPS_REQUIRE(block.universe_size() == wall.universe_size(),
               "batch block over the wrong universe");
   // Probing random row elements in stored order is probing stored elements
-  // of the within-row permuted coloring.  One concatenated permutation per
-  // lane, rows drawn bottom-up -- the exact draws run() makes per trial.
-  auto& perm = block.order_buffer();
-  perm.resize(n);
-  const std::uint64_t* src = block.trial_masks();
-  std::uint64_t* dst = block.scratch_masks();
-  const std::size_t stride = block.mask_words();
-  for (std::size_t t = 0; t < block.trial_count(); ++t) {
-    for (std::size_t row = wall.row_count(); row-- > 0;) {
-      const std::size_t width = wall.row_width(row);
-      const Element base = wall.row_begin(row);
-      for (std::size_t i = 0; i < width; ++i)
-        perm[base + i] = base + static_cast<Element>(i);
-      rng.shuffle_span(perm.data() + base, width);
-    }
-    permute_mask_words(src + t * stride, perm.data(), n, dst + t * stride);
+  // of the within-row shuffled coloring: each group's row shuffles, rows
+  // bottom-up, move its element rows in place.
+  std::uint64_t* choices = block.lane_choices();
+  for (std::size_t k = 0; k < block.group_count(); ++k) {
+    draw_lane_choices(rng, choices);
+    std::size_t used = 0;
+    for (std::size_t row = wall.row_count(); row-- > 0;)
+      used += block.shuffle_rows(k, choices + used, wall.row_begin(row),
+                                 wall.row_width(row));
   }
-  block.use_scratch();
   block.kernels().rcw_scan(block.view(), row_offsets_.data(),
                            wall.row_count());
+}
+
+std::size_t RProbeCW::lane_choice_words() const {
+  std::size_t words = 0;
+  for (std::size_t row = 0; row < wall_->row_count(); ++row)
+    words += lane_shuffle_words(wall_->row_width(row));
+  return words;
+}
+
+void RProbeCW::draw_lane_choices(Rng& rng, std::uint64_t* choices) const {
+  std::size_t used = 0;
+  for (std::size_t row = wall_->row_count(); row-- > 0;)
+    used += draw_lane_shuffle(rng, wall_->row_width(row), choices + used);
+}
+
+Witness RProbeCW::run_lane(TrialWorkspace& /*workspace*/,
+                           ProbeSession& session,
+                           const std::uint64_t* choices,
+                           std::size_t lane) const {
+  std::size_t used = 0;
+  return run_r_probe_cw(
+      *wall_, session, [&](Element* row, std::size_t w) {
+        used += shuffle_from_lane(choices + used, lane, row, w);
+      });
 }
 
 }  // namespace qps

@@ -59,12 +59,17 @@ class RProbeCW final : public ProbeStrategy {
       : wall_(&wall), row_offsets_(cw_detail::row_offsets(wall)) {}
   std::string name() const override { return "R_Probe_CW"; }
   Witness run(ProbeSession& session, Rng& rng) const override;
-  /// Bit-sliced batch kernel: each lane's coloring is permuted by that
-  /// lane's pre-drawn within-row orders, then a bottom-up masked scan
-  /// probes each row until both colors are seen.  Draw-compatible with the
-  /// scalar entry point, which pre-draws all row orders up front too.
+  /// Bit-sliced batch kernel: each group draws a lane-major Fisher-Yates
+  /// shuffle per row, rows bottom-up, and applies it to that row's element
+  /// rows in place; a bottom-up masked scan then probes each row until
+  /// both colors are seen.  run_lane() rebuilds the lane's row orders.
   bool supports_batch(std::size_t universe_size) const override;
   void run_batch(BatchTrialBlock& block, Rng& rng) const override;
+  std::size_t lane_choice_words() const override;
+  void draw_lane_choices(Rng& rng, std::uint64_t* choices) const override;
+  Witness run_lane(TrialWorkspace& workspace, ProbeSession& session,
+                   const std::uint64_t* choices,
+                   std::size_t lane) const override;
 
  private:
   const CrumblingWall* wall_;

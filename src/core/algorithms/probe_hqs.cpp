@@ -79,23 +79,16 @@ std::size_t hqs_gate(std::size_t height, std::size_t level,
 
 // R_Probe_HQS pre-draws one random child order per gate, in gate-id order,
 // BEFORE the recursion starts: the draw sequence is then independent of the
-// trial's control flow (which gates get visited), so the bit-sliced batch
-// path can replicate it lane by lane and stay stream-identical to the
-// scalar loop.  Unvisited gates' orders are simply never read.  Each
-// gate's order is encoded as first*3 + second (relative child indices;
-// third = 3 - first - second).
+// trial's control flow (which gates get visited).  Unvisited gates' orders
+// are simply never read.  Each gate's order is encoded as first*3 + second
+// (relative child indices; third = 3 - first - second).
 class HqsOrderBuffer {
  public:
   /// Fills one shuffled order per gate ((n-1)/2 gates) and returns the
-  /// buffer.  Stack storage up to 512 gates -- height 6, n = 729 -- so the
-  /// n <= 64 hot path stays allocation-free.
+  /// buffer.
   const std::uint8_t* draw(const HQSystem& hqs, Rng& rng) {
     const std::size_t gates = (hqs.universe_size() - 1) / 2;
-    std::uint8_t* orders = stack_.data();
-    if (gates > stack_.size()) {
-      heap_.resize(gates);
-      orders = heap_.data();
-    }
+    std::uint8_t* orders = slots(gates);
     for (std::size_t g = 0; g < gates; ++g) {
       std::array<std::uint8_t, 3> ord = {0, 1, 2};
       rng.shuffle_array(ord);
@@ -104,10 +97,62 @@ class HqsOrderBuffer {
     return orders;
   }
 
+  /// Fills the orders from lane `lane` of a group drawn by draw_hqs_orders
+  /// (stride 1): the slots whose masks hold the lane's bit.
+  const std::uint8_t* from_lane(const HQSystem& hqs,
+                                const std::uint64_t* masks, std::size_t lane) {
+    const std::size_t gates = (hqs.universe_size() - 1) / 2;
+    std::uint8_t* orders = slots(gates);
+    for (std::size_t g = 0; g < gates; ++g) {
+      const std::uint64_t* gate = masks + g * 6;
+      std::uint8_t first = 0;
+      std::uint8_t second = 0;
+      for (std::uint8_t c = 0; c < 3; ++c) {
+        if ((gate[c] >> lane) & 1ULL) first = c;
+        if ((gate[3 + c] >> lane) & 1ULL) second = c;
+      }
+      orders[g] = static_cast<std::uint8_t>(first * 3 + second);
+    }
+    return orders;
+  }
+
  private:
+  /// Stack storage up to 512 gates -- height 6, n = 729 -- so the n <= 64
+  /// hot path stays allocation-free.
+  std::uint8_t* slots(std::size_t gates) {
+    if (gates <= stack_.size()) return stack_.data();
+    heap_.resize(gates);
+    return heap_.data();
+  }
+
   std::array<std::uint8_t, 512> stack_;
   std::vector<std::uint8_t> heap_;
 };
+
+/// Draws one 64-lane group's child orders for `gates` gates, in gate-id
+/// order: gate g's order is a lane-major draw_lane_below(6) whose planes
+/// (x0, x1, x2) exclude x1 & x2; the first child is x1 + 2 x2, and x0
+/// picks the second among the remaining two (0: the lower index, 1: the
+/// higher).  Writes the 6 masks per gate rhqs_scan reads, at
+/// out[(g*6 + slot) * stride]: slot c holds the lanes whose first child is
+/// c, slot 3 + c those whose second is c.
+void draw_hqs_orders(Rng& rng, std::size_t gates, std::uint64_t* out,
+                     std::size_t stride) {
+  std::uint64_t x[3];
+  for (std::size_t g = 0; g < gates; ++g) {
+    draw_lane_below(rng, 6, x);
+    const std::uint64_t f0 = ~(x[1] | x[2]);
+    const std::uint64_t f1 = x[1];
+    const std::uint64_t f2 = x[2];
+    std::uint64_t* gate = out + g * 6 * stride;
+    gate[0] = f0;
+    gate[stride] = f1;
+    gate[2 * stride] = f2;
+    gate[3 * stride] = ~x[0] & (f1 | f2);
+    gate[4 * stride] = (~x[0] & f0) | (x[0] & f2);
+    gate[5 * stride] = x[0] & (f0 | f1);
+  }
+}
 
 Eval r_probe_hqs_rec(std::size_t height, std::size_t level, std::size_t index,
                      ProbeSession& session, const std::uint8_t* orders) {
@@ -315,6 +360,16 @@ MaskEval ir_eval_mask(std::size_t level, std::size_t index,
   return merge_tiebreak_mask(v1, v3, v2);
 }
 
+/// R_Probe_HQS on drawn gate orders: the word-mask evaluation for n <= 64
+/// (no allocation), the vector one above.
+Witness run_hqs_orders(const HQSystem& hqs, ProbeSession& session,
+                       const std::uint8_t* orders) {
+  const std::size_t n = hqs.universe_size();
+  const std::size_t h = hqs.height();
+  if (n > 64) return materialize(r_probe_hqs_rec(h, h, 0, session, orders), n);
+  return materialize_mask(r_probe_hqs_rec_mask(h, h, 0, session, orders), n);
+}
+
 }  // namespace
 
 Witness ProbeHQS::run(ProbeSession& session, Rng& /*rng*/) const {
@@ -349,13 +404,8 @@ Witness RProbeHQS::run(ProbeSession& session, Rng& rng) const {
 
 Witness RProbeHQS::run_with(TrialWorkspace& /*workspace*/,
                             ProbeSession& session, Rng& rng) const {
-  const std::size_t n = hqs_->universe_size();
-  const std::size_t h = hqs_->height();
   HqsOrderBuffer orders;
-  const std::uint8_t* drawn = orders.draw(*hqs_, rng);
-  if (n > 64)
-    return materialize(r_probe_hqs_rec(h, h, 0, session, drawn), n);
-  return materialize_mask(r_probe_hqs_rec_mask(h, h, 0, session, drawn), n);
+  return run_hqs_orders(*hqs_, session, orders.draw(*hqs_, rng));
 }
 
 bool RProbeHQS::supports_batch(std::size_t universe_size) const {
@@ -366,24 +416,31 @@ void RProbeHQS::run_batch(BatchTrialBlock& block, Rng& rng) const {
   const std::size_t n = hqs_->universe_size();
   QPS_REQUIRE(block.universe_size() == n,
               "batch block over the wrong universe");
-  // Pre-draw every lane's gate orders, in trial order then gate order --
-  // the exact draws the scalar entry points make per trial -- into 6
-  // lane-mask words per gate: slot c = lanes that picked child c first,
-  // slot 3+c = lanes that picked it second.
-  const std::size_t gates = (n - 1) / 2;
+  // Each group's orders go straight into lane word k of the 6 masks per
+  // gate: slot c = lanes that picked child c first, slot 3+c = lanes that
+  // picked it second.
   const std::size_t w = block.width();
-  std::uint64_t* orders = block.plan_masks(gates * 6 * w);
-  for (std::size_t t = 0; t < block.trial_count(); ++t) {
-    const std::size_t kw = t / 64;
-    const std::uint64_t bit = 1ULL << (t % 64);
-    for (std::size_t g = 0; g < gates; ++g) {
-      std::array<std::uint8_t, 3> ord = {0, 1, 2};
-      rng.shuffle_array(ord);
-      orders[(g * 6 + ord[0]) * w + kw] |= bit;
-      orders[(g * 6 + 3 + ord[1]) * w + kw] |= bit;
-    }
-  }
+  std::uint64_t* orders = block.plan_masks();
+  for (std::size_t k = 0; k < block.group_count(); ++k)
+    draw_hqs_orders(rng, (n - 1) / 2, orders + k, w);
   block.kernels().rhqs_scan(block.view(), hqs_->height(), orders);
+}
+
+std::size_t RProbeHQS::lane_choice_words() const {
+  return (hqs_->universe_size() - 1) / 2 * 6;
+}
+
+void RProbeHQS::draw_lane_choices(Rng& rng, std::uint64_t* choices) const {
+  draw_hqs_orders(rng, (hqs_->universe_size() - 1) / 2, choices, 1);
+}
+
+Witness RProbeHQS::run_lane(TrialWorkspace& /*workspace*/,
+                            ProbeSession& session,
+                            const std::uint64_t* choices,
+                            std::size_t lane) const {
+  HqsOrderBuffer orders;
+  return run_hqs_orders(*hqs_, session,
+                        orders.from_lane(*hqs_, choices, lane));
 }
 
 Witness IRProbeHQS::run(ProbeSession& session, Rng& rng) const {

@@ -49,13 +49,20 @@ class RProbeHQS final : public ProbeStrategy {
   /// Allocation-free word-mask evaluation for n <= 64.
   Witness run_with(TrialWorkspace& workspace, ProbeSession& session,
                    Rng& rng) const override;
-  /// Bit-sliced batch kernel: every lane's per-gate child orders are
-  /// pre-drawn as lane masks, then a two-phase masked walk evaluates each
-  /// lane's first two picks and, on disagreement, its third.
-  /// Draw-compatible with the scalar entry points, which pre-draw all gate
-  /// orders in gate order too.
+  /// Bit-sliced batch kernel: each group draws every gate's child order
+  /// lane-major, in gate order, from three words (x0, x1, x2) with
+  /// rejection of x1 & x2 (first child = x1 + 2 x2, x0 picks the second
+  /// of the remaining two), written straight into the kernel's 6 masks
+  /// per gate; a two-phase masked walk then evaluates each lane's first
+  /// two picks and, on disagreement, its third.  run_lane() runs the
+  /// scalar order-driven recursion on one lane's orders.
   bool supports_batch(std::size_t universe_size) const override;
   void run_batch(BatchTrialBlock& block, Rng& rng) const override;
+  std::size_t lane_choice_words() const override;
+  void draw_lane_choices(Rng& rng, std::uint64_t* choices) const override;
+  Witness run_lane(TrialWorkspace& workspace, ProbeSession& session,
+                   const std::uint64_t* choices,
+                   std::size_t lane) const override;
 
  private:
   const HQSystem* hqs_;

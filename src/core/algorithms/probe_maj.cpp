@@ -81,20 +81,35 @@ void RProbeMaj::run_batch(BatchTrialBlock& block, Rng& rng) const {
   QPS_REQUIRE(block.universe_size() == n,
               "batch block over the wrong universe");
   // Probing random elements in canonical order is probing canonical
-  // elements in the permuted coloring: bit j of the permuted mask = bit
-  // perm[j] of the original.  One permutation per lane, drawn in trial
-  // order -- the exact draws run_with() makes.
-  auto& perm = block.order_buffer();
-  const std::uint64_t* src = block.trial_masks();
-  std::uint64_t* dst = block.scratch_masks();
-  const std::size_t stride = block.mask_words();
-  for (std::size_t t = 0; t < block.trial_count(); ++t) {
-    rng.permutation_into(perm, static_cast<std::uint32_t>(n));
-    permute_mask_words(src + t * stride, perm.data(), n, dst + t * stride);
+  // elements of the shuffled coloring: each group's lane-major shuffle
+  // moves the element rows in place.
+  std::uint64_t* choices = block.lane_choices();
+  for (std::size_t k = 0; k < block.group_count(); ++k) {
+    draw_lane_choices(rng, choices);
+    block.shuffle_rows(k, choices, 0, n);
   }
-  block.use_scratch();
   const std::size_t threshold = system_->threshold();
   block.kernels().count_scan(block.view(), threshold, threshold);
+}
+
+std::size_t RProbeMaj::lane_choice_words() const {
+  return lane_shuffle_words(system_->universe_size());
+}
+
+void RProbeMaj::draw_lane_choices(Rng& rng, std::uint64_t* choices) const {
+  draw_lane_shuffle(rng, system_->universe_size(), choices);
+}
+
+Witness RProbeMaj::run_lane(TrialWorkspace& workspace, ProbeSession& session,
+                            const std::uint64_t* choices,
+                            std::size_t lane) const {
+  const std::size_t n = system_->universe_size();
+  auto& perm = workspace.order_buffer();
+  perm.resize(n);
+  for (std::size_t i = 0; i < n; ++i) perm[i] = static_cast<std::uint32_t>(i);
+  shuffle_from_lane(choices, lane, perm.data(), n);
+  return probe_in_order(
+      *system_, [&perm](std::size_t i) { return perm[i]; }, session);
 }
 
 }  // namespace qps

@@ -41,12 +41,19 @@ class RProbeMaj final : public ProbeStrategy {
   /// reusable buffer.
   Witness run_with(TrialWorkspace& workspace, ProbeSession& session,
                    Rng& rng) const override;
-  /// Bit-sliced batch kernel: each lane's coloring is permuted by that
-  /// lane's pre-drawn random order (probing random elements in canonical
-  /// order == probing canonical elements in random order), then the same
-  /// count_scan as Probe_Maj runs on the permuted block.
+  /// Bit-sliced batch kernel: each group draws a lane-major Fisher-Yates
+  /// shuffle (draw_lane_shuffle) and applies it to the element rows in
+  /// place (probing random elements in canonical order == probing
+  /// canonical elements of the shuffled coloring), then the same
+  /// count_scan as Probe_Maj runs on the shuffled block.  run_lane()
+  /// rebuilds the lane's order from the same draws.
   bool supports_batch(std::size_t universe_size) const override;
   void run_batch(BatchTrialBlock& block, Rng& rng) const override;
+  std::size_t lane_choice_words() const override;
+  void draw_lane_choices(Rng& rng, std::uint64_t* choices) const override;
+  Witness run_lane(TrialWorkspace& workspace, ProbeSession& session,
+                   const std::uint64_t* choices,
+                   std::size_t lane) const override;
 
  private:
   const MajoritySystem* system_;

@@ -69,31 +69,61 @@ TreeWitness probe_tree_rec(const TreeSystem& tree, Element v,
 
 // R_Probe_Tree pre-draws one plan per internal node, in node-index order,
 // BEFORE the recursion starts: the draw sequence is then independent of the
-// trial's control flow (which subtrees get visited), so the bit-sliced
-// batch path can replicate it lane by lane and stay stream-identical to
-// the scalar loop.  Unvisited nodes' plans are simply never read.
+// trial's control flow (which subtrees get visited).  Unvisited nodes'
+// plans are simply never read.
 class TreePlanBuffer {
  public:
   /// Fills plans[v] = Uniform{0,1,2} for every internal node v (nodes with
-  /// children: v < n/2) and returns the buffer.  Stack storage up to 512
-  /// internal nodes -- height 9, n = 1023 -- so the n <= 64 hot path stays
-  /// allocation-free.
+  /// children: v < n/2) and returns the buffer.
   const std::uint8_t* draw(const TreeSystem& tree, Rng& rng) {
     const std::size_t internal = tree.universe_size() / 2;
-    std::uint8_t* plans = stack_.data();
-    if (internal > stack_.size()) {
-      heap_.resize(internal);
-      plans = heap_.data();
-    }
+    std::uint8_t* plans = slots(internal);
     for (std::size_t v = 0; v < internal; ++v)
       plans[v] = static_cast<std::uint8_t>(rng.below(3));
     return plans;
   }
 
+  /// Fills plans[v] from lane `lane` of a group drawn by draw_tree_plans
+  /// (stride 1): the plan whose mask holds the lane's bit.
+  const std::uint8_t* from_lane(const TreeSystem& tree,
+                                const std::uint64_t* masks, std::size_t lane) {
+    const std::size_t internal = tree.universe_size() / 2;
+    std::uint8_t* plans = slots(internal);
+    for (std::size_t v = 0; v < internal; ++v)
+      plans[v] = static_cast<std::uint8_t>(
+          ((masks[v * 3 + 1] >> lane) & 1ULL) |
+          (((masks[v * 3 + 2] >> lane) & 1ULL) << 1));
+    return plans;
+  }
+
  private:
+  /// Stack storage up to 512 internal nodes -- height 9, n = 1023 -- so
+  /// the n <= 64 hot path stays allocation-free.
+  std::uint8_t* slots(std::size_t internal) {
+    if (internal <= stack_.size()) return stack_.data();
+    heap_.resize(internal);
+    return heap_.data();
+  }
+
   std::array<std::uint8_t, 512> stack_;
   std::vector<std::uint8_t> heap_;
 };
+
+/// Draws one 64-lane group's plans for the internal nodes [0, internal),
+/// in node order: node v's trit is a lane-major draw_lane_below(3) whose
+/// planes (a, c) exclude a & c, so plan = a + 2c, and the plan masks land
+/// at out[(v*3 + plan) * stride] -- rtree_scan's layout for stride W.
+void draw_tree_plans(Rng& rng, std::size_t internal, std::uint64_t* out,
+                     std::size_t stride) {
+  std::uint64_t bits[2];
+  for (std::size_t v = 0; v < internal; ++v) {
+    draw_lane_below(rng, 3, bits);
+    std::uint64_t* node = out + v * 3 * stride;
+    node[0] = ~(bits[0] | bits[1]);
+    node[stride] = bits[0];
+    node[2 * stride] = bits[1];
+  }
+}
 
 TreeWitness r_probe_tree_rec(const TreeSystem& tree, Element v,
                              ProbeSession& session,
@@ -209,6 +239,18 @@ Witness materialize_mask(const MaskWitness& mw, std::size_t n) {
   return w;
 }
 
+/// R_Probe_Tree on drawn plans: the word-mask recursion for n <= 64 (no
+/// allocation), the vector one above.
+Witness run_tree_plans(const TreeSystem& tree, ProbeSession& session,
+                       const std::uint8_t* plans) {
+  const std::size_t n = tree.universe_size();
+  if (n > 64)
+    return materialize(
+        r_probe_tree_rec(tree, TreeSystem::kRoot, session, plans), n);
+  return materialize_mask(
+      r_probe_tree_rec_mask(tree, TreeSystem::kRoot, session, plans), n);
+}
+
 }  // namespace
 
 Witness ProbeTree::run(ProbeSession& session, Rng& /*rng*/) const {
@@ -243,18 +285,10 @@ Witness RProbeTree::run(ProbeSession& session, Rng& rng) const {
                      tree_->universe_size());
 }
 
-Witness RProbeTree::run_with(TrialWorkspace& workspace, ProbeSession& session,
-                             Rng& rng) const {
-  const std::size_t n = tree_->universe_size();
+Witness RProbeTree::run_with(TrialWorkspace& /*workspace*/,
+                             ProbeSession& session, Rng& rng) const {
   TreePlanBuffer plans;
-  const std::uint8_t* drawn = plans.draw(*tree_, rng);
-  if (n > 64)
-    return materialize(r_probe_tree_rec(*tree_, TreeSystem::kRoot, session,
-                                        drawn),
-                       n);
-  (void)workspace;
-  return materialize_mask(
-      r_probe_tree_rec_mask(*tree_, TreeSystem::kRoot, session, drawn), n);
+  return run_tree_plans(*tree_, session, plans.draw(*tree_, rng));
 }
 
 bool RProbeTree::supports_batch(std::size_t universe_size) const {
@@ -265,20 +299,31 @@ void RProbeTree::run_batch(BatchTrialBlock& block, Rng& rng) const {
   const std::size_t n = tree_->universe_size();
   QPS_REQUIRE(block.universe_size() == n,
               "batch block over the wrong universe");
-  // Pre-draw every lane's plans, in trial order then node order -- the
-  // exact draws the scalar entry points make per trial -- into per-node
-  // lane-mask triples: bit t of plans[(v*3 + p)*W + t/64] says lane t
-  // picked plan p at node v.
-  const std::size_t internal = n / 2;
+  // Each group's plans go straight into lane word k of the per-node mask
+  // triples: bit t of plans[(v*3 + p)*W + k] says lane 64k+t picked plan p
+  // at node v.
   const std::size_t w = block.width();
-  std::uint64_t* plans = block.plan_masks(internal * 3 * w);
-  for (std::size_t t = 0; t < block.trial_count(); ++t) {
-    const std::size_t kw = t / 64;
-    const std::uint64_t bit = 1ULL << (t % 64);
-    for (std::size_t v = 0; v < internal; ++v)
-      plans[(v * 3 + rng.below(3)) * w + kw] |= bit;
-  }
+  std::uint64_t* plans = block.plan_masks();
+  for (std::size_t k = 0; k < block.group_count(); ++k)
+    draw_tree_plans(rng, n / 2, plans + k, w);
   block.kernels().rtree_scan(block.view(), plans);
+}
+
+std::size_t RProbeTree::lane_choice_words() const {
+  return tree_->universe_size() / 2 * 3;
+}
+
+void RProbeTree::draw_lane_choices(Rng& rng, std::uint64_t* choices) const {
+  draw_tree_plans(rng, tree_->universe_size() / 2, choices, 1);
+}
+
+Witness RProbeTree::run_lane(TrialWorkspace& /*workspace*/,
+                             ProbeSession& session,
+                             const std::uint64_t* choices,
+                             std::size_t lane) const {
+  TreePlanBuffer plans;
+  return run_tree_plans(*tree_, session,
+                        plans.from_lane(*tree_, choices, lane));
 }
 
 }  // namespace qps

@@ -41,12 +41,19 @@ class RProbeTree final : public ProbeStrategy {
   /// Allocation-free word-mask recursion for n <= 64.
   Witness run_with(TrialWorkspace& workspace, ProbeSession& session,
                    Rng& rng) const override;
-  /// Bit-sliced batch kernel: every lane's plans are pre-drawn as per-node
-  /// lane masks, then one masked recursion splits the lanes at each node by
-  /// plan.  Draw-compatible with the scalar entry points, which pre-draw
-  /// all plans in node order too.
+  /// Bit-sliced batch kernel: each group draws every internal node's plan
+  /// lane-major, in node order, as a trit from two words (a, c) with
+  /// rejection of a & c (plan = a + 2c), written straight into the
+  /// kernel's per-node plan masks; one masked recursion then splits the
+  /// lanes at each node by plan.  run_lane() runs the scalar plan-driven
+  /// recursion on one lane's plans.
   bool supports_batch(std::size_t universe_size) const override;
   void run_batch(BatchTrialBlock& block, Rng& rng) const override;
+  std::size_t lane_choice_words() const override;
+  void draw_lane_choices(Rng& rng, std::uint64_t* choices) const override;
+  Witness run_lane(TrialWorkspace& workspace, ProbeSession& session,
+                   const std::uint64_t* choices,
+                   std::size_t lane) const override;
 
  private:
   const TreeSystem* tree_;

@@ -58,20 +58,39 @@ void RandomOrderProbe::run_batch(BatchTrialBlock& block, Rng& rng) const {
               "batch block over the wrong universe");
   const std::size_t cert = system_->quorum_count_certificate();
   QPS_REQUIRE(cert != 0, "batch Random_Order needs a counting certificate");
-  // Permute each lane's coloring by its random order (same trick as
-  // R_Probe_Maj), then count: with contains_quorum(S) <=> |S| >= cert, a
-  // lane certifies green at `cert` probed greens and red once not_red =
-  // n - probed_reds drops below cert, i.e. at n - cert + 1 probed reds.
-  auto& perm = block.order_buffer();
-  const std::uint64_t* src = block.trial_masks();
-  std::uint64_t* dst = block.scratch_masks();
-  const std::size_t stride = block.mask_words();
-  for (std::size_t t = 0; t < block.trial_count(); ++t) {
-    rng.permutation_into(perm, static_cast<std::uint32_t>(n));
-    permute_mask_words(src + t * stride, perm.data(), n, dst + t * stride);
+  // Shuffle each group's element rows by its lanes' random orders (same
+  // trick as R_Probe_Maj), then count: with contains_quorum(S) <=>
+  // |S| >= cert, a lane certifies green at `cert` probed greens and red
+  // once not_red = n - probed_reds drops below cert, i.e. at n - cert + 1
+  // probed reds.
+  std::uint64_t* choices = block.lane_choices();
+  for (std::size_t k = 0; k < block.group_count(); ++k) {
+    draw_lane_choices(rng, choices);
+    block.shuffle_rows(k, choices, 0, n);
   }
-  block.use_scratch();
   block.kernels().count_scan(block.view(), cert, n - cert + 1);
+}
+
+std::size_t RandomOrderProbe::lane_choice_words() const {
+  return lane_shuffle_words(system_->universe_size());
+}
+
+void RandomOrderProbe::draw_lane_choices(Rng& rng,
+                                         std::uint64_t* choices) const {
+  draw_lane_shuffle(rng, system_->universe_size(), choices);
+}
+
+Witness RandomOrderProbe::run_lane(TrialWorkspace& workspace,
+                                   ProbeSession& session,
+                                   const std::uint64_t* choices,
+                                   std::size_t lane) const {
+  const std::size_t n = system_->universe_size();
+  QPS_REQUIRE(session.universe_size() == n, "session over the wrong universe");
+  auto& order = workspace.order_buffer();
+  order.resize(n);
+  for (std::size_t i = 0; i < n; ++i) order[i] = static_cast<std::uint32_t>(i);
+  shuffle_from_lane(choices, lane, order.data(), n);
+  return probe_in_random_order(*system_, order, session);
 }
 
 }  // namespace qps

@@ -95,7 +95,7 @@ Coloring sample_iid_coloring(std::size_t universe_size, double p, Rng& rng);
 void sample_iid_coloring_words(std::uint64_t* out, std::size_t count,
                                std::size_t universe_size, double p, Rng& rng);
 
-/// The engine's batch sampler (result stream v4): the colorings of
+/// The engine's batch sampler (since result stream v4): the colorings of
 /// `trial_count` trials in lane-major layout.  With G = ceil(trial_count /
 /// 64) groups of 64 trials, word g*n + e holds element e's colors for
 /// trials 64g .. 64g+63 (bit t = trial 64g + t; green = 1), so a group is

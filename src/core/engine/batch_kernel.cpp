@@ -82,6 +82,81 @@ void fold_probe_planes(const std::uint64_t* planes, std::size_t plane_count,
   out.merge(CountMoments::from_sums(count, sum, sum_sq, min, max));
 }
 
+std::size_t lane_shuffle_words(std::size_t size) {
+  std::size_t words = 0;
+  for (std::size_t i = size; i > 1; --i)
+    words += static_cast<std::size_t>(std::bit_width(i - 1));
+  return words;
+}
+
+std::size_t draw_lane_shuffle(Rng& rng, std::size_t size, std::uint64_t* out) {
+  std::size_t used = 0;
+  for (std::size_t i = size; i > 1; --i)
+    used += draw_lane_below(rng, i, out + used);
+  return used;
+}
+
+namespace {
+
+/// Fills table[a] (a < 2^bits) with the lanes whose value in `planes`
+/// equals a, by doubling: each plane splits every entry in two.
+void decode_one_hot(const std::uint64_t* planes, std::size_t bits,
+                    std::uint64_t* table) {
+  table[0] = ~std::uint64_t{0};
+  for (std::size_t b = 0, size = 1; b < bits; ++b, size *= 2) {
+    for (std::size_t a = 0; a < size; ++a) {
+      table[a + size] = table[a] & planes[b];
+      table[a] &= ~planes[b];
+    }
+  }
+}
+
+}  // namespace
+
+std::size_t BatchTrialBlock::shuffle_rows(std::size_t group,
+                                          const std::uint64_t* shuffle,
+                                          std::size_t first, std::size_t size) {
+  QPS_REQUIRE(group < width() && first + size <= n_,
+              "shuffle_rows outside the block");
+  const std::size_t w = width();
+  std::uint64_t* rows = element_greens_.data() + first * w + group;
+  std::size_t used = 0;
+  for (std::size_t i = size; i > 1; --i) {
+    // J_i's planes split into low and high bits; lane l's one-hot row is
+    // low[J_i & low_mask] & high[J_i >> low_bits].
+    const auto bits = static_cast<std::size_t>(std::bit_width(i - 1));
+    const std::size_t low_bits = (bits + 1) / 2;
+    const std::size_t low_count = std::size_t{1} << low_bits;
+    std::uint64_t* low = decode_.data();
+    std::uint64_t* high = low + low_count;
+    decode_one_hot(shuffle + used, low_bits, low);
+    decode_one_hot(shuffle + used + low_bits, bits - low_bits, high);
+    used += bits;
+    // Row i-1 trades with row J_i: lanes with J_i = j take row j's color
+    // into row i-1 and give it row i-1's.  The one-hot masks are disjoint,
+    // so every row j < i-1 swaps against the original top row.
+    std::uint64_t* top = rows + (i - 1) * w;
+    const std::uint64_t old_top = *top;
+    std::uint64_t moved = 0;
+    for (std::size_t j = 0, h = 0; j + 1 < i; ++h) {
+      const std::size_t end = std::min(j + low_count, i - 1);
+      const std::uint64_t hi = high[h];
+      if (hi == 0) {
+        j = end;
+        continue;
+      }
+      for (std::size_t l = 0; j < end; ++j, ++l) {
+        std::uint64_t* row = rows + j * w;
+        const std::uint64_t d = (old_top ^ *row) & low[l] & hi;
+        *row ^= d;
+        moved |= d;
+      }
+    }
+    *top = old_top ^ moved;
+  }
+  return used;
+}
+
 void run_bit_sliced_trials(const ProbeStrategy& strategy,
                            BatchTrialBlock& block,
                            const std::uint64_t* lane_words,

@@ -58,6 +58,22 @@ struct RunState {
   std::exception_ptr first_error;
 };
 
+/// A finished trial's probe count, after validating its witness when
+/// `validate` is set.
+std::uint32_t finish_trial(const QuorumSystem& system,
+                           const ProbeStrategy& strategy,
+                           const Coloring& coloring, const Witness& witness,
+                           const ProbeSession& session, bool validate) {
+  if (validate) {
+    const std::string error =
+        validate_witness(system, coloring, witness, session.probed());
+    if (!error.empty())
+      throw std::logic_error(strategy.name() +
+                             " returned a bad witness: " + error);
+  }
+  return static_cast<std::uint32_t>(session.probe_count());
+}
+
 /// One hot-path trial: reset the session, run the strategy through the
 /// scratch-aware entry point, optionally validate.  Allocation-free in the
 /// steady state for n <= 64.
@@ -68,14 +84,7 @@ std::uint32_t run_workspace_trial(TrialWorkspace& workspace,
                                   Rng& rng) {
   ProbeSession& session = workspace.begin_trial(coloring);
   const Witness witness = strategy.run_with(workspace, session, rng);
-  if (validate) {
-    const std::string error =
-        validate_witness(system, coloring, witness, session.probed());
-    if (!error.empty())
-      throw std::logic_error(strategy.name() +
-                             " returned a bad witness: " + error);
-  }
-  return static_cast<std::uint32_t>(session.probe_count());
+  return finish_trial(system, strategy, coloring, witness, session, validate);
 }
 
 }  // namespace
@@ -221,16 +230,18 @@ RunningStats ParallelEstimator::estimate_ppc(const QuorumSystem& system,
     });
   }
   // Every batch samples its colorings lane-major (sample_iid_lane_words:
-  // one word per element per 64 trials), on both paths.  Bit-sliced batch
-  // kernels (64*W trials per super-block, any universe size) load those
-  // words as their element rows; batch strategies pre-draw their per-trial
-  // randomness in trial order (the exact draws the scalar loop makes), so
-  // the per-trial probe counts -- and therefore the merged statistics --
-  // are bit-identical to the scalar path's at any lane width.  Validation
-  // needs materialized witnesses, which the kernels never build: that
-  // combination falls back to the scalar path below.
-  if (options_.execution == Execution::kBitSliced && !validate &&
-      strategy.supports_batch(n)) {
+  // one word per element per 64 trials), on both paths, and then -- for a
+  // batch-capable randomized strategy -- draws the strategy's choices
+  // lane-major, one 64-lane group after another (result stream v5).
+  // Bit-sliced batch kernels (64*W trials per super-block, any universe
+  // size) load the coloring words as their element rows and draw each
+  // group's choices into their own layout; the scalar path draws the same
+  // groups and runs each trial from its lane, so the per-trial probe
+  // counts -- and therefore the merged statistics -- are bit-identical at
+  // any lane width.  Validation needs materialized witnesses, which the
+  // kernels never build: that combination falls back to the scalar path.
+  const bool batch = strategy.supports_batch(n);
+  if (options_.execution == Execution::kBitSliced && !validate && batch) {
     const SimdKernels& kernels = resolve_simd_kernels(SimdIsa::kAuto);
     return run_batches([&strategy, &kernels, p, n] {
       auto workspace = std::make_shared<TrialWorkspace>(n);
@@ -249,10 +260,13 @@ RunningStats ParallelEstimator::estimate_ppc(const QuorumSystem& system,
   }
   // Zero-allocation scalar hot path: one workspace per worker, the batch's
   // lane words sampled up front and transposed into per-trial rows,
-  // colorings filled in place.
-  return run_batches([&system, &strategy, p, validate, n] {
+  // colorings filled in place.  Strategies with lane choices run each
+  // trial from its lane of the group drawn at the group's first trial;
+  // the rest draw per trial from the batch's rng.
+  const std::size_t choice_words = batch ? strategy.lane_choice_words() : 0;
+  return run_batches([&system, &strategy, p, validate, n, choice_words] {
     auto workspace = std::make_shared<TrialWorkspace>(n);
-    return [workspace, &system, &strategy, p, validate, n](
+    return [workspace, &system, &strategy, p, validate, n, choice_words](
                std::size_t begin, std::size_t end, Rng& rng,
                CountMoments& out) {
       TrialWorkspace& ws = *workspace;
@@ -262,10 +276,19 @@ RunningStats ParallelEstimator::estimate_ppc(const QuorumSystem& system,
       sample_iid_lane_words(lanes, count, n, p, rng);
       std::uint64_t* masks = ws.coloring_masks(count);
       transpose_lane_words_to_rows(lanes, count, n, 1, n, masks);
+      std::uint64_t* choices = ws.lane_choices(choice_words);
       for (std::size_t i = 0; i < count; ++i) {
         ws.coloring().assign_greens_words(masks + i * stride);
-        out.add(run_workspace_trial(ws, ws.coloring(), system, strategy,
-                                    validate, rng));
+        ProbeSession& session = ws.begin_trial(ws.coloring());
+        Witness witness;
+        if (choice_words == 0) {
+          witness = strategy.run_with(ws, session, rng);
+        } else {
+          if (i % 64 == 0) strategy.draw_lane_choices(rng, choices);
+          witness = strategy.run_lane(ws, session, choices, i % 64);
+        }
+        out.add(finish_trial(system, strategy, ws.coloring(), witness,
+                             session, validate));
       }
     };
   });
@@ -301,14 +324,7 @@ std::uint32_t run_probe_trial(const QuorumSystem& system,
                               Rng& rng) {
   ProbeSession session(coloring);
   const Witness witness = strategy.run(session, rng);
-  if (validate) {
-    const std::string error =
-        validate_witness(system, coloring, witness, session.probed());
-    if (!error.empty())
-      throw std::logic_error(strategy.name() +
-                             " returned a bad witness: " + error);
-  }
-  return static_cast<std::uint32_t>(session.probe_count());
+  return finish_trial(system, strategy, coloring, witness, session, validate);
 }
 
 }  // namespace qps

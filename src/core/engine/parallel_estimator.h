@@ -19,13 +19,24 @@
 // checked against CountMoments::kMaxCount when the engine is constructed.
 // estimate_ppc samples each batch's colorings lane-major with
 // sample_iid_lane_words (core/coloring.h): batch k's rng first draws
-// ceil(count/64) * n words -- word (g, e) is element e across trials
-// 64g .. 64g+63 -- and then the strategies' per-trial draws in trial
-// order.  One draw per word for every 0 < p < 1, and comonotone in p, so
-// two points that share a seed and differ only in p see coupled colorings
-// and identically placed strategy draws.  The bit-sliced path loads those
-// words as its element rows; the scalar path transposes them into
-// per-trial rows, so both see the same trials.
+// G * n words, G = ceil(count/64) -- word (g, e) is element e across
+// trials 64g .. 64g+63.  One draw per word for every 0 < p < 1, and
+// comonotone in p, so two points that share a seed and differ only in p
+// see coupled colorings and identically placed strategy draws.  Then the
+// strategy draws (stream v5):
+//  * a batch-capable randomized strategy (R_Probe_Maj, Random_Order,
+//    R_Probe_Tree, R_Probe_HQS, R_Probe_CW) draws its choices lane-major
+//    for groups g = 0 .. G-1 in order, one word per choice bit per group
+//    with rejection rounds until all 64 lanes accept
+//    (ProbeStrategy::draw_lane_choices, core/engine/batch_kernel.h);
+//    lanes beyond the batch's count are drawn and ignored;
+//  * every other strategy draws per trial, in trial order, through
+//    run_with().
+// The bit-sliced path loads the coloring words as its element rows and
+// draws each group's choices into its kernel's layout; the scalar path
+// transposes the words into per-trial rows and runs each trial from its
+// lane of the same groups (ProbeStrategy::run_lane), so both see the same
+// trials with the same choices.
 // kResultStreamVersion names the result stream these rules produce; the
 // sweep layer mixes it into every spec fingerprint.
 //
@@ -54,14 +65,15 @@ namespace qps {
 /// Version 3: the MSB-first, early-exit coloring sampler (one draw per
 /// mask word, p-coupled; see sample_iid_coloring_words).  Version 4: the
 /// same sampler drawn lane-major, one word per element per 64 trials (see
-/// sample_iid_lane_words).
-inline constexpr std::uint32_t kResultStreamVersion = 4;
+/// sample_iid_lane_words).  Version 5: the randomized strategies' choices
+/// drawn lane-major too, 64 trials per word (draw_lane_choices).
+inline constexpr std::uint32_t kResultStreamVersion = 5;
 
 /// How estimate_ppc executes the trials of a batch.
 enum class Execution {
   /// Bit-sliced batch kernels (core/engine/batch_kernel.h) where eligible:
   /// the strategy has a batch kernel (ProbeStrategy::supports_batch --
-  /// deterministic-order scans and the pre-drawing randomized-order
+  /// deterministic-order scans and the lane-drawing randomized-order
   /// strategies, any universe size) and witness validation is off (the
   /// kernels resolve win/loss as lane masks and never materialize
   /// witnesses).  Ineligible combinations -- strategies without a kernel,
@@ -69,7 +81,8 @@ enum class Execution {
   /// safe.  Per-trial probe counts are bit-identical to kScalar's, hence so
   /// are the returned statistics.
   kBitSliced,
-  /// Always the per-trial run_with scalar hot path (the PR 4 shape).
+  /// Always the per-trial scalar hot path: run_lane on the drawn lane
+  /// choices for batch-capable randomized strategies, run_with otherwise.
   kScalar,
 };
 

@@ -59,7 +59,8 @@ struct SimdKernels {
 
   /// Sequential scan in element order 0..n-1; a lane stops once its green
   /// tally reaches `green_stop` or its red tally reaches `red_stop`.
-  /// Covers Probe_Maj and, on permuted colorings, R_Probe_Maj and
+  /// Covers Probe_Maj and -- on element rows shuffled in place by each
+  /// lane's drawn order (BatchTrialBlock::shuffle_rows) -- R_Probe_Maj and
   /// Random_Order over counting systems.
   void (*count_scan)(const BlockView&, std::size_t green_stop,
                      std::size_t red_stop);
@@ -68,14 +69,14 @@ struct SimdKernels {
   /// (children of v are 2v+1 / 2v+2; v is a leaf iff 2v+1 >= n).
   void (*tree_scan)(const BlockView&);
 
-  /// R_Probe_Tree: per-lane pre-drawn plans as bit masks,
+  /// R_Probe_Tree: per-lane drawn plans as bit masks,
   /// plan_masks[(v*3 + plan)*W + k] for internal nodes v in [0, n/2).
   void (*rtree_scan)(const BlockView&, const std::uint64_t* plan_masks);
 
   /// Probe_HQS's masked 2-of-3 gate evaluation; n = 3^height.
   void (*hqs_scan)(const BlockView&, std::size_t height);
 
-  /// R_Probe_HQS: per-lane pre-drawn child orders as bit masks, 6 words per
+  /// R_Probe_HQS: per-lane drawn child orders as bit masks, 6 words per
   /// gate (first-child masks F0..F2 then second-child masks S0..S2) at
   /// order_masks[(g*6 + slot)*W + k]; gates g enumerate level height..1,
   /// index ascending.
@@ -87,8 +88,9 @@ struct SimdKernels {
   void (*cw_scan)(const BlockView&, const std::uint32_t* row_begin,
                   std::size_t row_count);
 
-  /// R_Probe_CW's bottom-up both-colors scan (on within-row permuted
-  /// colorings); same row_begin convention.
+  /// R_Probe_CW's bottom-up both-colors scan, on element rows shuffled
+  /// within each wall row by the lanes' drawn orders; same row_begin
+  /// convention.
   void (*rcw_scan)(const BlockView&, const std::uint32_t* row_begin,
                    std::size_t row_count);
 };

@@ -128,7 +128,7 @@ void tree_scan(const BlockView& v) {
 
 // --------------------------------------------------------------- rtree_scan
 
-/// R_Probe_Tree with per-lane pre-drawn plans.  For each internal node the
+/// R_Probe_Tree with per-lane drawn plans.  For each internal node the
 /// incoming lanes split by plan: plan 0 probes the root and the right
 /// subtree (left only on a root/witness mismatch), plan 1 mirrors it, plan
 /// 2 evaluates both subtrees and probes the root only when they disagree.
@@ -229,7 +229,7 @@ inline std::size_t rhqs_gate(std::size_t height, std::size_t level,
   return (pow3 - 1) / 2 + index;
 }
 
-/// R_Probe_HQS with per-lane pre-drawn child orders.  Phase 1: every lane
+/// R_Probe_HQS with per-lane drawn child orders.  Phase 1: every lane
 /// evaluates the two children its order picked (each child subtree is
 /// entered once with the union of the lanes that picked it first or
 /// second).  Phase 2: lanes whose two picks disagree evaluate their third
@@ -302,9 +302,9 @@ void cw_scan(const BlockView& v, const std::uint32_t* row_begin,
 
 // ----------------------------------------------------------------- rcw_scan
 
-/// R_Probe_CW's bottom-up scan on within-row permuted colorings: a lane
-/// probes a row's elements (in the permuted = stored order) until it has
-/// seen both colors; a monochromatic row retires the lane.
+/// R_Probe_CW's bottom-up scan on within-row shuffled element rows: a
+/// lane probes a row's elements (in the shuffled = stored order) until it
+/// has seen both colors; a monochromatic row retires the lane.
 void rcw_scan(const BlockView& v, const std::uint32_t* row_begin,
               std::size_t row_count) {
   U64 alive[kW], green_seen[kW], red_seen[kW], scanning[kW];

@@ -72,8 +72,15 @@ class TrialWorkspace {
     return lane_words_.data();
   }
 
+  /// Buffer for one 64-lane group's drawn strategy choices
+  /// (ProbeStrategy::draw_lane_choices), grown to `words` on demand.
+  std::uint64_t* lane_choices(std::size_t words) {
+    if (lane_choices_.size() < words) lane_choices_.resize(words);
+    return lane_choices_.data();
+  }
+
   /// Reusable element-order buffer (randomized strategies refill it with
-  /// Rng::permutation_into).
+  /// Rng::permutation_into, or from a lane's drawn shuffle).
   std::vector<std::uint32_t>& order_buffer() { return order_; }
 
   /// Independent reusable word-mask buffers (e.g. the greedy baseline's
@@ -93,6 +100,7 @@ class TrialWorkspace {
   ProbeSession session_;
   std::vector<std::uint64_t> coloring_masks_;
   std::vector<std::uint64_t> lane_words_;
+  std::vector<std::uint64_t> lane_choices_;
   std::vector<std::uint32_t> order_;
   std::array<std::vector<std::uint64_t>, kWordBufferCount> word_buffers_;
   BatchTrialBlock batch_block_;

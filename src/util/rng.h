@@ -7,8 +7,9 @@
 // std::mt19937 because its seeding from a single integer is notoriously weak
 // and its state is large.  The hot draws -- splitmix64, next_u64 and
 // below -- are defined inline here: the batched coloring sampler and the
-// randomized strategies' permutation pre-draw call them per word and per
-// element, where an out-of-line call costs more than the draw itself.
+// randomized strategies' lane-major choice draws call them per word, and
+// their per-trial run() paths per element, where an out-of-line call
+// costs more than the draw itself.
 #pragma once
 
 #include <array>

@@ -3,7 +3,8 @@
 // This binary replaces the global allocation functions with counting
 // forwarders (which is why it is its own test executable) and asserts that
 // a steady-state trial -- batched lane-word coloring sampling and its
-// transpose into rows, workspace reset, scratch-aware strategy run --
+// transpose into rows, workspace reset, the lane-major choice draws and
+// run_lane (randomized batch strategies) or run_with (the rest) --
 // performs exactly zero heap allocations for every strategy x family at
 // n <= 64.  The first trials of a workspace may allocate (buffers grow to
 // their high-water mark); the measured window starts after a warmup.
@@ -98,14 +99,25 @@ std::size_t allocations_in_steady_state(const QuorumSystem& system,
   std::uint64_t* lanes = ws.lane_words(kBatch);
   std::uint64_t* masks = ws.coloring_masks(kBatch);
 
-  // The engine's scalar path: lane words sampled, transposed into rows.
+  // The engine's scalar path: lane words sampled, transposed into rows;
+  // strategies with lane choices draw one group per 64 trials and run each
+  // trial from its lane, the rest run_with.
+  const std::size_t choice_words =
+      strategy.supports_batch(n) ? strategy.lane_choice_words() : 0;
+  std::uint64_t* choices = ws.lane_choices(choice_words);
   const auto run_batch = [&] {
     sample_iid_lane_words(lanes, kBatch, n, p, rng);
     transpose_lane_words_to_rows(lanes, kBatch, n, 1, n, masks);
     for (std::size_t i = 0; i < kBatch; ++i) {
       ws.coloring().assign_greens_mask(masks[i]);
       ProbeSession& session = ws.begin_trial(ws.coloring());
-      const Witness witness = strategy.run_with(ws, session, rng);
+      Witness witness;
+      if (choice_words == 0) {
+        witness = strategy.run_with(ws, session, rng);
+      } else {
+        if (i % 64 == 0) strategy.draw_lane_choices(rng, choices);
+        witness = strategy.run_lane(ws, session, choices, i % 64);
+      }
       if (witness.elements.empty()) std::abort();  // keep the result alive
     }
   };
@@ -189,9 +201,9 @@ TEST(ZeroAllocationHotPath, BitSlicedBatchKernelIsAllocationFree) {
   // super-blocks into the workspace's BatchTrialBlock, run the strategy's
   // batch kernel, fold the probe counts into exact moments.  Zero
   // allocations in the steady state for every batch-eligible strategy,
-  // including the randomized-order kernels (their rebuilt trial rows,
-  // pre-drawn permutations and plan masks live in block-owned buffers that
-  // are sized by configure() or grow once during warmup).
+  // including the randomized-order kernels (their lane-major choices,
+  // shuffle decode tables and plan masks live in block-owned buffers
+  // sized by configure()).
   const MajoritySystem maj63(63);
   const TreeSystem tree5(5);   // n = 63
   const HQSystem hqs3(3);      // n = 27

@@ -1,16 +1,20 @@
 // Bit-sliced batch kernel (core/engine/batch_kernel.h): per-trial probe
-// counts from run_batch must be bit-identical to the scalar run_with path
-// for every eligible strategy x family -- deterministic scans AND the
-// pre-drawing randomized-order strategies -- for full and partial lane
-// blocks, for the single-word and wide (portable W=4) kernel tables, and
-// through the engine for any thread count.  The plane fold that reduces a
-// block to exact moments must equal the per-lane gather fed through
-// CountMoments::add.  The n > 64 boundary matrix lives in test_simd.cpp.
+// counts from run_batch must be bit-identical to the engine's scalar path
+// -- run_with for deterministic scans, run_lane on the same lane-major
+// choices for the randomized-order strategies -- for every eligible
+// strategy x family, for full and partial lane blocks, for the
+// single-word and wide (portable W=4) kernel tables, and through the
+// engine for any thread count.  The plane fold that reduces a block to
+// exact moments must equal the per-lane gather fed through
+// CountMoments::add.  The n > 64 boundary matrix lives in test_simd.cpp,
+// the lane draws' own properties in test_lane_draws.cpp.
 #include "core/engine/batch_kernel.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <memory>
 #include <string>
 #include <vector>
@@ -27,6 +31,7 @@
 #include "quorum/hqs.h"
 #include "quorum/majority.h"
 #include "quorum/tree_system.h"
+#include "tests/core/scalar_lane_trials.h"
 #include "util/stats.h"
 
 namespace qps {
@@ -123,10 +128,10 @@ TEST(BatchTrialBlock, LoadTransposesAndZeroesUnusedLanes) {
           << "e=" << e << " t=" << t;
 }
 
-TEST(BatchTrialBlock, LoadLanesMatchesLoadedRowsAndRebuildsThem) {
+TEST(BatchTrialBlock, LoadLanesMatchesLoadedRows) {
   // load_lanes() must leave the same element rows (unused lanes zero) as
-  // load() of the matching per-trial rows, and trial_masks() must rebuild
-  // exactly those rows -- across n > 64 and a partial last lane word.
+  // load() of the matching per-trial rows -- across n > 64 and a partial
+  // last lane word.
   for (const std::size_t n : {5u, 63u, 65u, 127u}) {
     const std::size_t stride = (n + 63) / 64;
     for (const SimdIsa isa : {SimdIsa::kOff, SimdIsa::kPortable}) {
@@ -145,6 +150,7 @@ TEST(BatchTrialBlock, LoadLanesMatchesLoadedRowsAndRebuildsThem) {
                                      rows.data());
         lane_block.load_lanes(lanes.data(), count);
         row_block.load(rows.data(), count);
+        EXPECT_EQ(lane_block.group_count(), (count + 63) / 64);
         const BlockView from_lanes = lane_block.view();
         const BlockView from_rows = row_block.view();
         for (std::size_t i = 0; i < n * w; ++i)
@@ -152,10 +158,6 @@ TEST(BatchTrialBlock, LoadLanesMatchesLoadedRowsAndRebuildsThem) {
               << "n=" << n << " W=" << w << " count=" << count << " i=" << i;
         for (std::size_t k = 0; k < w; ++k)
           ASSERT_EQ(from_lanes.active[k], from_rows.active[k]);
-        const std::uint64_t* rebuilt = lane_block.trial_masks();
-        for (std::size_t i = 0; i < count * stride; ++i)
-          ASSERT_EQ(rebuilt[i], rows[i])
-              << "n=" << n << " W=" << w << " count=" << count << " i=" << i;
       }
     }
   }
@@ -227,8 +229,9 @@ std::vector<Case> batch_cases() {
 TEST(BatchKernel, ProbeCountsMatchScalarRunWithPerLane) {
   // Both shipped kernel tables: kOff (W=1, the single-word shape) and
   // kPortable (W=4) -- the latter exercises multi-lane-word blocks and a
-  // partial final lane word.  Randomized strategies pre-draw per lane in
-  // trial order, so a scalar Rng seeded identically replays their stream.
+  // partial final lane word.  Randomized strategies draw their choices
+  // lane-major, one group after another, so a scalar Rng seeded
+  // identically replays their groups for run_lane.
   std::uint64_t config_seed = 1000;
   for (const Case& c : batch_cases()) {
     const std::size_t n = c.system->universe_size();
@@ -243,8 +246,8 @@ TEST(BatchKernel, ProbeCountsMatchScalarRunWithPerLane) {
       for (const std::size_t count :
            {block.lane_capacity(), std::size_t{17}, std::size_t{1}}) {
         for (const double p : {0.1, 0.5, 0.9}) {
-          // Odd configs bind the engine's lane words (load_lanes, rows
-          // rebuilt only for permuting strategies); even ones bind rows.
+          // Odd configs bind the engine's lane words (load_lanes); even
+          // ones bind per-trial rows (load).
           std::vector<std::uint64_t> masks(count * stride);
           std::vector<std::uint64_t> lanes((count + 63) / 64 * n);
           sample_iid_lane_words(lanes.data(), count, n, p, sample_rng);
@@ -258,12 +261,12 @@ TEST(BatchKernel, ProbeCountsMatchScalarRunWithPerLane) {
           Rng batch_rng(config_seed);
           c.strategy->run_batch(block, batch_rng);
           Rng scalar_rng(config_seed);
+          const std::vector<std::uint32_t> want =
+              scalar_lane_counts(*c.strategy, ws, masks.data(), count,
+                                 scalar_rng);
           CountMoments gathered;
           for (std::size_t t = 0; t < count; ++t) {
-            ws.coloring().assign_greens_words(masks.data() + t * stride);
-            ProbeSession& session = ws.begin_trial(ws.coloring());
-            (void)c.strategy->run_with(ws, session, scalar_rng);
-            ASSERT_EQ(block.probe_count(t), session.probe_count())
+            ASSERT_EQ(block.probe_count(t), want[t])
                 << c.label << " isa=" << simd_isa_name(isa)
                 << " count=" << count << " p=" << p << " lane=" << t;
             gathered.add(block.probe_count(t));
@@ -271,8 +274,85 @@ TEST(BatchKernel, ProbeCountsMatchScalarRunWithPerLane) {
           CountMoments folded;
           block.fold_probe_counts(folded);
           expect_same_moments(folded, gathered, c.label);
+          EXPECT_EQ(batch_rng.next_u64(), scalar_rng.next_u64()) << c.label;
         }
       }
+    }
+  }
+}
+
+TEST(BatchKernel, LoadAndLoadLanesGiveTheSameCountsOnTheSameTrials) {
+  // run_batch after load() of trial-major rows (bench_micro's RandBatch
+  // cases) must charge every lane what it charges after load_lanes() of
+  // the same trials with the same rng: the lane draws never depend on how
+  // the colorings arrived.
+  for (const Case& c : batch_cases()) {
+    const std::size_t n = c.system->universe_size();
+    const std::size_t stride = (n + 63) / 64;
+    const SimdKernels& kernels = resolve_simd_kernels(SimdIsa::kPortable);
+    BatchTrialBlock rows_block, lanes_block;
+    rows_block.configure(kernels, n);
+    lanes_block.configure(kernels, n);
+    for (const std::size_t count : {std::size_t{100}, std::size_t{256}}) {
+      Rng sample_rng(n * 7 + count);
+      std::vector<std::uint64_t> lanes((count + 63) / 64 * n);
+      sample_iid_lane_words(lanes.data(), count, n, 0.4, sample_rng);
+      std::vector<std::uint64_t> masks(count * stride);
+      transpose_lane_words_to_rows(lanes.data(), count, n, 1, n,
+                                   masks.data());
+      rows_block.load(masks.data(), count);
+      lanes_block.load_lanes(lanes.data(), count);
+      Rng rows_rng(count);
+      Rng lanes_rng(count);
+      c.strategy->run_batch(rows_block, rows_rng);
+      c.strategy->run_batch(lanes_block, lanes_rng);
+      for (std::size_t t = 0; t < count; ++t)
+        ASSERT_EQ(rows_block.probe_count(t), lanes_block.probe_count(t))
+            << c.label << " count=" << count << " lane=" << t;
+      EXPECT_EQ(rows_rng.next_u64(), lanes_rng.next_u64()) << c.label;
+    }
+  }
+}
+
+TEST(BatchKernel, TrialCountsDoNotDependOnTheTrialsThatFollow) {
+  // Groups are drawn whole, lanes beyond the count included, so trial t's
+  // choices -- and its probe count -- are the same whether the super-block
+  // sequence stops at t+1 trials or runs on to 1024, on both paths.
+  const std::size_t kTrials = 1024;
+  for (const Case& c : batch_cases()) {
+    const std::size_t n = c.system->universe_size();
+    const std::size_t stride = (n + 63) / 64;
+    Rng sample_rng(n);
+    std::vector<std::uint64_t> lanes(kTrials / 64 * n);
+    sample_iid_lane_words(lanes.data(), kTrials, n, 0.5, sample_rng);
+    std::vector<std::uint64_t> masks(kTrials * stride);
+    transpose_lane_words_to_rows(lanes.data(), kTrials, n, 1, n,
+                                 masks.data());
+    BatchTrialBlock block;
+    block.configure(resolve_simd_kernels(SimdIsa::kPortable), n);
+    const auto sliced_counts = [&](std::size_t count) {
+      Rng rng(31);
+      std::vector<std::uint32_t> counts;
+      for (std::size_t off = 0; off < count; off += block.lane_capacity()) {
+        const std::size_t lanes_here =
+            std::min(block.lane_capacity(), count - off);
+        block.load_lanes(lanes.data() + off / 64 * n, lanes_here);
+        c.strategy->run_batch(block, rng);
+        for (std::size_t t = 0; t < lanes_here; ++t)
+          counts.push_back(block.probe_count(t));
+      }
+      return counts;
+    };
+    TrialWorkspace ws(n);
+    const auto scalar_counts = [&](std::size_t count) {
+      Rng rng(31);
+      return scalar_lane_counts(*c.strategy, ws, masks.data(), count, rng);
+    };
+    const std::vector<std::uint32_t> all = sliced_counts(kTrials);
+    ASSERT_EQ(scalar_counts(kTrials), all) << c.label;
+    for (const std::size_t t : {0u, 1u, 63u, 64u, 200u, 255u, 256u, 700u}) {
+      EXPECT_EQ(sliced_counts(t + 1)[t], all[t]) << c.label << " t=" << t;
+      EXPECT_EQ(scalar_counts(t + 1)[t], all[t]) << c.label << " t=" << t;
     }
   }
 }
@@ -362,9 +442,10 @@ TEST(BatchKernel, FoldProbePlanesHandlesExtremeCounts) {
 
 TEST(BatchKernel, RunBitSlicedTrialsMatchesScalarStatsAcrossBlockSeams) {
   // Three full super-blocks plus an 8-lane partial for each kernel width;
-  // run_bit_sliced_trials must consume the rng strictly in trial order (a
-  // randomized strategy's draw stream) and fold every lane, so its exact
-  // integer moments equal the scalar loop's per-trial adds.
+  // run_bit_sliced_trials must draw a randomized strategy's lane choices
+  // group after group and fold every lane, so its exact integer moments
+  // equal the scalar lane loop's per-trial adds and both leave the rng at
+  // the same place.
   const MajoritySystem maj(63);
   const ProbeMaj det(maj);
   const RProbeMaj rnd(maj);
@@ -391,12 +472,9 @@ TEST(BatchKernel, RunBitSlicedTrialsMatchesScalarStatsAcrossBlockSeams) {
       CountMoments scalar;
       TrialWorkspace ws(63);
       Rng scalar_rng(4242);
-      for (std::size_t t = 0; t < trials; ++t) {
-        ws.coloring().assign_greens_mask(masks[t]);
-        ProbeSession& session = ws.begin_trial(ws.coloring());
-        (void)strategy->run_with(ws, session, scalar_rng);
-        scalar.add(static_cast<std::uint32_t>(session.probe_count()));
-      }
+      for (const std::uint32_t count :
+           scalar_lane_counts(*strategy, ws, masks.data(), trials, scalar_rng))
+        scalar.add(count);
       expect_same_moments(batch, scalar,
                           strategy->name() + " " + simd_isa_name(isa));
       EXPECT_EQ(batch_rng.next_u64(), scalar_rng.next_u64());
@@ -490,54 +568,185 @@ TEST(BatchKernel, EngineScalarMatchesBitSlicedForEveryStrategyAcrossSeams) {
   }
 }
 
-TEST(BatchKernel, EngineSamplesStreamV4LaneWords) {
-  // The stream definition at the engine's surface: batch k's rng draws one
-  // sample_iid_coloring_words(G*n, 64) call first, and trial t's coloring
-  // is bit t mod 64 of word (t/64, e) for each element e.  Rebuilt here bit
-  // by bit and run through the scalar strategy, it must reproduce both
-  // execution paths' statistics; R_Probe_Maj checks that the strategy's
-  // draws follow the lane words on the same rng.
-  const MajoritySystem maj(65);
-  const ProbeMaj det(maj);
-  const RProbeMaj rnd(maj);
-  const std::size_t n = 65;
+/// One 64-lane group's draws of values uniform in [0, bound), rebuilt lane
+/// by lane from raw generator words: each round takes bit_width(bound-1)
+/// words, and every lane still waiting reads its value from their bits and
+/// keeps it once it is below `bound`.
+std::array<std::uint32_t, 64> raw_lane_below(Rng& rng, std::uint32_t bound) {
+  const auto bits = static_cast<std::size_t>(std::bit_width(bound - 1));
+  std::array<std::uint32_t, 64> value{};
+  std::uint64_t waiting = ~0ULL;
+  while (waiting != 0) {
+    std::vector<std::uint64_t> words(bits);
+    for (auto& word : words) word = rng.next_u64();
+    for (std::size_t lane = 0; lane < 64; ++lane) {
+      if (((waiting >> lane) & 1ULL) == 0) continue;
+      std::uint32_t v = 0;
+      for (std::size_t b = 0; b < bits; ++b)
+        v |= static_cast<std::uint32_t>((words[b] >> lane) & 1ULL) << b;
+      value[lane] = v;
+      if (v < bound) waiting &= ~(1ULL << lane);
+    }
+  }
+  return value;
+}
+
+/// The colorings of one engine batch (stream v5, step 1): G * n words of
+/// the unchanged sampler, trial t's element e at bit t % 64 of word
+/// (t / 64) * n + e.
+std::vector<std::vector<bool>> raw_batch_colorings(Rng& rng, std::size_t n,
+                                                   std::size_t count,
+                                                   double p) {
+  const std::size_t groups = (count + 63) / 64;
+  std::vector<std::uint64_t> words(groups * n);
+  sample_iid_coloring_words(words.data(), groups * n, 64, p, rng);
+  std::vector<std::vector<bool>> greens(count, std::vector<bool>(n));
+  for (std::size_t t = 0; t < count; ++t)
+    for (std::size_t e = 0; e < n; ++e)
+      greens[t][e] = ((words[(t / 64) * n + e] >> (t % 64)) & 1ULL) != 0;
+  return greens;
+}
+
+/// R_Probe_Tree's probe count on one coloring and per-node plans, by the
+/// paper's recursion: plan 0 probes the root and the right subtree (the
+/// left only on a mismatch), plan 1 mirrors it, plan 2 evaluates both
+/// subtrees and probes the root only when they disagree.  Returns the
+/// subtree's witness color.
+bool r_tree_reference(const std::vector<bool>& green,
+                      const std::vector<std::uint32_t>& plan, std::size_t v,
+                      std::size_t& probes) {
+  const std::size_t n = green.size();
+  if (2 * v + 1 >= n) {
+    ++probes;
+    return green[v];
+  }
+  const std::size_t left = 2 * v + 1;
+  const std::size_t right = 2 * v + 2;
+  if (plan[v] == 2) {
+    const bool l = r_tree_reference(green, plan, left, probes);
+    const bool r = r_tree_reference(green, plan, right, probes);
+    if (l == r) return l;
+    ++probes;
+    return green[v];
+  }
+  ++probes;
+  const bool root = green[v];
+  const std::size_t first = plan[v] == 0 ? right : left;
+  const std::size_t second = plan[v] == 0 ? left : right;
+  if (r_tree_reference(green, plan, first, probes) == root) return root;
+  return r_tree_reference(green, plan, second, probes);
+}
+
+void expect_engine_matches(const QuorumSystem& system,
+                           const ProbeStrategy& strategy,
+                           EngineOptions options, double p,
+                           const CountMoments& expected) {
+  const RunningStats want = expected.stats();
+  for (const Execution execution :
+       {Execution::kScalar, Execution::kBitSliced}) {
+    options.execution = execution;
+    const RunningStats stats =
+        ParallelEstimator(options).estimate_ppc(system, strategy, p);
+    EXPECT_EQ(stats.count(), want.count()) << strategy.name();
+    EXPECT_EQ(stats.mean(), want.mean()) << strategy.name();
+    EXPECT_EQ(stats.variance(), want.variance()) << strategy.name();
+    EXPECT_EQ(stats.min(), want.min()) << strategy.name();
+    EXPECT_EQ(stats.max(), want.max()) << strategy.name();
+  }
+}
+
+TEST(BatchKernel, EngineSamplesStreamV5LaneWordsAndChoices) {
+  // The stream definition at the engine's surface, rebuilt from raw
+  // generator words without the library's lane-draw helpers: batch k's rng
+  // draws the G * n coloring words, then the strategy's choices for groups
+  // 0 .. G-1 in order.  R_Probe_Maj: for i = n .. 2, J_i uniform in [0, i)
+  // per lane, order = Fisher-Yates swaps of positions i-1 and J_i.
+  // R_Probe_Tree: per internal node, a trit from two words (a, c), plan =
+  // a + 2c.  The strategy's own group words must equal the rebuild, and
+  // both execution paths must reproduce the rebuilt trials' statistics.
   const std::size_t count = 300;  // G = 5, the last group partial
-  for (const ProbeStrategy* strategy :
-       {static_cast<const ProbeStrategy*>(&det),
-        static_cast<const ProbeStrategy*>(&rnd)}) {
-    EngineOptions options;
-    options.trials = count;
-    options.batch_size = count;
-    options.threads = 1;
-    options.seed = 77;
+  const double p = 0.3;
+  EngineOptions options;
+  options.trials = count;
+  options.batch_size = count;
+  options.threads = 1;
+  options.seed = 77;
+  const std::size_t groups = (count + 63) / 64;
+
+  {
+    const std::size_t n = 65;
+    const MajoritySystem maj(n);
+    const RProbeMaj strategy(maj);
     Rng rng = Rng::for_stream(options.seed, 0);
-    const std::size_t groups = (count + 63) / 64;
-    std::vector<std::uint64_t> words(groups * n);
-    sample_iid_coloring_words(words.data(), groups * n, 64, 0.3, rng);
+    Rng engine_rng = rng;
+    const auto greens = raw_batch_colorings(rng, n, count, p);
+    raw_batch_colorings(engine_rng, n, count, p);
     CountMoments expected;
-    TrialWorkspace ws(n);
-    for (std::size_t t = 0; t < count; ++t) {
-      ElementSet greens(n);
-      for (std::size_t e = 0; e < n; ++e)
-        if ((words[(t / 64) * n + e] >> (t % 64)) & 1ULL)
-          greens.insert(static_cast<Element>(e));
-      const Coloring coloring(n, greens);
-      ProbeSession& session = ws.begin_trial(coloring);
-      (void)strategy->run_with(ws, session, rng);
-      expected.add(static_cast<std::uint32_t>(session.probe_count()));
+    std::vector<std::uint64_t> drawn(strategy.lane_choice_words());
+    for (std::size_t g = 0; g < groups; ++g) {
+      strategy.draw_lane_choices(engine_rng, drawn.data());
+      std::vector<std::array<std::uint32_t, 64>> j_values;
+      std::size_t word = 0;
+      for (std::uint32_t i = n; i > 1; --i) {
+        j_values.push_back(raw_lane_below(rng, i));
+        const auto bits = static_cast<std::size_t>(std::bit_width(i - 1u));
+        for (std::size_t b = 0; b < bits; ++b, ++word) {
+          std::uint64_t plane = 0;
+          for (std::size_t lane = 0; lane < 64; ++lane)
+            plane |= static_cast<std::uint64_t>(
+                         (j_values.back()[lane] >> b) & 1U)
+                     << lane;
+          ASSERT_EQ(drawn[word], plane) << "group " << g << " i=" << i;
+        }
+      }
+      ASSERT_EQ(word, drawn.size());
+      for (std::size_t lane = 0; lane < 64 && g * 64 + lane < count; ++lane) {
+        std::vector<std::uint32_t> order(n);
+        for (std::uint32_t e = 0; e < n; ++e) order[e] = e;
+        for (std::uint32_t i = n, step = 0; i > 1; --i, ++step)
+          std::swap(order[i - 1], order[j_values[step][lane]]);
+        const auto& green = greens[g * 64 + lane];
+        std::size_t seen_green = 0, seen_red = 0, probes = 0;
+        while (seen_green < maj.threshold() && seen_red < maj.threshold())
+          ++(green[order[probes++]] ? seen_green : seen_red);
+        expected.add(static_cast<std::uint32_t>(probes));
+      }
     }
-    for (const Execution execution :
-         {Execution::kScalar, Execution::kBitSliced}) {
-      options.execution = execution;
-      const RunningStats stats =
-          ParallelEstimator(options).estimate_ppc(maj, *strategy, 0.3);
-      const RunningStats want = expected.stats();
-      EXPECT_EQ(stats.count(), want.count()) << strategy->name();
-      EXPECT_EQ(stats.mean(), want.mean()) << strategy->name();
-      EXPECT_EQ(stats.variance(), want.variance()) << strategy->name();
-      EXPECT_EQ(stats.min(), want.min()) << strategy->name();
-      EXPECT_EQ(stats.max(), want.max()) << strategy->name();
+    expect_engine_matches(maj, strategy, options, p, expected);
+  }
+
+  for (const std::size_t h : {5u, 6u}) {  // n = 63, 127: no tree has n = 65
+    const TreeSystem tree(h);
+    const RProbeTree strategy(tree);
+    const std::size_t n = tree.universe_size();
+    Rng rng = Rng::for_stream(options.seed, 0);
+    Rng engine_rng = rng;
+    const auto greens = raw_batch_colorings(rng, n, count, p);
+    raw_batch_colorings(engine_rng, n, count, p);
+    CountMoments expected;
+    std::vector<std::uint64_t> drawn(strategy.lane_choice_words());
+    ASSERT_EQ(drawn.size(), n / 2 * 3);
+    for (std::size_t g = 0; g < groups; ++g) {
+      strategy.draw_lane_choices(engine_rng, drawn.data());
+      std::vector<std::array<std::uint32_t, 64>> plans;
+      for (std::size_t v = 0; v < n / 2; ++v) {
+        plans.push_back(raw_lane_below(rng, 3));
+        for (std::uint32_t plan = 0; plan < 3; ++plan) {
+          std::uint64_t mask = 0;
+          for (std::size_t lane = 0; lane < 64; ++lane)
+            if (plans.back()[lane] == plan) mask |= 1ULL << lane;
+          ASSERT_EQ(drawn[v * 3 + plan], mask) << "group " << g << " v=" << v;
+        }
+      }
+      for (std::size_t lane = 0; lane < 64 && g * 64 + lane < count; ++lane) {
+        std::vector<std::uint32_t> plan(n / 2);
+        for (std::size_t v = 0; v < n / 2; ++v) plan[v] = plans[v][lane];
+        std::size_t probes = 0;
+        r_tree_reference(greens[g * 64 + lane], plan, 0, probes);
+        expected.add(static_cast<std::uint32_t>(probes));
+      }
     }
+    expect_engine_matches(tree, strategy, options, p, expected);
   }
 }
 

@@ -1,9 +1,10 @@
 // Lane-width layer (core/engine/simd.h): table resolution, the strided
 // multi-word transpose, and the word-boundary property matrix -- every
 // batchable strategy x family at n = 64/65/127/128/129 must be
-// bit-identical to the scalar path at both shipped widths (W = 1 and
-// W = 4), including partial final blocks, partial final lane words, and
-// the all-dead / all-live colorings.
+// bit-identical to the engine's scalar path (run_lane on the same
+// lane-major choices for randomized strategies) at both shipped widths
+// (W = 1 and W = 4), including partial final blocks, partial final lane
+// words, and the all-dead / all-live colorings.
 #include "core/engine/simd.h"
 
 #include <gtest/gtest.h>
@@ -26,6 +27,7 @@
 #include "quorum/hqs.h"
 #include "quorum/majority.h"
 #include "quorum/tree_system.h"
+#include "tests/core/scalar_lane_trials.h"
 
 namespace qps {
 namespace {
@@ -159,14 +161,12 @@ TEST(SimdBoundary, EveryIsaMatchesScalarPerLaneAcrossWordBoundaries) {
           Rng batch_rng(config_seed);
           c.strategy->run_batch(block, batch_rng);
           Rng scalar_rng(config_seed);
-          for (std::size_t t = 0; t < count; ++t) {
-            ws.coloring().assign_greens_words(masks.data() + t * stride);
-            ProbeSession& session = ws.begin_trial(ws.coloring());
-            (void)c.strategy->run_with(ws, session, scalar_rng);
-            ASSERT_EQ(block.probe_count(t), session.probe_count())
+          const std::vector<std::uint32_t> want = scalar_lane_counts(
+              *c.strategy, ws, masks.data(), count, scalar_rng);
+          for (std::size_t t = 0; t < count; ++t)
+            ASSERT_EQ(block.probe_count(t), want[t])
                 << c.label << " isa=" << simd_isa_name(isa)
                 << " count=" << count << " p=" << p << " lane=" << t;
-          }
         }
       }
     }
@@ -175,8 +175,8 @@ TEST(SimdBoundary, EveryIsaMatchesScalarPerLaneAcrossWordBoundaries) {
 
 TEST(SimdBoundary, EngineStatisticsAreIsaInvariantAboveSixtyFourElements) {
   // Full engine runs (multi-word sampler + bit-sliced execution) must
-  // return the scalar path's statistics exactly, on a randomized strategy
-  // so the pre-drawn permutation streams are covered too.
+  // return the scalar path's statistics exactly, on randomized strategies
+  // so the lane-major shuffles are covered too.
   const MajoritySystem maj(65);
   const RandomOrderProbe random_order(maj);
   const CrumblingWall wall = CrumblingWall::wheel(128);
