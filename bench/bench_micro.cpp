@@ -182,8 +182,8 @@ BENCHMARK(BM_SampleColoringWordsLaneMajor)
 // per family, on three paths:
 //  * Generic: the pre-workspace shape of the trial -- a fresh coloring, a
 //    fresh session answering probes through a type-erased std::function
-//    oracle, and the legacy ProbeStrategy::run() entry point with its
-//    per-call scratch.
+//    oracle, and the ProbeStrategy::run() convenience, which builds a
+//    fresh TrialWorkspace per call.
 //  * Hot: the zero-allocation scalar path -- one TrialWorkspace, colorings
 //    refilled in place from batched word-level sampling
 //    (sample_iid_coloring_words), and the scratch-aware run_with() entry

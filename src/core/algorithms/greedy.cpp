@@ -18,26 +18,14 @@ GreedyCandidateProbe::GreedyCandidateProbe(const QuorumSystem& system)
       member_[e * mask_words_ + qi / 64] |= 1ULL << (qi % 64);
 }
 
-Witness GreedyCandidateProbe::run(ProbeSession& session, Rng& /*rng*/) const {
-  // Legacy self-contained entry point: per-call scratch, as the
-  // ProbeStrategy contract allows.  The hot path goes through run_with,
-  // whose scratch is owned by the caller's TrialWorkspace -- no hidden
-  // per-thread state whose growth outlives the call.
-  std::vector<std::uint64_t> live, dead, unhit;
-  return run_masks(session, live, dead, unhit);
-}
-
 Witness GreedyCandidateProbe::run_with(TrialWorkspace& workspace,
                                        ProbeSession& session,
                                        Rng& /*rng*/) const {
-  return run_masks(session, workspace.word_buffer(0), workspace.word_buffer(1),
-                   workspace.word_buffer(2));
-}
-
-Witness GreedyCandidateProbe::run_masks(
-    ProbeSession& session, std::vector<std::uint64_t>& live,
-    std::vector<std::uint64_t>& dead,
-    std::vector<std::uint64_t>& unhit) const {
+  // The candidate masks live in the workspace: no per-call scratch, and no
+  // hidden per-thread state whose growth outlives the call.
+  std::vector<std::uint64_t>& live = workspace.word_buffer(0);
+  std::vector<std::uint64_t>& dead = workspace.word_buffer(1);
+  std::vector<std::uint64_t>& unhit = workspace.word_buffer(2);
   const std::size_t n = system_->universe_size();
   const std::size_t words = mask_words_;
   // A quorum is a live candidate while none of its elements probed red; a

@@ -10,10 +10,8 @@
 // element, the word-mask of quorums containing it, and a run tracks the
 // live / dead / not-yet-blocked candidate sets as word masks, so the
 // density scoring is popcounts instead of per-quorum membership tests.
-// On the hot path (run_with) the per-run masks live in the caller's
-// TrialWorkspace, so steady-state trials allocate nothing and all scratch
-// ownership is explicit; the legacy run() entry point allocates its
-// scratch per call.
+// The per-run masks live in the caller's TrialWorkspace, so steady-state
+// trials allocate nothing and all scratch ownership is explicit.
 #pragma once
 
 #include <cstdint>
@@ -30,15 +28,10 @@ class GreedyCandidateProbe final : public ProbeStrategy {
   explicit GreedyCandidateProbe(const QuorumSystem& system);
 
   std::string name() const override { return "Greedy_Candidate"; }
-  Witness run(ProbeSession& session, Rng& rng) const override;
   Witness run_with(TrialWorkspace& workspace, ProbeSession& session,
                    Rng& rng) const override;
 
  private:
-  Witness run_masks(ProbeSession& session, std::vector<std::uint64_t>& live,
-                    std::vector<std::uint64_t>& dead,
-                    std::vector<std::uint64_t>& unhit) const;
-
   const QuorumSystem* system_;
   std::vector<ElementSet> quorums_;
   /// member_[e * mask_words_ + w]: bit q of word w set iff element e is in

@@ -9,7 +9,8 @@
 
 namespace qps {
 
-Witness ProbeCW::run(ProbeSession& session, Rng& /*rng*/) const {
+Witness ProbeCW::run_with(TrialWorkspace& /*workspace*/,
+                          ProbeSession& session, Rng& /*rng*/) const {
   const CrumblingWall& wall = *wall_;
   QPS_REQUIRE(wall.row_width(0) == 1, "Probe_CW expects a width-1 top row");
   const std::size_t n = wall.universe_size();
@@ -109,8 +110,8 @@ struct HeapCwScratch {
 };
 
 /// `shuffle_row(data, width)` shuffles one row's elements in place: an
-/// Rng's Fisher-Yates for run(), one lane of the drawn lane-major shuffles
-/// for run_lane().
+/// Rng's Fisher-Yates for run_with(), one lane of the drawn lane-major
+/// shuffles for run_lane().
 template <typename Scratch, typename ShuffleRow>
 Witness r_probe_cw_impl(const CrumblingWall& wall, ProbeSession& session,
                         ShuffleRow&& shuffle_row, Scratch scratch) {
@@ -179,7 +180,8 @@ Witness run_r_probe_cw(const CrumblingWall& wall, ProbeSession& session,
 
 }  // namespace
 
-Witness RProbeCW::run(ProbeSession& session, Rng& rng) const {
+Witness RProbeCW::run_with(TrialWorkspace& /*workspace*/,
+                           ProbeSession& session, Rng& rng) const {
   return run_r_probe_cw(*wall_, session, [&rng](Element* row, std::size_t w) {
     rng.shuffle_span(row, w);
   });

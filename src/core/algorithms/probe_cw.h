@@ -41,7 +41,8 @@ class ProbeCW final : public ProbeStrategy {
   explicit ProbeCW(const CrumblingWall& wall)
       : wall_(&wall), row_offsets_(cw_detail::row_offsets(wall)) {}
   std::string name() const override { return "Probe_CW"; }
-  Witness run(ProbeSession& session, Rng& rng) const override;
+  Witness run_with(TrialWorkspace& workspace, ProbeSession& session,
+                   Rng& rng) const override;
   /// Bit-sliced batch kernel: the top-down row scan with a per-lane mode
   /// word; lanes leave a row as soon as they match their mode.
   bool supports_batch(std::size_t universe_size) const override;
@@ -58,7 +59,8 @@ class RProbeCW final : public ProbeStrategy {
   explicit RProbeCW(const CrumblingWall& wall)
       : wall_(&wall), row_offsets_(cw_detail::row_offsets(wall)) {}
   std::string name() const override { return "R_Probe_CW"; }
-  Witness run(ProbeSession& session, Rng& rng) const override;
+  Witness run_with(TrialWorkspace& workspace, ProbeSession& session,
+                   Rng& rng) const override;
   /// Bit-sliced batch kernel: each group draws a lane-major Fisher-Yates
   /// shuffle per row, rows bottom-up, and applies it to that row's element
   /// rows in place; a bottom-up masked scan then probes each row until

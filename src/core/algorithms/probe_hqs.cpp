@@ -4,64 +4,70 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/algorithms/witness_support.h"
 #include "core/engine/batch_kernel.h"
-#include "core/engine/trial_workspace.h"
 #include "util/require.h"
 
 namespace qps {
 
 namespace {
 
+using witness_support::singleton;
+using witness_support::unite;
+
 // Result of evaluating one gate: its boolean value and the supporting
-// leaves (two agreeing child supports per gate).  Supports of sibling
-// subtrees are disjoint, so unions are concatenations.
+// leaves (two agreeing child supports per gate, witness_support.h).
+template <typename Support>
 struct Eval {
   bool value = false;
-  std::vector<Element> support;
+  Support support{};
 };
 
-Eval leaf_eval(Element leaf, ProbeSession& session) {
-  return {session.probe(leaf) == Color::kGreen, {leaf}};
-}
-
-void append(Eval& into, const Eval& from) {
-  into.support.insert(into.support.end(), from.support.begin(),
-                      from.support.end());
+template <typename Support>
+Eval<Support> leaf_eval(Element leaf, ProbeSession& session) {
+  return {session.probe(leaf) == Color::kGreen, singleton<Support>(leaf)};
 }
 
 /// Merges two agreeing child evaluations into the parent's evaluation.
-Eval merge_pair(Eval a, const Eval& b) {
+template <typename Support>
+Eval<Support> merge_pair(Eval<Support> a, const Eval<Support>& b) {
   QPS_CHECK(a.value == b.value, "merge_pair needs agreeing children");
-  append(a, b);
+  unite(a.support, b.support);
   return a;
 }
 
 /// Given three child evaluations where the first two disagree, the gate
 /// value is the third child's; support = third + the matching sibling.
-Eval merge_tiebreak(const Eval& first, const Eval& second, Eval third) {
+template <typename Support>
+Eval<Support> merge_tiebreak(const Eval<Support>& first,
+                             const Eval<Support>& second,
+                             Eval<Support> third) {
   QPS_CHECK(first.value != second.value, "tiebreak needs a disagreement");
-  append(third, first.value == third.value ? first : second);
+  unite(third.support,
+        first.value == third.value ? first.support : second.support);
   return third;
 }
 
-Witness materialize(const Eval& eval, std::size_t n) {
-  Witness w;
-  w.color = eval.value ? Color::kGreen : Color::kRed;
-  w.elements = ElementSet(n);
-  for (Element e : eval.support) w.elements.insert(e);
-  return w;
+template <typename Support>
+Witness materialize(const Eval<Support>& eval, std::size_t n) {
+  return {eval.value ? Color::kGreen : Color::kRed,
+          witness_support::to_set(eval.support, n)};
 }
 
 // ---------------------------------------------------------------- Probe_HQS
 
-Eval probe_hqs_rec(std::size_t level, std::size_t index,
-                   ProbeSession& session) {
-  if (level == 0) return leaf_eval(static_cast<Element>(index), session);
-  Eval first = probe_hqs_rec(level - 1, index * 3, session);
-  Eval second = probe_hqs_rec(level - 1, index * 3 + 1, session);
+template <typename Support>
+Eval<Support> probe_hqs_rec(std::size_t level, std::size_t index,
+                            ProbeSession& session) {
+  if (level == 0)
+    return leaf_eval<Support>(static_cast<Element>(index), session);
+  Eval<Support> first = probe_hqs_rec<Support>(level - 1, index * 3, session);
+  Eval<Support> second =
+      probe_hqs_rec<Support>(level - 1, index * 3 + 1, session);
   if (first.value == second.value)
     return merge_pair(std::move(first), second);
-  Eval third = probe_hqs_rec(level - 1, index * 3 + 2, session);
+  Eval<Support> third =
+      probe_hqs_rec<Support>(level - 1, index * 3 + 2, session);
   return merge_tiebreak(first, second, std::move(third));
 }
 
@@ -154,61 +160,82 @@ void draw_hqs_orders(Rng& rng, std::size_t gates, std::uint64_t* out,
   }
 }
 
-Eval r_probe_hqs_rec(std::size_t height, std::size_t level, std::size_t index,
-                     ProbeSession& session, const std::uint8_t* orders) {
-  if (level == 0) return leaf_eval(static_cast<Element>(index), session);
+template <typename Support>
+Eval<Support> r_probe_hqs_rec(std::size_t height, std::size_t level,
+                              std::size_t index, ProbeSession& session,
+                              const std::uint8_t* orders) {
+  if (level == 0)
+    return leaf_eval<Support>(static_cast<Element>(index), session);
   const std::uint8_t code = orders[hqs_gate(height, level, index)];
   const std::size_t c0 = code / 3;
   const std::size_t c1 = code % 3;
   const std::size_t c2 = 3 - c0 - c1;
-  Eval first = r_probe_hqs_rec(height, level - 1, index * 3 + c0, session,
-                               orders);
-  Eval second = r_probe_hqs_rec(height, level - 1, index * 3 + c1, session,
-                                orders);
+  Eval<Support> first = r_probe_hqs_rec<Support>(
+      height, level - 1, index * 3 + c0, session, orders);
+  Eval<Support> second = r_probe_hqs_rec<Support>(
+      height, level - 1, index * 3 + c1, session, orders);
   if (first.value == second.value)
     return merge_pair(std::move(first), second);
-  Eval third = r_probe_hqs_rec(height, level - 1, index * 3 + c2, session,
-                               orders);
+  Eval<Support> third = r_probe_hqs_rec<Support>(
+      height, level - 1, index * 3 + c2, session, orders);
   return merge_tiebreak(first, second, std::move(third));
+}
+
+/// R_Probe_HQS on drawn gate orders.
+Witness run_hqs_orders(const HQSystem& hqs, ProbeSession& session,
+                       const std::uint8_t* orders) {
+  const std::size_t n = hqs.universe_size();
+  const std::size_t h = hqs.height();
+  return witness_support::with_support(n, [&](auto none) {
+    using Support = decltype(none);
+    return materialize(r_probe_hqs_rec<Support>(h, h, 0, session, orders), n);
+  });
 }
 
 // ------------------------------------------------------------- IR_Probe_HQS
 
-Eval ir_eval(std::size_t level, std::size_t index, ProbeSession& session,
-             Rng& rng);
+template <typename Support>
+Eval<Support> ir_eval(std::size_t level, std::size_t index,
+                      ProbeSession& session, Rng& rng);
 
 /// "Evaluate" a node per the paper: visit its children in a uniformly
 /// random order until the 2-of-3 value is determined, recursing with
 /// IR_Probe_HQS (so a height-(h-1) node issues calls at height h-2).
-Eval eval_node(std::size_t level, std::size_t index, ProbeSession& session,
-               Rng& rng) {
-  if (level == 0) return leaf_eval(static_cast<Element>(index), session);
+template <typename Support>
+Eval<Support> eval_node(std::size_t level, std::size_t index,
+                        ProbeSession& session, Rng& rng) {
+  if (level == 0)
+    return leaf_eval<Support>(static_cast<Element>(index), session);
   std::array<std::size_t, 3> order = {index * 3, index * 3 + 1, index * 3 + 2};
   rng.shuffle_array(order);
-  Eval first = ir_eval(level - 1, order[0], session, rng);
-  Eval second = ir_eval(level - 1, order[1], session, rng);
+  Eval<Support> first = ir_eval<Support>(level - 1, order[0], session, rng);
+  Eval<Support> second = ir_eval<Support>(level - 1, order[1], session, rng);
   if (first.value == second.value)
     return merge_pair(std::move(first), second);
-  Eval third = ir_eval(level - 1, order[2], session, rng);
+  Eval<Support> third = ir_eval<Support>(level - 1, order[2], session, rng);
   return merge_tiebreak(first, second, std::move(third));
 }
 
 /// Finishes evaluating a node whose first-visited child `first` is already
 /// known; `rest` holds the other two children in their random visit order.
-Eval complete_node(std::size_t child_level, std::array<std::size_t, 2> rest,
-                   const Eval& first, ProbeSession& session, Rng& rng) {
-  Eval second = ir_eval(child_level, rest[0], session, rng);
+template <typename Support>
+Eval<Support> complete_node(std::size_t child_level,
+                            std::array<std::size_t, 2> rest,
+                            const Eval<Support>& first, ProbeSession& session,
+                            Rng& rng) {
+  Eval<Support> second = ir_eval<Support>(child_level, rest[0], session, rng);
   if (first.value == second.value)
     return merge_pair(std::move(second), first);
-  Eval third = ir_eval(child_level, rest[1], session, rng);
+  Eval<Support> third = ir_eval<Support>(child_level, rest[1], session, rng);
   return merge_tiebreak(first, second, std::move(third));
 }
 
 /// Fig. 8.  Heights 0/1 have no grandchildren and fall back to the plain
 /// random evaluation.
-Eval ir_eval(std::size_t level, std::size_t index, ProbeSession& session,
-             Rng& rng) {
-  if (level <= 1) return eval_node(level, index, session, rng);
+template <typename Support>
+Eval<Support> ir_eval(std::size_t level, std::size_t index,
+                      ProbeSession& session, Rng& rng) {
+  if (level <= 1) return eval_node<Support>(level, index, session, rng);
 
   std::array<std::size_t, 3> children = {index * 3, index * 3 + 1,
                                          index * 3 + 2};
@@ -218,170 +245,39 @@ Eval ir_eval(std::size_t level, std::size_t index, ProbeSession& session,
   const std::size_t r3 = children[2];
 
   // Step 2: fully evaluate the first child.
-  const Eval v1 = eval_node(level - 1, r1, session, rng);
+  const Eval<Support> v1 = eval_node<Support>(level - 1, r1, session, rng);
 
   // Step 4: peek at one random grandchild of the second child.
   std::array<std::size_t, 3> grandchildren = {r2 * 3, r2 * 3 + 1, r2 * 3 + 2};
   rng.shuffle_array(grandchildren);
-  const Eval g1 = ir_eval(level - 2, grandchildren[0], session, rng);
+  const Eval<Support> g1 =
+      ir_eval<Support>(level - 2, grandchildren[0], session, rng);
   const std::array<std::size_t, 2> g_rest = {grandchildren[1],
                                              grandchildren[2]};
 
   if (g1.value == v1.value) {
     // Step 5: the peek supports r1's value; finish r2.
-    const Eval v2 = complete_node(level - 2, g_rest, g1, session, rng);
+    const Eval<Support> v2 = complete_node(level - 2, g_rest, g1, session, rng);
     if (v2.value == v1.value) return merge_pair(v2, v1);
-    const Eval v3 = eval_node(level - 1, r3, session, rng);
+    const Eval<Support> v3 = eval_node<Support>(level - 1, r3, session, rng);
     return merge_tiebreak(v1, v2, v3);
   }
   // Step 6: the peek contradicts r1; try the third child before finishing r2.
-  const Eval v3 = eval_node(level - 1, r3, session, rng);
+  const Eval<Support> v3 = eval_node<Support>(level - 1, r3, session, rng);
   if (v3.value == v1.value) return merge_pair(v3, v1);
-  const Eval v2 = complete_node(level - 2, g_rest, g1, session, rng);
+  const Eval<Support> v2 = complete_node(level - 2, g_rest, g1, session, rng);
   return merge_tiebreak(v1, v3, v2);
-}
-
-// ---- Word-level hot path (n <= 64) --------------------------------------
-// The same three evaluations with (value, support bitmask) results: sibling
-// supports are disjoint, so unions are single ORs and nothing is allocated.
-// Gate visit order and Rng draws are identical to the vector recursions
-// above, so both entry points agree probe-for-probe.
-
-struct MaskEval {
-  bool value = false;
-  std::uint64_t support = 0;
-};
-
-MaskEval leaf_eval_mask(Element leaf, ProbeSession& session) {
-  return {session.probe(leaf) == Color::kGreen, 1ULL << leaf};
-}
-
-MaskEval merge_pair_mask(MaskEval a, const MaskEval& b) {
-  QPS_CHECK(a.value == b.value, "merge_pair needs agreeing children");
-  a.support |= b.support;
-  return a;
-}
-
-MaskEval merge_tiebreak_mask(const MaskEval& first, const MaskEval& second,
-                             MaskEval third) {
-  QPS_CHECK(first.value != second.value, "tiebreak needs a disagreement");
-  third.support |= first.value == third.value ? first.support : second.support;
-  return third;
-}
-
-Witness materialize_mask(const MaskEval& eval, std::size_t n) {
-  Witness w;
-  w.color = eval.value ? Color::kGreen : Color::kRed;
-  w.elements = ElementSet::from_mask(n, eval.support);
-  return w;
-}
-
-MaskEval probe_hqs_rec_mask(std::size_t level, std::size_t index,
-                            ProbeSession& session) {
-  if (level == 0) return leaf_eval_mask(static_cast<Element>(index), session);
-  MaskEval first = probe_hqs_rec_mask(level - 1, index * 3, session);
-  MaskEval second = probe_hqs_rec_mask(level - 1, index * 3 + 1, session);
-  if (first.value == second.value) return merge_pair_mask(first, second);
-  MaskEval third = probe_hqs_rec_mask(level - 1, index * 3 + 2, session);
-  return merge_tiebreak_mask(first, second, third);
-}
-
-MaskEval r_probe_hqs_rec_mask(std::size_t height, std::size_t level,
-                              std::size_t index, ProbeSession& session,
-                              const std::uint8_t* orders) {
-  if (level == 0) return leaf_eval_mask(static_cast<Element>(index), session);
-  const std::uint8_t code = orders[hqs_gate(height, level, index)];
-  const std::size_t c0 = code / 3;
-  const std::size_t c1 = code % 3;
-  const std::size_t c2 = 3 - c0 - c1;
-  MaskEval first =
-      r_probe_hqs_rec_mask(height, level - 1, index * 3 + c0, session, orders);
-  MaskEval second =
-      r_probe_hqs_rec_mask(height, level - 1, index * 3 + c1, session, orders);
-  if (first.value == second.value) return merge_pair_mask(first, second);
-  MaskEval third =
-      r_probe_hqs_rec_mask(height, level - 1, index * 3 + c2, session, orders);
-  return merge_tiebreak_mask(first, second, third);
-}
-
-MaskEval ir_eval_mask(std::size_t level, std::size_t index,
-                      ProbeSession& session, Rng& rng);
-
-MaskEval eval_node_mask(std::size_t level, std::size_t index,
-                        ProbeSession& session, Rng& rng) {
-  if (level == 0) return leaf_eval_mask(static_cast<Element>(index), session);
-  std::array<std::size_t, 3> order = {index * 3, index * 3 + 1, index * 3 + 2};
-  rng.shuffle_array(order);
-  MaskEval first = ir_eval_mask(level - 1, order[0], session, rng);
-  MaskEval second = ir_eval_mask(level - 1, order[1], session, rng);
-  if (first.value == second.value) return merge_pair_mask(first, second);
-  MaskEval third = ir_eval_mask(level - 1, order[2], session, rng);
-  return merge_tiebreak_mask(first, second, third);
-}
-
-MaskEval complete_node_mask(std::size_t child_level,
-                            std::array<std::size_t, 2> rest,
-                            const MaskEval& first, ProbeSession& session,
-                            Rng& rng) {
-  MaskEval second = ir_eval_mask(child_level, rest[0], session, rng);
-  if (first.value == second.value) return merge_pair_mask(second, first);
-  MaskEval third = ir_eval_mask(child_level, rest[1], session, rng);
-  return merge_tiebreak_mask(first, second, third);
-}
-
-MaskEval ir_eval_mask(std::size_t level, std::size_t index,
-                      ProbeSession& session, Rng& rng) {
-  if (level <= 1) return eval_node_mask(level, index, session, rng);
-
-  std::array<std::size_t, 3> children = {index * 3, index * 3 + 1,
-                                         index * 3 + 2};
-  rng.shuffle_array(children);
-  const std::size_t r1 = children[0];
-  const std::size_t r2 = children[1];
-  const std::size_t r3 = children[2];
-
-  const MaskEval v1 = eval_node_mask(level - 1, r1, session, rng);
-
-  std::array<std::size_t, 3> grandchildren = {r2 * 3, r2 * 3 + 1, r2 * 3 + 2};
-  rng.shuffle_array(grandchildren);
-  const MaskEval g1 = ir_eval_mask(level - 2, grandchildren[0], session, rng);
-  const std::array<std::size_t, 2> g_rest = {grandchildren[1],
-                                             grandchildren[2]};
-
-  if (g1.value == v1.value) {
-    const MaskEval v2 = complete_node_mask(level - 2, g_rest, g1, session, rng);
-    if (v2.value == v1.value) return merge_pair_mask(v2, v1);
-    const MaskEval v3 = eval_node_mask(level - 1, r3, session, rng);
-    return merge_tiebreak_mask(v1, v2, v3);
-  }
-  const MaskEval v3 = eval_node_mask(level - 1, r3, session, rng);
-  if (v3.value == v1.value) return merge_pair_mask(v3, v1);
-  const MaskEval v2 = complete_node_mask(level - 2, g_rest, g1, session, rng);
-  return merge_tiebreak_mask(v1, v3, v2);
-}
-
-/// R_Probe_HQS on drawn gate orders: the word-mask evaluation for n <= 64
-/// (no allocation), the vector one above.
-Witness run_hqs_orders(const HQSystem& hqs, ProbeSession& session,
-                       const std::uint8_t* orders) {
-  const std::size_t n = hqs.universe_size();
-  const std::size_t h = hqs.height();
-  if (n > 64) return materialize(r_probe_hqs_rec(h, h, 0, session, orders), n);
-  return materialize_mask(r_probe_hqs_rec_mask(h, h, 0, session, orders), n);
 }
 
 }  // namespace
 
-Witness ProbeHQS::run(ProbeSession& session, Rng& /*rng*/) const {
-  return materialize(probe_hqs_rec(hqs_->height(), 0, session),
-                     hqs_->universe_size());
-}
-
 Witness ProbeHQS::run_with(TrialWorkspace& /*workspace*/,
-                           ProbeSession& session, Rng& rng) const {
+                           ProbeSession& session, Rng& /*rng*/) const {
   const std::size_t n = hqs_->universe_size();
-  if (n > 64) return run(session, rng);
-  return materialize_mask(probe_hqs_rec_mask(hqs_->height(), 0, session), n);
+  return witness_support::with_support(n, [&](auto none) {
+    using Support = decltype(none);
+    return materialize(probe_hqs_rec<Support>(hqs_->height(), 0, session), n);
+  });
 }
 
 bool ProbeHQS::supports_batch(std::size_t universe_size) const {
@@ -392,14 +288,6 @@ void ProbeHQS::run_batch(BatchTrialBlock& block, Rng& /*rng*/) const {
   QPS_REQUIRE(block.universe_size() == hqs_->universe_size(),
               "batch block over the wrong universe");
   block.kernels().hqs_scan(block.view(), hqs_->height());
-}
-
-Witness RProbeHQS::run(ProbeSession& session, Rng& rng) const {
-  const std::size_t h = hqs_->height();
-  HqsOrderBuffer orders;
-  return materialize(
-      r_probe_hqs_rec(h, h, 0, session, orders.draw(*hqs_, rng)),
-      hqs_->universe_size());
 }
 
 Witness RProbeHQS::run_with(TrialWorkspace& /*workspace*/,
@@ -443,16 +331,13 @@ Witness RProbeHQS::run_lane(TrialWorkspace& /*workspace*/,
                         orders.from_lane(*hqs_, choices, lane));
 }
 
-Witness IRProbeHQS::run(ProbeSession& session, Rng& rng) const {
-  return materialize(ir_eval(hqs_->height(), 0, session, rng),
-                     hqs_->universe_size());
-}
-
 Witness IRProbeHQS::run_with(TrialWorkspace& /*workspace*/,
                              ProbeSession& session, Rng& rng) const {
   const std::size_t n = hqs_->universe_size();
-  if (n > 64) return run(session, rng);
-  return materialize_mask(ir_eval_mask(hqs_->height(), 0, session, rng), n);
+  return witness_support::with_support(n, [&](auto none) {
+    using Support = decltype(none);
+    return materialize(ir_eval<Support>(hqs_->height(), 0, session, rng), n);
+  });
 }
 
 }  // namespace qps

@@ -28,8 +28,7 @@ class ProbeHQS final : public ProbeStrategy {
  public:
   explicit ProbeHQS(const HQSystem& hqs) : hqs_(&hqs) {}
   std::string name() const override { return "Probe_HQS"; }
-  Witness run(ProbeSession& session, Rng& rng) const override;
-  /// Allocation-free word-mask evaluation for n <= 64.
+  /// Allocation-free for n <= 64 (word-mask supports).
   Witness run_with(TrialWorkspace& workspace, ProbeSession& session,
                    Rng& rng) const override;
   /// Bit-sliced batch kernel: one masked gate-tree walk, only the lanes
@@ -45,8 +44,7 @@ class RProbeHQS final : public ProbeStrategy {
  public:
   explicit RProbeHQS(const HQSystem& hqs) : hqs_(&hqs) {}
   std::string name() const override { return "R_Probe_HQS"; }
-  Witness run(ProbeSession& session, Rng& rng) const override;
-  /// Allocation-free word-mask evaluation for n <= 64.
+  /// Allocation-free for n <= 64 (word-mask supports).
   Witness run_with(TrialWorkspace& workspace, ProbeSession& session,
                    Rng& rng) const override;
   /// Bit-sliced batch kernel: each group draws every gate's child order
@@ -72,8 +70,7 @@ class IRProbeHQS final : public ProbeStrategy {
  public:
   explicit IRProbeHQS(const HQSystem& hqs) : hqs_(&hqs) {}
   std::string name() const override { return "IR_Probe_HQS"; }
-  Witness run(ProbeSession& session, Rng& rng) const override;
-  /// Allocation-free word-mask evaluation for n <= 64.
+  /// Allocation-free for n <= 64 (word-mask supports).
   Witness run_with(TrialWorkspace& workspace, ProbeSession& session,
                    Rng& rng) const override;
 

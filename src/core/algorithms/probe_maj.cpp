@@ -35,7 +35,8 @@ Witness probe_in_order(const MajoritySystem& system, OrderFn&& order,
 
 }  // namespace
 
-Witness ProbeMaj::run(ProbeSession& session, Rng& /*rng*/) const {
+Witness ProbeMaj::run_with(TrialWorkspace& /*workspace*/,
+                           ProbeSession& session, Rng& /*rng*/) const {
   return probe_in_order(
       *system_, [](std::size_t i) { return static_cast<Element>(i); },
       session);
@@ -55,16 +56,8 @@ void ProbeMaj::run_batch(BatchTrialBlock& block, Rng& /*rng*/) const {
   block.kernels().count_scan(block.view(), threshold, threshold);
 }
 
-Witness RProbeMaj::run(ProbeSession& session, Rng& rng) const {
-  const auto perm = rng.permutation(
-      static_cast<std::uint32_t>(system_->universe_size()));
-  return probe_in_order(
-      *system_, [&perm](std::size_t i) { return perm[i]; }, session);
-}
-
 Witness RProbeMaj::run_with(TrialWorkspace& workspace, ProbeSession& session,
                             Rng& rng) const {
-  // Same draws as run(), but the permutation lands in the reusable buffer.
   auto& perm = workspace.order_buffer();
   rng.permutation_into(perm,
                        static_cast<std::uint32_t>(system_->universe_size()));

@@ -20,7 +20,8 @@ class ProbeMaj final : public ProbeStrategy {
  public:
   explicit ProbeMaj(const MajoritySystem& system) : system_(&system) {}
   std::string name() const override { return "Probe_Maj"; }
-  Witness run(ProbeSession& session, Rng& rng) const override;
+  Witness run_with(TrialWorkspace& workspace, ProbeSession& session,
+                   Rng& rng) const override;
   /// Bit-sliced batch kernel: 64*W trials per block via the kernel table's
   /// count_scan -- bit-sliced green tallies, per-lane stop detection by
   /// plane equality against the threshold.  Any universe size.
@@ -36,9 +37,7 @@ class RProbeMaj final : public ProbeStrategy {
  public:
   explicit RProbeMaj(const MajoritySystem& system) : system_(&system) {}
   std::string name() const override { return "R_Probe_Maj"; }
-  Witness run(ProbeSession& session, Rng& rng) const override;
-  /// Zero-allocation variant: the random order lands in the workspace's
-  /// reusable buffer.
+  /// The random order lands in the workspace's reusable buffer.
   Witness run_with(TrialWorkspace& workspace, ProbeSession& session,
                    Rng& rng) const override;
   /// Bit-sliced batch kernel: each group draws a lane-major Fisher-Yates

@@ -4,66 +4,68 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/algorithms/witness_support.h"
 #include "core/engine/batch_kernel.h"
-#include "core/engine/trial_workspace.h"
 #include "util/require.h"
 
 namespace qps {
 
 namespace {
 
-// Internal witnesses use plain element vectors: supports of disjoint
-// subtrees never overlap, so concatenation is a disjoint union and the
-// final ElementSet is materialized once per run.
+using witness_support::add;
+using witness_support::singleton;
+using witness_support::unite;
+
+// A subtree's witness: its color and its support (witness_support.h).
+template <typename Support>
 struct TreeWitness {
   Color color = Color::kRed;
-  std::vector<Element> elems;
+  Support elems{};
 };
 
-Witness materialize(const TreeWitness& tw, std::size_t n) {
-  Witness w;
-  w.color = tw.color;
-  w.elements = ElementSet(n);
-  for (Element e : tw.elems) w.elements.insert(e);
-  return w;
+template <typename Support>
+Witness materialize(const TreeWitness<Support>& tw, std::size_t n) {
+  return {tw.color, witness_support::to_set(tw.elems, n)};
 }
 
-TreeWitness leaf_witness(Element v, Color c) {
-  return {c, std::vector<Element>{v}};
-}
-
-void append(TreeWitness& into, const TreeWitness& from) {
-  into.elems.insert(into.elems.end(), from.elems.begin(), from.elems.end());
+template <typename Support>
+TreeWitness<Support> leaf_witness(Element v, Color c) {
+  return {c, singleton<Support>(v)};
 }
 
 /// Combines subtree witnesses with the probed root into a witness for the
 /// whole subtree: {root} + matching subtree quorum, or both subtree quorums.
-TreeWitness combine_with_root(Element root, Color root_color,
-                              TreeWitness first, TreeWitness second) {
+template <typename Support>
+TreeWitness<Support> combine_with_root(Element root, Color root_color,
+                                       TreeWitness<Support> first,
+                                       TreeWitness<Support> second) {
   if (first.color == root_color) {
-    first.elems.push_back(root);
+    add(first.elems, root);
     return first;
   }
   if (second.color == root_color) {
-    second.elems.push_back(root);
+    add(second.elems, root);
     return second;
   }
   QPS_CHECK(first.color == second.color,
             "subtree witnesses opposing the root must agree");
-  append(first, second);
+  unite(first.elems, second.elems);
   return first;
 }
 
-TreeWitness probe_tree_rec(const TreeSystem& tree, Element v,
-                           ProbeSession& session) {
-  if (tree.is_leaf(v)) return leaf_witness(v, session.probe(v));
+template <typename Support>
+TreeWitness<Support> probe_tree_rec(const TreeSystem& tree, Element v,
+                                    ProbeSession& session) {
+  if (tree.is_leaf(v)) return leaf_witness<Support>(v, session.probe(v));
   const Color root_color = session.probe(v);
-  TreeWitness right = probe_tree_rec(tree, TreeSystem::right_child(v), session);
+  TreeWitness<Support> right =
+      probe_tree_rec<Support>(tree, TreeSystem::right_child(v), session);
   if (right.color == root_color) {
-    right.elems.push_back(v);
+    add(right.elems, v);
     return right;
   }
-  TreeWitness left = probe_tree_rec(tree, TreeSystem::left_child(v), session);
+  TreeWitness<Support> left =
+      probe_tree_rec<Support>(tree, TreeSystem::left_child(v), session);
   return combine_with_root(v, root_color, std::move(right), std::move(left));
 }
 
@@ -125,10 +127,11 @@ void draw_tree_plans(Rng& rng, std::size_t internal, std::uint64_t* out,
   }
 }
 
-TreeWitness r_probe_tree_rec(const TreeSystem& tree, Element v,
-                             ProbeSession& session,
-                             const std::uint8_t* plans) {
-  if (tree.is_leaf(v)) return leaf_witness(v, session.probe(v));
+template <typename Support>
+TreeWitness<Support> r_probe_tree_rec(const TreeSystem& tree, Element v,
+                                      ProbeSession& session,
+                                      const std::uint8_t* plans) {
+  if (tree.is_leaf(v)) return leaf_witness<Support>(v, session.probe(v));
   const Element left = TreeSystem::left_child(v);
   const Element right = TreeSystem::right_child(v);
   const std::uint8_t plan = plans[v];
@@ -137,135 +140,53 @@ TreeWitness r_probe_tree_rec(const TreeSystem& tree, Element v,
     const Element primary = plan == 0 ? right : left;
     const Element sibling = plan == 0 ? left : right;
     const Color root_color = session.probe(v);
-    TreeWitness first = r_probe_tree_rec(tree, primary, session, plans);
+    TreeWitness<Support> first =
+        r_probe_tree_rec<Support>(tree, primary, session, plans);
     if (first.color == root_color) {
-      first.elems.push_back(v);
+      add(first.elems, v);
       return first;
     }
-    TreeWitness second = r_probe_tree_rec(tree, sibling, session, plans);
+    TreeWitness<Support> second =
+        r_probe_tree_rec<Support>(tree, sibling, session, plans);
     return combine_with_root(v, root_color, std::move(first),
                              std::move(second));
   }
   // Both subtrees first; the root only if their witnesses disagree.
-  TreeWitness wl = r_probe_tree_rec(tree, left, session, plans);
-  TreeWitness wr = r_probe_tree_rec(tree, right, session, plans);
+  TreeWitness<Support> wl = r_probe_tree_rec<Support>(tree, left, session,
+                                                      plans);
+  TreeWitness<Support> wr = r_probe_tree_rec<Support>(tree, right, session,
+                                                      plans);
   if (wl.color == wr.color) {
-    append(wl, wr);
+    unite(wl.elems, wr.elems);
     return wl;
   }
   const Color root_color = session.probe(v);
-  TreeWitness& match = wl.color == root_color ? wl : wr;
-  match.elems.push_back(v);
+  TreeWitness<Support>& match = wl.color == root_color ? wl : wr;
+  add(match.elems, v);
   return std::move(match);
 }
 
-// ---- Word-level hot path (n <= 64) --------------------------------------
-// Same recursions, but a witness is (color, support bitmask): disjoint
-// unions are single ORs and nothing is allocated.  Probe order and Rng
-// draws are identical to the vector recursions above, so both entry points
-// return the same witness at the same cost for equal generator states.
-
-struct MaskWitness {
-  Color color = Color::kRed;
-  std::uint64_t mask = 0;
-};
-
-MaskWitness combine_with_root_mask(Element root, Color root_color,
-                                   MaskWitness first, MaskWitness second) {
-  if (first.color == root_color) {
-    first.mask |= 1ULL << root;
-    return first;
-  }
-  if (second.color == root_color) {
-    second.mask |= 1ULL << root;
-    return second;
-  }
-  QPS_CHECK(first.color == second.color,
-            "subtree witnesses opposing the root must agree");
-  first.mask |= second.mask;
-  return first;
-}
-
-MaskWitness probe_tree_rec_mask(const TreeSystem& tree, Element v,
-                                ProbeSession& session) {
-  if (tree.is_leaf(v)) return {session.probe(v), 1ULL << v};
-  const Color root_color = session.probe(v);
-  MaskWitness right =
-      probe_tree_rec_mask(tree, TreeSystem::right_child(v), session);
-  if (right.color == root_color) {
-    right.mask |= 1ULL << v;
-    return right;
-  }
-  MaskWitness left =
-      probe_tree_rec_mask(tree, TreeSystem::left_child(v), session);
-  return combine_with_root_mask(v, root_color, right, left);
-}
-
-MaskWitness r_probe_tree_rec_mask(const TreeSystem& tree, Element v,
-                                  ProbeSession& session,
-                                  const std::uint8_t* plans) {
-  if (tree.is_leaf(v)) return {session.probe(v), 1ULL << v};
-  const Element left = TreeSystem::left_child(v);
-  const Element right = TreeSystem::right_child(v);
-  const std::uint8_t plan = plans[v];
-  if (plan == 0 || plan == 1) {
-    const Element primary = plan == 0 ? right : left;
-    const Element sibling = plan == 0 ? left : right;
-    const Color root_color = session.probe(v);
-    MaskWitness first = r_probe_tree_rec_mask(tree, primary, session, plans);
-    if (first.color == root_color) {
-      first.mask |= 1ULL << v;
-      return first;
-    }
-    MaskWitness second = r_probe_tree_rec_mask(tree, sibling, session, plans);
-    return combine_with_root_mask(v, root_color, first, second);
-  }
-  MaskWitness wl = r_probe_tree_rec_mask(tree, left, session, plans);
-  MaskWitness wr = r_probe_tree_rec_mask(tree, right, session, plans);
-  if (wl.color == wr.color) {
-    wl.mask |= wr.mask;
-    return wl;
-  }
-  const Color root_color = session.probe(v);
-  MaskWitness& match = wl.color == root_color ? wl : wr;
-  match.mask |= 1ULL << v;
-  return match;
-}
-
-Witness materialize_mask(const MaskWitness& mw, std::size_t n) {
-  Witness w;
-  w.color = mw.color;
-  w.elements = ElementSet::from_mask(n, mw.mask);
-  return w;
-}
-
-/// R_Probe_Tree on drawn plans: the word-mask recursion for n <= 64 (no
-/// allocation), the vector one above.
+/// R_Probe_Tree on drawn plans.
 Witness run_tree_plans(const TreeSystem& tree, ProbeSession& session,
                        const std::uint8_t* plans) {
   const std::size_t n = tree.universe_size();
-  if (n > 64)
+  return witness_support::with_support(n, [&](auto none) {
+    using Support = decltype(none);
     return materialize(
-        r_probe_tree_rec(tree, TreeSystem::kRoot, session, plans), n);
-  return materialize_mask(
-      r_probe_tree_rec_mask(tree, TreeSystem::kRoot, session, plans), n);
+        r_probe_tree_rec<Support>(tree, TreeSystem::kRoot, session, plans), n);
+  });
 }
 
 }  // namespace
 
-Witness ProbeTree::run(ProbeSession& session, Rng& /*rng*/) const {
-  return materialize(probe_tree_rec(*tree_, TreeSystem::kRoot, session),
-                     tree_->universe_size());
-}
-
-Witness ProbeTree::run_with(TrialWorkspace& workspace, ProbeSession& session,
-                            Rng& rng) const {
+Witness ProbeTree::run_with(TrialWorkspace& /*workspace*/,
+                            ProbeSession& session, Rng& /*rng*/) const {
   const std::size_t n = tree_->universe_size();
-  if (n > 64) return run(session, rng);
-  (void)workspace;
-  return materialize_mask(probe_tree_rec_mask(*tree_, TreeSystem::kRoot,
-                                              session),
-                          n);
+  return witness_support::with_support(n, [&](auto none) {
+    using Support = decltype(none);
+    return materialize(
+        probe_tree_rec<Support>(*tree_, TreeSystem::kRoot, session), n);
+  });
 }
 
 bool ProbeTree::supports_batch(std::size_t universe_size) const {
@@ -276,13 +197,6 @@ void ProbeTree::run_batch(BatchTrialBlock& block, Rng& /*rng*/) const {
   QPS_REQUIRE(block.universe_size() == tree_->universe_size(),
               "batch block over the wrong universe");
   block.kernels().tree_scan(block.view());
-}
-
-Witness RProbeTree::run(ProbeSession& session, Rng& rng) const {
-  TreePlanBuffer plans;
-  return materialize(r_probe_tree_rec(*tree_, TreeSystem::kRoot, session,
-                                      plans.draw(*tree_, rng)),
-                     tree_->universe_size());
 }
 
 Witness RProbeTree::run_with(TrialWorkspace& /*workspace*/,

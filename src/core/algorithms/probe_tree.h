@@ -20,8 +20,7 @@ class ProbeTree final : public ProbeStrategy {
  public:
   explicit ProbeTree(const TreeSystem& tree) : tree_(&tree) {}
   std::string name() const override { return "Probe_Tree"; }
-  Witness run(ProbeSession& session, Rng& rng) const override;
-  /// Allocation-free word-mask recursion for n <= 64.
+  /// Allocation-free for n <= 64 (word-mask supports).
   Witness run_with(TrialWorkspace& workspace, ProbeSession& session,
                    Rng& rng) const override;
   /// Bit-sliced batch kernel: one masked recursion over the tree, lanes
@@ -37,8 +36,7 @@ class RProbeTree final : public ProbeStrategy {
  public:
   explicit RProbeTree(const TreeSystem& tree) : tree_(&tree) {}
   std::string name() const override { return "R_Probe_Tree"; }
-  Witness run(ProbeSession& session, Rng& rng) const override;
-  /// Allocation-free word-mask recursion for n <= 64.
+  /// Allocation-free for n <= 64 (word-mask supports).
   Witness run_with(TrialWorkspace& workspace, ProbeSession& session,
                    Rng& rng) const override;
   /// Bit-sliced batch kernel: each group draws every internal node's plan

@@ -31,13 +31,6 @@ Witness probe_in_random_order(const QuorumSystem& system,
 
 }  // namespace
 
-Witness RandomOrderProbe::run(ProbeSession& session, Rng& rng) const {
-  const std::size_t n = system_->universe_size();
-  QPS_REQUIRE(session.universe_size() == n, "session over the wrong universe");
-  const auto order = rng.permutation(static_cast<std::uint32_t>(n));
-  return probe_in_random_order(*system_, order, session);
-}
-
 Witness RandomOrderProbe::run_with(TrialWorkspace& workspace,
                                    ProbeSession& session, Rng& rng) const {
   const std::size_t n = system_->universe_size();

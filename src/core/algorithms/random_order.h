@@ -17,9 +17,7 @@ class RandomOrderProbe final : public ProbeStrategy {
  public:
   explicit RandomOrderProbe(const QuorumSystem& system) : system_(&system) {}
   std::string name() const override { return "Random_Order"; }
-  Witness run(ProbeSession& session, Rng& rng) const override;
-  /// Zero-allocation variant: the random order lands in the workspace's
-  /// reusable buffer.
+  /// The random order lands in the workspace's reusable buffer.
   Witness run_with(TrialWorkspace& workspace, ProbeSession& session,
                    Rng& rng) const override;
   /// Bit-sliced batch kernel, available when the system advertises a

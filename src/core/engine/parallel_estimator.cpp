@@ -209,14 +209,6 @@ RunningStats ParallelEstimator::run(const Trial& trial) const {
   });
 }
 
-RunningStats ParallelEstimator::run_sequential(const Trial& trial,
-                                               Rng& rng) const {
-  QPS_REQUIRE(static_cast<bool>(trial), "run_sequential() needs a trial");
-  CountMoments moments;
-  for (std::size_t t = 0; t < options_.trials; ++t) moments.add(trial(rng));
-  return moments.stats();
-}
-
 RunningStats ParallelEstimator::estimate_ppc(const QuorumSystem& system,
                                              const ProbeStrategy& strategy,
                                              double p) const {
@@ -299,13 +291,9 @@ RunningStats ParallelEstimator::expected_probes_on(
     const Coloring& coloring) const {
   const bool validate = options_.validate_witnesses;
   const std::size_t n = system.universe_size();
-  if (n == 0 || n > 64) {
-    return run([&](Rng& rng) {
-      return run_probe_trial(system, strategy, coloring, validate, rng);
-    });
-  }
-  // Hot path on the fixed coloring; draw-for-draw identical to the generic
-  // path (the strategy's stream is all there is).
+  // One workspace per worker, any universe size; draw-for-draw identical
+  // to run() over run_probe_trial, since the strategy's stream is all
+  // there is.
   return run_batches([&system, &strategy, &coloring, validate, n] {
     auto workspace = std::make_shared<TrialWorkspace>(n);
     return [workspace, &system, &strategy, &coloring, validate](

@@ -124,11 +124,6 @@ class ParallelEstimator {
   /// order).
   RunningStats run(const Trial& trial) const;
 
-  /// Sequential compatibility path: runs `trials` calls of `trial` in one
-  /// stream on the calling thread using the caller's generator, exactly as
-  /// the pre-engine estimator did.  No batching, no early stop.
-  RunningStats run_sequential(const Trial& trial, Rng& rng) const;
-
   /// PPC_p estimation (Section 3 model): i.i.d. element failures with
   /// probability p, fresh coloring per trial.
   RunningStats estimate_ppc(const QuorumSystem& system,
@@ -164,9 +159,10 @@ class ParallelEstimator {
   EngineOptions options_;
 };
 
-/// One probe run of `strategy` against `coloring`: the engine's innermost
-/// trial, shared with the legacy estimator API.  Returns the probe count;
-/// throws std::logic_error when validation is on and the witness is bad.
+/// One probe run of `strategy` against `coloring` on a fresh session,
+/// through ProbeStrategy::run(): a self-contained trial for
+/// ParallelEstimator::run().  Returns the probe count; throws
+/// std::logic_error when validation is on and the witness is bad.
 std::uint32_t run_probe_trial(const QuorumSystem& system,
                               const ProbeStrategy& strategy,
                               const Coloring& coloring, bool validate,

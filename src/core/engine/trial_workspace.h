@@ -3,8 +3,8 @@
 // One Monte-Carlo trial needs a sampled coloring, a probe session, and --
 // per strategy -- order buffers or candidate masks.  Allocating these per
 // trial dominated the runtime of the estimation engine; a TrialWorkspace
-// owns them all, is constructed once per ParallelEstimator worker (and once
-// for the sequential path), and is recycled between trials:
+// owns them all, is constructed once per ParallelEstimator worker, and is
+// recycled between trials:
 //
 //   TrialWorkspace ws(system.universe_size());
 //   for (trial : batch) {
@@ -15,8 +15,8 @@
 //
 // For the paper's universes (n <= 64, single-word ElementSets) the loop
 // body performs no heap allocation in the steady state; strategies reach
-// the reusable buffers through the scratch-aware ProbeStrategy::run_with
-// entry point (core/strategy.h).
+// the reusable buffers through their one per-trial entry point,
+// ProbeStrategy::run_with (core/strategy.h).
 #pragma once
 
 #include <array>

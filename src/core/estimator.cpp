@@ -1,37 +1,6 @@
 #include "core/estimator.h"
 
-#include "util/require.h"
-
 namespace qps {
-
-namespace {
-
-// Bridges the legacy single-threaded options to an engine configured for
-// the sequential compatibility path.
-EngineOptions sequential_engine(const EstimatorOptions& options) {
-  QPS_REQUIRE(options.trials > 0, "need at least one trial");
-  EngineOptions engine;
-  engine.trials = options.trials;
-  engine.threads = 1;
-  engine.validate_witnesses = options.validate_witnesses;
-  return engine;
-}
-
-}  // namespace
-
-RunningStats estimate_ppc(const QuorumSystem& system,
-                          const ProbeStrategy& strategy, double p,
-                          const EstimatorOptions& options, Rng& rng) {
-  const ParallelEstimator engine(sequential_engine(options));
-  const bool validate = options.validate_witnesses;
-  return engine.run_sequential(
-      [&](Rng& r) {
-        const Coloring coloring =
-            sample_iid_coloring(system.universe_size(), p, r);
-        return run_probe_trial(system, strategy, coloring, validate, r);
-      },
-      rng);
-}
 
 RunningStats estimate_ppc(const QuorumSystem& system,
                           const ProbeStrategy& strategy, double p,
@@ -42,32 +11,23 @@ RunningStats estimate_ppc(const QuorumSystem& system,
 RunningStats expected_probes_on(const QuorumSystem& system,
                                 const ProbeStrategy& strategy,
                                 const Coloring& coloring,
-                                const EstimatorOptions& options, Rng& rng) {
-  const ParallelEstimator engine(sequential_engine(options));
-  const bool validate = options.validate_witnesses;
-  return engine.run_sequential(
-      [&](Rng& r) {
-        return run_probe_trial(system, strategy, coloring, validate, r);
-      },
-      rng);
-}
-
-RunningStats expected_probes_on(const QuorumSystem& system,
-                                const ProbeStrategy& strategy,
-                                const Coloring& coloring,
                                 const EngineOptions& options) {
   return ParallelEstimator(options).expected_probes_on(system, strategy,
                                                        coloring);
 }
 
-namespace {
-
-// Shared hill-climb skeleton: `evaluate` scores one coloring; flips are
-// proposed from `rng` and accepted when not worse.
-WorstCaseResult hill_climb(
-    const QuorumSystem& system, std::optional<Coloring> seed_coloring,
-    std::size_t rounds, Rng& rng,
-    const std::function<double(const Coloring&)>& evaluate) {
+WorstCaseResult worst_case_search(const QuorumSystem& system,
+                                  const ProbeStrategy& strategy,
+                                  std::optional<Coloring> seed_coloring,
+                                  std::size_t rounds, Rng& rng,
+                                  const EngineOptions& engine_options) {
+  // Every evaluation reuses the same engine seed: common random numbers
+  // across colorings, so a flip is judged on the coloring change rather
+  // than on sampling noise.
+  const ParallelEstimator engine(engine_options);
+  const auto evaluate = [&](const Coloring& c) {
+    return engine.expected_probes_on(system, strategy, c).mean();
+  };
   const std::size_t n = system.universe_size();
   Coloring current = seed_coloring.value_or(Coloring(n));
   double current_score = evaluate(current);
@@ -81,38 +41,6 @@ WorstCaseResult hill_climb(
     }
   }
   return {current, current_score};
-}
-
-}  // namespace
-
-WorstCaseResult worst_case_search(const QuorumSystem& system,
-                                  const ProbeStrategy& strategy,
-                                  std::optional<Coloring> seed_coloring,
-                                  std::size_t rounds,
-                                  std::size_t trials_per_eval, Rng& rng) {
-  EstimatorOptions options;
-  options.trials = trials_per_eval;
-  return hill_climb(system, std::move(seed_coloring), rounds, rng,
-                    [&](const Coloring& c) {
-                      return expected_probes_on(system, strategy, c, options,
-                                                rng)
-                          .mean();
-                    });
-}
-
-WorstCaseResult worst_case_search(const QuorumSystem& system,
-                                  const ProbeStrategy& strategy,
-                                  std::optional<Coloring> seed_coloring,
-                                  std::size_t rounds, Rng& rng,
-                                  const EngineOptions& engine_options) {
-  // Every evaluation reuses the same engine seed: common random numbers
-  // across colorings, so a flip is judged on the coloring change rather
-  // than on sampling noise.
-  const ParallelEstimator engine(engine_options);
-  return hill_climb(
-      system, std::move(seed_coloring), rounds, rng, [&](const Coloring& c) {
-        return engine.expected_probes_on(system, strategy, c).mean();
-      });
 }
 
 }  // namespace qps

@@ -11,12 +11,10 @@
 // Every run can optionally validate the returned witness against the
 // ground truth coloring; validation failures throw.
 //
-// Two flavors of every estimate:
-//  * the Rng& overloads run single-threaded on the caller's generator, one
-//    stream, trial after trial (the original estimator semantics);
-//  * the EngineOptions overloads shard trials across the ParallelEstimator
-//    worker pool (core/engine/parallel_estimator.h) with deterministic
-//    per-batch RNG streams and optional early stop.
+// Every estimate runs on the ParallelEstimator worker pool
+// (core/engine/parallel_estimator.h) with deterministic per-batch RNG
+// streams and optional early stop; `threads = 1` runs it on the calling
+// thread with the same result.
 #pragma once
 
 #include <optional>
@@ -30,32 +28,15 @@
 
 namespace qps {
 
-struct EstimatorOptions {
-  std::size_t trials = 1000;
-  bool validate_witnesses = false;
-};
-
 /// Expected probes of `strategy` when every element fails i.i.d. with
-/// probability `p`.  Single-threaded, on the caller's generator.
-RunningStats estimate_ppc(const QuorumSystem& system,
-                          const ProbeStrategy& strategy, double p,
-                          const EstimatorOptions& options, Rng& rng);
-
-/// Engine-backed variant: trials sharded across `options.threads` workers,
+/// probability `p`: trials sharded across `options.threads` workers,
 /// reproducible from `options.seed` regardless of thread count.
 RunningStats estimate_ppc(const QuorumSystem& system,
                           const ProbeStrategy& strategy, double p,
                           const EngineOptions& options);
 
 /// Expected probes of `strategy` on the fixed `coloring` (expectation over
-/// the strategy's internal randomness).  Single-threaded, on the caller's
-/// generator.
-RunningStats expected_probes_on(const QuorumSystem& system,
-                                const ProbeStrategy& strategy,
-                                const Coloring& coloring,
-                                const EstimatorOptions& options, Rng& rng);
-
-/// Engine-backed variant of expected_probes_on.
+/// the strategy's internal randomness).
 RunningStats expected_probes_on(const QuorumSystem& system,
                                 const ProbeStrategy& strategy,
                                 const Coloring& coloring,
@@ -68,17 +49,10 @@ struct WorstCaseResult {
 
 /// Hill-climbing search for a coloring maximizing the estimated expected
 /// probes of `strategy`.  Starts from `seed_coloring` (or all-red when
-/// absent), repeatedly accepting single-element flips that do not decrease
-/// the estimate.  `trials_per_eval` controls the inner Monte-Carlo size.
-WorstCaseResult worst_case_search(const QuorumSystem& system,
-                                  const ProbeStrategy& strategy,
-                                  std::optional<Coloring> seed_coloring,
-                                  std::size_t rounds,
-                                  std::size_t trials_per_eval, Rng& rng);
-
-/// Engine-backed variant: flip proposals still come from `rng`, but every
-/// inner expectation runs on the parallel engine with `engine_options`
-/// (whose `trials` is the per-evaluation budget).
+/// absent), repeatedly accepting single-element flips, proposed from `rng`,
+/// that do not decrease the estimate.  Every inner expectation runs on the
+/// engine with `engine_options`, whose `trials` is the per-evaluation
+/// budget.
 WorstCaseResult worst_case_search(const QuorumSystem& system,
                                   const ProbeStrategy& strategy,
                                   std::optional<Coloring> seed_coloring,

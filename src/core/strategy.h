@@ -5,23 +5,18 @@
 // randomized strategies (Section 4) draw all their randomness from it, so a
 // run is reproducible from the coloring and the generator seed.
 //
-// Two per-trial entry points:
-//  * run() is the original self-contained API; implementations may allocate
-//    whatever scratch they need per call.
-//  * run_with() additionally receives a TrialWorkspace
-//    (core/engine/trial_workspace.h) so a strategy can reuse per-worker
-//    buffers instead of allocating per trial.  The default adapter ignores
-//    the workspace and forwards to run(), so legacy strategies keep
-//    working unchanged.  Overrides must draw from the Rng exactly as run()
-//    does: for any fixed generator state the two entry points return
-//    identical witnesses at identical probe cost (enforced by
-//    tests/core/test_hot_path_identity.cpp).
+// One per-trial entry point, run_with(), which every strategy implements
+// once.  It receives a TrialWorkspace (core/engine/trial_workspace.h) so a
+// strategy can reuse per-worker buffers instead of allocating per trial.
+// run() is a non-virtual convenience for one-off runs: it builds a fresh
+// workspace and forwards to run_with(), so both make the same probes and
+// the same Rng draws.
 //
 // Batch-capable randomized strategies add the engine's lane-major entry
 // points (result stream v5, core/engine/batch_kernel.h): draw_lane_choices()
 // draws the choices of 64 trials at once as bit planes, run_batch() runs a
 // super-block on them bit-sliced, and run_lane() runs one trial from one
-// lane of them on the scalar path.  estimate_ppc uses these, never run() /
+// lane of them on the scalar path.  estimate_ppc uses these, never
 // run_with(), for such strategies, so its two execution paths see the same
 // choices per trial.
 #pragma once
@@ -47,17 +42,13 @@ class ProbeStrategy {
   virtual std::string name() const = 0;
 
   /// Probes until a witness is found; `session.probe_count()` afterwards is
-  /// the cost of the run.
-  virtual Witness run(ProbeSession& session, Rng& rng) const = 0;
-
-  /// Scratch-aware entry point: like run(), but may reuse the workspace's
-  /// buffers instead of allocating.  Must be observationally identical to
-  /// run() (same probes, same witness, same Rng draws).
+  /// the cost of the run.  May reuse the workspace's buffers instead of
+  /// allocating; `session` need not be the workspace's own.
   virtual Witness run_with(TrialWorkspace& workspace, ProbeSession& session,
-                           Rng& rng) const {
-    (void)workspace;
-    return run(session, rng);
-  }
+                           Rng& rng) const = 0;
+
+  /// run_with() on a fresh workspace over the session's universe.
+  Witness run(ProbeSession& session, Rng& rng) const;
 
   /// True when the strategy can execute a bit-sliced batch block
   /// (core/engine/batch_kernel.h) over a universe of `universe_size`

@@ -167,11 +167,12 @@ TEST(ZeroAllocationHotPath, EveryStrategyAndFamilyIsAllocationFree) {
 }
 
 TEST(ZeroAllocationHotPath, LegacyRProbeCwEntryPointIsClean) {
-  // R_Probe_CW's per-call row scratch lives on the stack for n <= 64, so
-  // even the legacy run() entry point allocates nothing per trial.  (The
-  // greedy baseline's legacy run() deliberately allocates per call now:
-  // its reusable scratch is TrialWorkspace-owned, reachable only through
-  // run_with -- no hidden thread-local state.)
+  // R_Probe_CW's per-call row scratch lives on the stack for n <= 64, and
+  // the fresh TrialWorkspace the run() convenience builds allocates
+  // nothing at that size, so even run() allocates nothing per trial.
+  // (Strategies that keep scratch in the workspace -- the greedy baseline,
+  // the random-order probers -- do allocate under run(): its workspace is
+  // new every call.)
   const CrumblingWall cw10 = CrumblingWall::triang(10);
   const RProbeCW r_probe_cw(cw10);
   Rng rng(7);

@@ -52,11 +52,12 @@ TEST(Greedy, ComparableToProbeCwOnSmallWalls) {
   // factor ~2 of the structured algorithm (it is not expected to win).
   const CrumblingWall wall({1, 2, 3});
   const GreedyCandidateProbe greedy(wall);
-  Rng rng(11);
-  EstimatorOptions options;
+  EngineOptions options;
   options.trials = 20000;
   options.validate_witnesses = true;
-  const auto stats = estimate_ppc(wall, greedy, 0.5, options, rng);
+  options.threads = 1;
+  options.seed = 11;
+  const auto stats = estimate_ppc(wall, greedy, 0.5, options);
   EXPECT_LT(stats.mean(), 6.0);
   EXPECT_GE(stats.mean(), 2.0);
 }

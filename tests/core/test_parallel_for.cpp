@@ -172,7 +172,8 @@ TEST(ThreadPool, EnginePoolSurvivesAThrowingRun) {
   class Broken final : public ProbeStrategy {
    public:
     std::string name() const override { return "Broken"; }
-    Witness run(ProbeSession& session, Rng&) const override {
+    Witness run_with(TrialWorkspace&, ProbeSession& session,
+                     Rng&) const override {
       session.probe(0);
       Witness w;
       w.color = Color::kGreen;

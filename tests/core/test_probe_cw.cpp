@@ -51,16 +51,17 @@ TEST(ProbeCwTest, ModeFlipScansWholeRow) {
 }
 
 TEST(ProbeCwTest, AverageMatchesExactFormula) {
-  Rng rng(12);
-  EstimatorOptions options;
+  EngineOptions options;
   options.trials = 60000;
+  options.threads = 1;
+  options.seed = 12;
   const std::vector<std::vector<std::size_t>> walls = {
       {1, 2, 3}, {1, 4, 4, 4}, {1, 2, 2, 2, 2}};
   for (const auto& widths : walls) {
     const CrumblingWall wall(widths);
     const ProbeCW strategy(wall);
     for (double p : {0.5, 0.25}) {
-      const auto stats = estimate_ppc(wall, strategy, p, options, rng);
+      const auto stats = estimate_ppc(wall, strategy, p, options);
       const double exact = probe_cw_expected(widths, p);
       EXPECT_NEAR(stats.mean(), exact, 4 * stats.ci95_halfwidth())
           << wall.name() << " p=" << p;
@@ -100,12 +101,13 @@ TEST(ProbeCwTest, WheelCorollary34) {
 TEST(RProbeCwTest, ExpectationEvaluatorMatchesMonteCarlo) {
   const CrumblingWall wall({1, 3, 4});
   const RProbeCW strategy(wall);
-  Rng rng(5);
-  EstimatorOptions options;
+  EngineOptions options;
   options.trials = 60000;
+  options.threads = 1;
+  options.seed = 5;
   // A mixed coloring: greens {0, 2, 5}.
   const Coloring c(8, ElementSet(8, {0, 2, 5}));
-  const auto stats = expected_probes_on(wall, strategy, c, options, rng);
+  const auto stats = expected_probes_on(wall, strategy, c, options);
   const double exact = r_probe_cw_expectation(wall, c);
   EXPECT_NEAR(stats.mean(), exact, 4 * stats.ci95_halfwidth());
 }

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "core/estimator.h"
 #include "core/expectation.h"
@@ -43,13 +45,14 @@ TEST(ProbeHqsTest, AllGreenProbesQuorumSize) {
 
 TEST(ProbeHqsTest, AverageIsExactly2Point5PerLevelAtHalf) {
   // Thm 3.8: at p = 1/2 the expected cost is exactly (5/2)^h.
-  Rng rng(17);
-  EstimatorOptions options;
+  EngineOptions options;
   options.trials = 60000;
+  options.threads = 1;
+  options.seed = 17;
   for (std::size_t h : {2u, 4u}) {
     const HQSystem hqs(h);
     const ProbeHQS strategy(hqs);
-    const auto stats = estimate_ppc(hqs, strategy, 0.5, options, rng);
+    const auto stats = estimate_ppc(hqs, strategy, 0.5, options);
     const double exact = std::pow(2.5, static_cast<double>(h));
     EXPECT_DOUBLE_EQ(probe_hqs_expected(h, 0.5), exact);
     EXPECT_NEAR(stats.mean(), exact, 4 * stats.ci95_halfwidth()) << "h=" << h;
@@ -57,13 +60,14 @@ TEST(ProbeHqsTest, AverageIsExactly2Point5PerLevelAtHalf) {
 }
 
 TEST(ProbeHqsTest, AverageMatchesRecursionAtOtherP) {
-  Rng rng(19);
-  EstimatorOptions options;
+  EngineOptions options;
   options.trials = 60000;
+  options.threads = 1;
+  options.seed = 19;
   for (double p : {0.2, 0.35}) {
     const HQSystem hqs(4);
     const ProbeHQS strategy(hqs);
-    const auto stats = estimate_ppc(hqs, strategy, p, options, rng);
+    const auto stats = estimate_ppc(hqs, strategy, p, options);
     EXPECT_NEAR(stats.mean(), probe_hqs_expected(4, p),
                 4 * stats.ci95_halfwidth())
         << "p=" << p;
@@ -89,12 +93,13 @@ TEST(ProbeHqsTest, ExponentAtHalfIs0834) {
 TEST(RProbeHqsTest, ExpectationEvaluatorMatchesMonteCarlo) {
   const HQSystem hqs(2);
   const RProbeHQS strategy(hqs);
-  Rng rng(23);
-  EstimatorOptions options;
+  EngineOptions options;
   options.trials = 60000;
+  options.threads = 1;
+  options.seed = 23;
   for (std::uint64_t mask : {0ULL, 0x1FFULL, 0x155ULL, 0x0F3ULL}) {
     const Coloring c(9, ElementSet::from_mask(9, mask));
-    const auto stats = expected_probes_on(hqs, strategy, c, options, rng);
+    const auto stats = expected_probes_on(hqs, strategy, c, options);
     const double exact = r_probe_hqs_expectation(hqs, c);
     EXPECT_NEAR(stats.mean(), exact, 4 * stats.ci95_halfwidth())
         << "mask=" << mask;
@@ -130,17 +135,71 @@ TEST(RProbeHqsTest, FamilyPIsTheWorstInput) {
 TEST(IrProbeHqsTest, ExpectationEvaluatorMatchesMonteCarlo) {
   const HQSystem hqs(2);
   const IRProbeHQS strategy(hqs);
-  Rng rng(29);
-  EstimatorOptions options;
+  EngineOptions options;
   options.trials = 100000;
+  options.threads = 1;
+  options.seed = 29;
   for (std::uint64_t mask : {0x1FFULL, 0x155ULL, 0x0F3ULL}) {
     const Coloring c(9, ElementSet::from_mask(9, mask));
-    const auto stats = expected_probes_on(hqs, strategy, c, options, rng);
+    const auto stats = expected_probes_on(hqs, strategy, c, options);
     const double exact = ir_probe_hqs_expectation(hqs, c);
     // The tolerance floor covers zero-variance inputs (deterministic cost).
     EXPECT_NEAR(stats.mean(), exact,
                 std::max(5 * stats.ci95_halfwidth(), 1e-9))
         << "mask=" << mask;
+  }
+}
+
+// Colorings above one word (n > 64), where IR_Probe_HQS and R_Probe_HQS run
+// their element-vector supports: the family-P worst case plus two fixed
+// mixed patterns.  Every witness is validated, so the supports are checked
+// along with the probe counts.
+std::vector<Coloring> wide_hqs_colorings(const HQSystem& hqs) {
+  const std::size_t n = hqs.universe_size();
+  ElementSet alternating(n);
+  ElementSet sevenths(n);
+  for (Element e = 0; e < n; ++e) {
+    if (e % 2 == 0) alternating.insert(e);
+    if ((5 * e) % 7 < 3) sevenths.insert(e);
+  }
+  return {hqs_worst_case_coloring(hqs, Color::kGreen),
+          Coloring(n, alternating), Coloring(n, sevenths)};
+}
+
+EngineOptions wide_options(std::uint64_t seed) {
+  EngineOptions options;
+  options.trials = 20000;
+  options.threads = 1;
+  options.validate_witnesses = true;
+  options.seed = seed;
+  return options;
+}
+
+TEST(IrProbeHqsTest, WideUniverseMatchesExpectation) {
+  for (std::size_t h : {4u, 5u}) {  // n = 81, 243
+    const HQSystem hqs(h);
+    const IRProbeHQS strategy(hqs);
+    const std::vector<Coloring> colorings = wide_hqs_colorings(hqs);
+    for (std::size_t i = 0; i < colorings.size(); ++i) {
+      const Coloring& c = colorings[i];
+      const auto stats = expected_probes_on(hqs, strategy, c, wide_options(31));
+      EXPECT_NEAR(stats.mean(), ir_probe_hqs_expectation(hqs, c),
+                  std::max(4 * stats.sem(), 1e-9))
+          << "h=" << h << " coloring " << i;
+    }
+  }
+}
+
+TEST(RProbeHqsTest, WideUniverseMatchesExpectation) {
+  const HQSystem hqs(4);  // n = 81
+  const RProbeHQS strategy(hqs);
+  const std::vector<Coloring> colorings = wide_hqs_colorings(hqs);
+  for (std::size_t i = 0; i < colorings.size(); ++i) {
+    const Coloring& c = colorings[i];
+    const auto stats = expected_probes_on(hqs, strategy, c, wide_options(37));
+    EXPECT_NEAR(stats.mean(), r_probe_hqs_expectation(hqs, c),
+                std::max(4 * stats.sem(), 1e-9))
+        << "coloring " << i;
   }
 }
 

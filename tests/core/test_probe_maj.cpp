@@ -46,13 +46,14 @@ TEST(ProbeMajTest, SingletonUniverse) {
 TEST(ProbeMajTest, AverageMatchesGridWalkFormula) {
   // Prop. 3.2: PPC_p(Maj) is the grid-walk absorption time with
   // N = (n+1)/2; Monte Carlo should match the exact DP.
-  Rng rng(99);
-  EstimatorOptions options;
+  EngineOptions options;
   options.trials = 60000;
+  options.threads = 1;
+  options.seed = 99;
   for (double p : {0.5, 0.3}) {
     const MajoritySystem maj(21);
     const ProbeMaj strategy(maj);
-    const auto stats = estimate_ppc(maj, strategy, p, options, rng);
+    const auto stats = estimate_ppc(maj, strategy, p, options);
     const double exact = probe_maj_expected(21, p);
     EXPECT_NEAR(stats.mean(), exact, 4 * stats.ci95_halfwidth())
         << "p=" << p;
@@ -78,15 +79,16 @@ TEST(ProbeMajTest, BiasedCaseIsNOver2Q) {
 TEST(RProbeMajTest, ExpectedProbesOnFixedColoringMatchesUrnFormula) {
   const MajoritySystem maj(9);
   const RProbeMaj strategy(maj);
-  Rng rng(7);
-  EstimatorOptions options;
+  EngineOptions options;
   options.trials = 60000;
+  options.threads = 1;
+  options.seed = 7;
   for (std::size_t reds : {0u, 2u, 5u, 7u, 9u}) {
     ElementSet greens = ElementSet::full(9);
     for (Element e = 0; e < reds; ++e) greens.erase(e);
     const Coloring coloring(9, greens);
     const auto stats =
-        expected_probes_on(maj, strategy, coloring, options, rng);
+        expected_probes_on(maj, strategy, coloring, options);
     const double exact = r_probe_maj_expectation(maj, coloring);
     EXPECT_NEAR(stats.mean(), exact, 4 * stats.ci95_halfwidth())
         << "reds=" << reds;

@@ -40,14 +40,15 @@ TEST(ProbeTreeTest, AllGreenProbesRootPath) {
 }
 
 TEST(ProbeTreeTest, AverageMatchesExactRecursion) {
-  Rng rng(21);
-  EstimatorOptions options;
+  EngineOptions options;
   options.trials = 40000;
+  options.threads = 1;
+  options.seed = 21;
   for (std::size_t h : {2u, 4u, 6u}) {
     const TreeSystem tree(h);
     const ProbeTree strategy(tree);
     for (double p : {0.5, 0.3}) {
-      const auto stats = estimate_ppc(tree, strategy, p, options, rng);
+      const auto stats = estimate_ppc(tree, strategy, p, options);
       const double exact = probe_tree_expected(h, p);
       EXPECT_NEAR(stats.mean(), exact, 4 * stats.ci95_halfwidth())
           << "h=" << h << " p=" << p;
@@ -89,12 +90,13 @@ TEST(ProbeTreeTest, CheaperThanEvasiveDeterministicBound) {
 TEST(RProbeTreeTest, ExpectationEvaluatorMatchesMonteCarlo) {
   const TreeSystem tree(3);
   const RProbeTree strategy(tree);
-  Rng rng(31);
-  EstimatorOptions options;
+  EngineOptions options;
   options.trials = 60000;
+  options.threads = 1;
+  options.seed = 31;
   for (std::uint64_t mask : {0ULL, 0x7FFFULL, 0x5A5AULL, 0x1234ULL}) {
     const Coloring c(15, ElementSet::from_mask(15, mask));
-    const auto stats = expected_probes_on(tree, strategy, c, options, rng);
+    const auto stats = expected_probes_on(tree, strategy, c, options);
     const double exact = r_probe_tree_expectation(tree, c);
     EXPECT_NEAR(stats.mean(), exact, 4 * stats.ci95_halfwidth())
         << "mask=" << mask;

@@ -43,12 +43,13 @@ TEST(RandomOrder, MatchesRProbeMajOnMajority) {
   // with r reds must equal the urn formula.
   const MajoritySystem maj(9);
   const RandomOrderProbe strategy(maj);
-  Rng rng(7);
-  EstimatorOptions options;
+  EngineOptions options;
   options.trials = 60000;
+  options.threads = 1;
+  options.seed = 7;
   const Coloring coloring(9, ElementSet(9, {0, 1, 2, 3}));  // 5 reds
   const auto stats =
-      expected_probes_on(maj, strategy, coloring, options, rng);
+      expected_probes_on(maj, strategy, coloring, options);
   const double exact = r_probe_maj_expectation(maj, coloring);
   EXPECT_NEAR(stats.mean(), exact, 4 * stats.ci95_halfwidth());
 }
@@ -58,10 +59,11 @@ TEST(RandomOrder, LosesToStructuredAlgorithmsOnWalls) {
   // O(k): the gap the paper's Section 3.2 is about.
   const CrumblingWall wall({1, 20, 20});
   const RandomOrderProbe random_order(wall);
-  Rng rng(8);
-  EstimatorOptions options;
+  EngineOptions options;
   options.trials = 4000;
-  const auto stats = estimate_ppc(wall, random_order, 0.5, options, rng);
+  options.threads = 1;
+  options.seed = 8;
+  const auto stats = estimate_ppc(wall, random_order, 0.5, options);
   EXPECT_GT(stats.mean(), 8.0);  // far above Probe_CW's <= 5
 }
 

@@ -90,18 +90,20 @@ TEST(CrossEngine, PpcSymmetryCharacterizesSelfDuality) {
 
 TEST(CrossEngine, EveryStrategyDominatesTheOptimum) {
   Rng rng(555);
-  EstimatorOptions options;
+  EngineOptions options;
   options.trials = 4000;
   options.validate_witnesses = true;
+  options.threads = 1;
+  options.seed = 555;
   for (int trial = 0; trial < 6; ++trial) {
     const VoteSystem system = random_vote_system(rng, 6);
     const double optimum = ppc_exact(system, 0.5);
     const GreedyCandidateProbe greedy(system);
     const RandomOrderProbe random_order(system);
     const auto greedy_mean =
-        estimate_ppc(system, greedy, 0.5, options, rng).mean();
+        estimate_ppc(system, greedy, 0.5, options).mean();
     const auto random_mean =
-        estimate_ppc(system, random_order, 0.5, options, rng).mean();
+        estimate_ppc(system, random_order, 0.5, options).mean();
     EXPECT_GE(greedy_mean, optimum - 0.15) << system.name();
     EXPECT_GE(random_mean, optimum - 0.15) << system.name();
   }

@@ -146,14 +146,15 @@ TEST(PaperResults, HqsMeasuredExponentMatches0834) {
 TEST(PaperResults, MonteCarloTreeExponentAtHalf) {
   // End-to-end: measure Probe_Tree by simulation across sizes and fit the
   // exponent; expect ~0.585 within Monte-Carlo tolerance.
-  Rng rng(404);
-  EstimatorOptions options;
+  EngineOptions options;
   options.trials = 8000;
+  options.threads = 1;
+  options.seed = 404;
   std::vector<double> ns, costs;
   for (std::size_t h : {6u, 8u, 10u, 12u}) {
     const TreeSystem tree(h);
     const ProbeTree strategy(tree);
-    const auto stats = estimate_ppc(tree, strategy, 0.5, options, rng);
+    const auto stats = estimate_ppc(tree, strategy, 0.5, options);
     ns.push_back(static_cast<double>(tree.universe_size()));
     costs.push_back(stats.mean());
   }
