@@ -37,7 +37,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iomanip>
@@ -56,7 +55,6 @@
 #include "core/net/socket_sweep.h"
 #include "core/obs/metrics.h"
 #include "core/obs/trace.h"
-#include "core/sweep/lease.h"
 #include "core/sweep/sweep_report.h"
 #include "core/sweep/sweep_runner.h"
 #include "core/sweep/sweep_spec.h"
@@ -125,28 +123,17 @@ struct BenchContext {
   std::size_t max_point_retries = 3;
   double point_deadline = 0.0;       // 0 = watchdog disabled
 
-  // Self-healing fabric (core/sweep/lease.h + epoch fencing).  --standby
-  // turns a --listen --checkpoint coordinator into a warm standby: it
-  // binds its listener (declining queued workers), waits for the primary's
-  // lease to go stale, then takes over by replaying the journal under a
-  // bumped epoch.  --lease-timeout S sets the staleness threshold; a
-  // --listen --checkpoint primary acquires and renews the lease
-  // automatically.  --readmit[=ID,...] clears the journal's quarantine
-  // poison markers (all of them, or just the named points) so a --resume
-  // re-runs them under a fresh retry budget.  --net-idle-timeout S makes
-  // a --connect worker abandon a coordinator that goes silent (and, via
-  // its retry budget, re-dial) -- essential for migrating to a standby.
-  bool standby = false;
-  double lease_timeout = 5.0;
+  // --readmit[=ID,...] clears the journal's quarantine poison markers (all
+  // of them, or just the named points) so a --resume re-runs them under a
+  // fresh retry budget.  --net-idle-timeout S makes a --connect worker
+  // abandon a coordinator that goes silent (and, via its retry budget,
+  // re-dial) -- so it finds a coordinator restarted with --resume.
   bool readmit = false;
   std::vector<std::string> readmit_points;  // empty with readmit = all
   double net_idle_timeout = 0.0;            // 0 = wait forever
   // Bound in parse_context() when --listen is given (port printed on
   // stdout); shared so BenchContext stays copyable.
   std::shared_ptr<net::TcpListener> listener;
-  // Held for the process lifetime by a --listen --checkpoint coordinator
-  // (primary or promoted standby); renewal runs on a background thread.
-  std::shared_ptr<sweep::CoordinatorLease> lease;
 
   /// This process serves sweeps to a remote coordinator over a socket.
   bool socket_worker_mode() const { return !connect_address.empty(); }
@@ -273,8 +260,6 @@ inline BenchContext parse_context(int argc, char** argv) {
   ctx.net_timeout = flags.get_double("net-timeout", ctx.net_timeout);
   ctx.net_heartbeat = flags.get_double("net-heartbeat", ctx.net_heartbeat);
   ctx.net_local_fallback = !flags.get_bool("no-local-fallback", false);
-  ctx.standby = flags.get_bool("standby", false);
-  ctx.lease_timeout = flags.get_double("lease-timeout", ctx.lease_timeout);
   ctx.net_idle_timeout =
       flags.get_double("net-idle-timeout", ctx.net_idle_timeout);
   if (flags.has("readmit")) {
@@ -327,9 +312,9 @@ inline BenchContext parse_context(int argc, char** argv) {
                  "--target-sem --execution --json --workers --checkpoint "
                  "--resume --readmit --point --family --size --listen "
                  "--connect --dial --net-timeout --net-heartbeat "
-                 "--net-idle-timeout --no-local-fallback --standby "
-                 "--lease-timeout --trace --metrics-json --progress "
-                 "--fault --max-point-retries --point-deadline)\n";
+                 "--net-idle-timeout --no-local-fallback --trace "
+                 "--metrics-json --progress --fault --max-point-retries "
+                 "--point-deadline)\n";
     std::exit(2);
   }
   if ((ctx.listen && (ctx.workers > 0 || !ctx.connect_address.empty())) ||
@@ -358,14 +343,6 @@ inline BenchContext parse_context(int argc, char** argv) {
     }
   }
   if (ctx.quick) ctx.trials = std::max<std::size_t>(ctx.trials / 10, 100);
-  if (ctx.standby) {
-    if (!ctx.listen || ctx.checkpoint_path.empty()) {
-      std::cerr << "--standby needs --listen and --checkpoint FILE (the "
-                   "takeover replays the primary's journal)\n";
-      std::exit(2);
-    }
-    ctx.resume = true;  // a takeover is a resume by definition
-  }
   if (ctx.resume && ctx.checkpoint_path.empty()) {
     std::cerr << "--resume needs --checkpoint FILE\n";
     std::exit(2);
@@ -375,40 +352,11 @@ inline BenchContext parse_context(int argc, char** argv) {
                  "in the checkpoint journal)\n";
     std::exit(2);
   }
-  // Coordinator lease: every journal-backed job server holds (and renews)
-  // the journal's lease.  A primary acquires it BEFORE advertising its
-  // port -- scripts treat the "listening on" line as readiness, and a
-  // standby launched against a ready primary must find the lease held, not
-  // race into the gap and steal the sweep.  A standby prints first (so
-  // scripts know its port before the wait begins), then parks on the
-  // lease -- declining queued worker connections so their dial/decline
-  // budgets keep cycling -- until the primary stops renewing.
-  if (ctx.listen && !ctx.checkpoint_path.empty()) {
-    char hostname[256] = {0};
-    if (::gethostname(hostname, sizeof hostname - 1) != 0)
-      std::snprintf(hostname, sizeof hostname, "coordinator");
-    ctx.lease = std::make_shared<sweep::CoordinatorLease>(
-        sweep::CoordinatorLease::path_for(ctx.checkpoint_path),
-        std::string(hostname) + ":" + std::to_string(::getpid()),
-        ctx.lease_timeout);
-    if (!ctx.standby) ctx.lease->acquire();
-  }
   if (ctx.listen) {
     // Scripts parse this line to learn the kernel-chosen port; flush so it
     // is visible before the first sweep blocks.
     std::cout << "listening on 127.0.0.1:" << ctx.listener->port()
               << std::endl;
-  }
-  if (ctx.lease && ctx.standby) {
-    std::cerr << "standby: waiting on coordinator lease " << ctx.lease->path()
-              << "\n";
-    const std::shared_ptr<net::TcpListener> listener = ctx.listener;
-    ctx.lease->wait_and_acquire([listener] {
-      net::decline_queued_connections(
-          *listener, "standby waiting for the coordinator lease");
-    });
-    std::cerr << "standby: lease acquired (generation "
-              << ctx.lease->generation() << "); taking over\n";
   }
   // Observability sinks are written at exit so one file covers the whole
   // harness (every sweep, every estimator run), including early std::exit
@@ -541,11 +489,6 @@ inline std::vector<sweep::PointResult> run_sweep(
     }
     net::WorkerServeOptions serve_options;
     serve_options.node = host + ":" + std::to_string(::getpid());
-    // Process-wide epoch memory: a worker serving sweeps across a
-    // coordinator failover remembers the newest epoch per sweep and
-    // fences out the old coordinator if it ever comes back.
-    static net::EpochMemory epochs;
-    serve_options.hooks.epochs = &epochs;
     serve_options.hooks.idle_timeout_seconds = ctx.net_idle_timeout;
     const net::ServeOutcome outcome =
         net::serve_pinned_sweep(host, port, spec, eval, serve_options);
@@ -629,24 +572,10 @@ inline std::vector<sweep::PointResult> run_sweep(
     coordinator.engine.evaluator = evaluator_id;
     coordinator.dial = ctx.dial;
     coordinator.local_fallback = ctx.net_local_fallback;
-    if (ctx.lease) {
-      const std::shared_ptr<sweep::CoordinatorLease> lease = ctx.lease;
-      coordinator.superseded_check = [lease] { return lease->superseded(); };
-    }
     options.remote_runner =
         net::make_socket_remote_runner(ctx.listener.get(), coordinator);
   }
-  try {
-    return sweep::SweepRunner(std::move(spec), std::move(options)).run(eval);
-  } catch (const net::CoordinatorSuperseded& e) {
-    // A newer coordinator epoch owns this sweep: continuing (or even
-    // finishing other sweeps) as a zombie risks double-coordination.
-    // Exit 4 is the documented "superseded" code; std::exit runs the
-    // atexit observability writers, so --metrics-json still lands --
-    // including the net/stale_epoch_rejected count CI asserts on.
-    std::cerr << e.what() << "\n";
-    std::exit(4);
-  }
+  return sweep::SweepRunner(std::move(spec), std::move(options)).run(eval);
 }
 
 inline void print_header(const std::string& experiment,

@@ -1,40 +1,43 @@
 #!/usr/bin/env python3
 """Gate the observability layer's hot-path cost at <= 2% of throughput.
 
-Usage: obs_overhead_gate.py OBS_ON_JSON OBS_OFF_JSON [--max-loss 0.02]
+Usage: obs_overhead_gate.py OBS_ON_BENCH_MICRO OBS_OFF_BENCH_MICRO
+                            [--max-loss 0.02]
 
-Both inputs are raw google-benchmark JSON (bench_micro --benchmark_out=...)
-from the same machine and commit, each benchmark read at its `median`
-aggregate when the run used --benchmark_repetitions (the single run
-otherwise): OBS_ON_JSON from the default build
-(QPS_OBS_METRICS=1), OBS_OFF_JSON from a tree configured with
--DQPS_OBS_METRICS=OFF -DQPS_OBS_TRACE=OFF.  Every benchmark reporting
-items_per_second in BOTH files is compared; the engine end-to-end series
-(names containing "EstimatePpc") runs the full instrumented estimator, so
-those are the gated ones -- each must keep at least (1 - max_loss) of the
-uninstrumented build's trials/sec.  Other shared benchmarks are printed
-for the record but not gated (they never touch the metrics registry, so a
-delta there is machine noise, not observability cost).
+Both arguments are bench_micro executables built from the same commit:
+OBS_ON_BENCH_MICRO from the default build (metrics, trace and fault points
+compiled in), OBS_OFF_BENCH_MICRO from a tree configured with
+-DQPS_OBS_METRICS=OFF -DQPS_OBS_TRACE=OFF -DQPS_FAULT=OFF.  The gate runs
+the engine end-to-end series (--benchmark_filter=EstimatePpc, the full
+instrumented estimator) for ROUNDS rounds, alternating the two builds --
+on, off, on, off, ... -- so both sides of every round see the same host
+load.  Each benchmark's on/off items_per_second ratio is taken per round,
+and the gate reads the median of those per-round ratios: each must keep at
+least (1 - max_loss) of the uninstrumented build's trials/sec.  Dividing
+the medians of two runs taken minutes apart instead lets host drift
+(15-40% over minutes on a shared runner) decide the gate.
 
-Exit code doubles as the CI gate: 0 within budget, 1 over, 2 usage.
+Exit code doubles as the CI gate: 0 within budget, 1 over or a failed run,
+2 usage.
 """
 import json
+import statistics
+import subprocess
 import sys
 
-GATED_SUBSTRING = "EstimatePpc"
+GATED_FILTER = "EstimatePpc"
+ROUNDS = 7
 
 
-def load_rates(path):
-    """items_per_second per benchmark: the median aggregate of a repeated
-    run, else the single iteration run."""
-    with open(path) as f:
-        raw = json.load(f)
-    rates = [b for b in raw["benchmarks"] if "items_per_second" in b]
-    medians = {b["run_name"]: b["items_per_second"] for b in rates
-               if b.get("aggregate_name") == "median"}
-    if medians:
-        return medians
-    return {b["name"]: b["items_per_second"] for b in rates}
+def run_rates(binary):
+    """items_per_second per benchmark from one bench_micro run."""
+    out = subprocess.run(
+        [binary, f"--benchmark_filter={GATED_FILTER}",
+         "--benchmark_format=json"],
+        check=True, stdout=subprocess.PIPE, text=True).stdout
+    return {b["name"]: b["items_per_second"]
+            for b in json.loads(out)["benchmarks"]
+            if "items_per_second" in b}
 
 
 def main() -> int:
@@ -44,28 +47,39 @@ def main() -> int:
         max_loss = float(args[-1])
         args = args[:-2]
     if len(args) != 2:
-        print(f"usage: {sys.argv[0]} OBS_ON_JSON OBS_OFF_JSON "
+        print(f"usage: {sys.argv[0]} OBS_ON_BENCH_MICRO OBS_OFF_BENCH_MICRO "
               f"[--max-loss FRACTION]")
         return 2
+    on_binary, off_binary = args
 
-    on = load_rates(args[0])
-    off = load_rates(args[1])
-    shared = sorted(set(on) & set(off))
-    if not any(GATED_SUBSTRING in name for name in shared):
-        print(f"obs_overhead_gate: no '{GATED_SUBSTRING}' benchmark common "
-              f"to both files -- nothing to gate, failing")
+    ratios = {}
+    for round_index in range(ROUNDS):
+        try:
+            on = run_rates(on_binary)
+            off = run_rates(off_binary)
+        except (OSError, subprocess.CalledProcessError, ValueError) as e:
+            print(f"obs_overhead_gate: round {round_index + 1} failed: {e}")
+            return 1
+        for name in sorted(set(on) & set(off)):
+            ratios.setdefault(name, []).append(on[name] / off[name])
+        print(f"round {round_index + 1}/{ROUNDS}: " + ", ".join(
+            f"{name} {ratios[name][-1]:.4f}" for name in sorted(ratios)))
+
+    complete = {name: r for name, r in ratios.items() if len(r) == ROUNDS}
+    if not complete:
+        print(f"obs_overhead_gate: no '{GATED_FILTER}' benchmark reported by "
+              f"both builds in every round -- nothing to gate, failing")
         return 1
 
     failures = []
-    for name in shared:
-        ratio = on[name] / off[name]
-        gated = GATED_SUBSTRING in name
-        ok = ratio >= 1.0 - max_loss
-        marker = "GATE" if gated else "info"
-        print(f"[{marker}] {name}: obs-on {on[name]:.0f} / obs-off "
-              f"{off[name]:.0f} items/sec = {ratio:.4f}"
+    for name, per_round in sorted(complete.items()):
+        median = statistics.median(per_round)
+        ok = median >= 1.0 - max_loss
+        print(f"[GATE] {name}: median on/off ratio over {ROUNDS} rounds = "
+              f"{median:.4f} (rounds {min(per_round):.4f}-"
+              f"{max(per_round):.4f})"
               + ("" if ok else f"  (below {1.0 - max_loss:.2f})"))
-        if gated and not ok:
+        if not ok:
             failures.append(name)
 
     if failures:

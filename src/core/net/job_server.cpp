@@ -4,7 +4,6 @@
 #include <exception>
 #include <limits>
 
-#include "core/fault/fault.h"
 #include "core/obs/metrics.h"
 #include "core/obs/trace.h"
 #include "core/sweep/wire.h"
@@ -41,14 +40,6 @@ struct NetMetrics {
       obs::MetricsRegistry::instance().counter("net/points_quarantined");
   obs::Counter& deadline_forfeits =
       obs::MetricsRegistry::instance().counter("net/deadline_forfeits");
-  obs::Counter& stale_epoch_rejected =
-      obs::MetricsRegistry::instance().counter("net/stale_epoch_rejected");
-  obs::Counter& coordinator_superseded =
-      obs::MetricsRegistry::instance().counter("net/coordinator_superseded");
-  obs::Counter& probation_demotions =
-      obs::MetricsRegistry::instance().counter("net/probation_demotions");
-  obs::Counter& probation_promotions =
-      obs::MetricsRegistry::instance().counter("net/probation_promotions");
   obs::Histogram& heartbeat_gap_us =
       obs::MetricsRegistry::instance().histogram("net/heartbeat_gap_us");
 
@@ -109,20 +100,10 @@ void JobServerEngine::on_close(SessionId session, double /*now*/) {
   if (it == sessions_.end()) return;
   const bool busy = it->second.busy;
   const std::size_t in_flight = it->second.in_flight;
-  // Dying while holding a point is a reliability strike; drifting away
-  // idle is not.
-  if (busy) note_outcome(it->second.node, /*success=*/false);
   sessions_.erase(it);
   NetMetrics::get().sessions_closed.increment();
   if (busy) forfeit(in_flight);
   dispatch();
-}
-
-double JobServerEngine::timeout_for(const Session& s) const {
-  const auto it = health_.find(s.node);
-  const bool probation = it != health_.end() && it->second.probation;
-  return options_.worker_timeout *
-         (probation ? options_.probation_timeout_factor : 1.0);
 }
 
 void JobServerEngine::on_tick(double now) {
@@ -133,7 +114,7 @@ void JobServerEngine::on_tick(double now) {
         now - s.opened_at > options_.handshake_timeout)
       expired.push_back(id);
     else if (s.state == Session::State::kActive && s.busy &&
-             now - s.last_activity > timeout_for(s))
+             now - s.last_activity > options_.worker_timeout)
       expired.push_back(id);
     else if (s.state == Session::State::kActive && s.busy &&
              options_.point_deadline > 0.0 &&
@@ -196,48 +177,10 @@ void JobServerEngine::handle_line(SessionId session, const std::string& line,
             static_cast<std::uint64_t>((now - s.last_heartbeat) * 1e6));
       s.last_heartbeat = now;
       return;  // liveness already refreshed in on_bytes
-    case LineKind::kFence:
-      handle_fence(session, value);
-      return;
     default:
       kill(session, "unexpected frame");
       return;
   }
-}
-
-void JobServerEngine::handle_fence(SessionId session, const JsonValue& value) {
-  const auto fence = decode_fence(value);
-  if (!fence || fence->sweep != sweep_name_ ||
-      fence->fingerprint != fingerprint_) {
-    kill(session, "malformed fence");
-    return;
-  }
-  if (options_.epoch != 0 && fence->epoch > options_.epoch) {
-    // The worker has already been admitted by a newer activation: this
-    // coordinator is a zombie.  Count the fencing event and stand down.
-    ++stale_epoch_rejected_;
-    NetMetrics::get().stale_epoch_rejected.increment();
-    fence_out(fence->epoch);
-  }
-  // Either way the worker is done with us; drop the session without
-  // forfeiting (a fencing worker never held a point).
-  const auto it = sessions_.find(session);
-  if (it != sessions_.end()) {
-    const bool busy = it->second.busy;
-    const std::size_t in_flight = it->second.in_flight;
-    sessions_.erase(it);
-    NetMetrics::get().sessions_closed.increment();
-    outbox_.push_back({session, std::string(), true});
-    if (busy) forfeit(in_flight);
-  }
-}
-
-void JobServerEngine::fence_out(std::uint64_t epoch) {
-  superseded_by_ = std::max(superseded_by_, epoch);
-  if (superseded_) return;
-  superseded_ = true;
-  NetMetrics::get().coordinator_superseded.increment();
-  obs::TraceRecorder::instance().record_instant("net/superseded", "net");
 }
 
 void JobServerEngine::handle_hello(SessionId session, const JsonValue& value) {
@@ -254,27 +197,11 @@ void JobServerEngine::handle_hello(SessionId session, const JsonValue& value) {
             /*retry=*/false);
     return;
   }
-  if (options_.epoch != 0 && hello->epoch > options_.epoch) {
-    // The worker was last admitted by a newer activation: a standby has
-    // taken this sweep over and this coordinator is a zombie.
-    ++stale_epoch_rejected_;
-    NetMetrics::get().stale_epoch_rejected.increment();
-    fence_out(hello->epoch);
-    decline(session,
-            "coordinator epoch " + std::to_string(options_.epoch) +
-                " superseded by epoch " + std::to_string(hello->epoch) +
-                "; standing down",
-            /*retry=*/false);
-    return;
-  }
-
   Welcome welcome;
   welcome.ok = true;
   welcome.heartbeat_seconds = options_.heartbeat_interval;
   welcome.sweep = sweep_name_;
   welcome.fingerprint = fingerprint_;
-  welcome.epoch = options_.epoch;
-  welcome.probation = on_probation(hello->node);
   if (hello->pinned()) {
     if (hello->sweep != sweep_name_ || hello->fingerprint != fingerprint_) {
       decline(session,
@@ -306,7 +233,6 @@ void JobServerEngine::handle_hello(SessionId session, const JsonValue& value) {
 
   Session& s = sessions_.at(session);
   s.state = Session::State::kActive;
-  s.node = hello->node;
   NetMetrics::get().handshakes.increment();
   obs::TraceRecorder::instance().record_instant("net/session_active", "net");
   outbox_.push_back({session, encode_welcome(welcome), false});
@@ -331,20 +257,8 @@ void JobServerEngine::handle_result(SessionId session,
     kill(session, "mismatched result");
     return;
   }
-  if (options_.epoch != 0 && result->epoch != options_.epoch) {
-    // A result computed under some other activation's welcome.  The dedup
-    // table would keep it from double-counting anyway, but accepting it
-    // would launder a zombie assignment into this epoch's books; reject
-    // and drop the confused worker (it will re-handshake and re-learn).
-    ++stale_epoch_rejected_;
-    NetMetrics::get().stale_epoch_rejected.increment();
-    QPS_FAULT_POINT2("net/stale_epoch", points_[result->index].id);
-    kill(session, "stale epoch result");
-    return;
-  }
   Session& s = sessions_.at(session);
   if (s.busy && s.in_flight == result->index) s.busy = false;
-  note_outcome(s.node, /*success=*/true);
   if (done_[result->index]) {
     // Duplicate delivery: a retransmission after a reconnect, or the
     // original worker of a reassigned point finishing late.  Results are
@@ -378,7 +292,6 @@ void JobServerEngine::kill(SessionId session, const std::string& reason) {
   NetMetrics::get().protocol_errors.increment();
   const bool busy = it->second.busy;
   const std::size_t in_flight = it->second.in_flight;
-  if (busy) note_outcome(it->second.node, /*success=*/false);
   sessions_.erase(it);
   NetMetrics::get().sessions_closed.increment();
   outbox_.push_back({session, std::string(), true});
@@ -414,42 +327,6 @@ void JobServerEngine::forfeit(std::size_t index) {
   }
 }
 
-void JobServerEngine::note_outcome(const std::string& node, bool success) {
-  if (node.empty()) return;
-  NodeHealth& h = health_[node];
-  h.score = options_.health_alpha * (success ? 1.0 : 0.0) +
-            (1.0 - options_.health_alpha) * h.score;
-  if (success) {
-    ++h.consecutive_successes;
-    if (h.probation &&
-        h.consecutive_successes >= options_.probation_promote_after) {
-      h.probation = false;
-      ++probation_promotions_;
-      NetMetrics::get().probation_promotions.increment();
-    }
-  } else {
-    h.consecutive_successes = 0;
-    if (!h.probation && h.score < options_.probation_threshold) {
-      h.probation = true;
-      ++probation_demotions_;
-      NetMetrics::get().probation_demotions.increment();
-    }
-  }
-  obs::MetricsRegistry::instance()
-      .gauge("net/worker_score/" + node)
-      .set(static_cast<std::int64_t>(h.score * 1000.0));
-}
-
-double JobServerEngine::worker_score(const std::string& node) const {
-  const auto it = health_.find(node);
-  return it == health_.end() ? 1.0 : it->second.score;
-}
-
-bool JobServerEngine::on_probation(const std::string& node) const {
-  const auto it = health_.find(node);
-  return it != health_.end() && it->second.probation;
-}
-
 void JobServerEngine::decline(SessionId session, const std::string& error,
                               bool retry) {
   Welcome welcome;
@@ -462,22 +339,16 @@ void JobServerEngine::decline(SessionId session, const std::string& error,
 }
 
 void JobServerEngine::dispatch() {
-  if (pending_.empty()) return;
-  // Healthy workers drain the queue first; probation workers only get a
-  // point when no healthy worker is free to take it.
-  for (const bool probation_pass : {false, true}) {
-    for (auto& [id, s] : sessions_) {
-      if (s.state != Session::State::kActive || s.busy) continue;
-      if (on_probation(s.node) != probation_pass) continue;
-      s.busy = true;
-      s.in_flight = pending_.front();
-      s.dispatched_at = s.last_activity;
-      pending_.pop_front();
-      ++dispatches_;
-      NetMetrics::get().dispatches.increment();
-      outbox_.push_back({id, sweep::encode_request(s.in_flight), false});
-      if (pending_.empty()) return;
-    }
+  for (auto& [id, s] : sessions_) {
+    if (pending_.empty()) return;
+    if (s.state != Session::State::kActive || s.busy) continue;
+    s.busy = true;
+    s.in_flight = pending_.front();
+    s.dispatched_at = s.last_activity;
+    pending_.pop_front();
+    ++dispatches_;
+    NetMetrics::get().dispatches.increment();
+    outbox_.push_back({id, sweep::encode_request(s.in_flight), false});
   }
 }
 
@@ -523,7 +394,7 @@ double JobServerEngine::next_deadline() const {
       deadline =
           std::min(deadline, s.opened_at + options_.handshake_timeout);
     } else if (s.busy) {
-      deadline = std::min(deadline, s.last_activity + timeout_for(s));
+      deadline = std::min(deadline, s.last_activity + options_.worker_timeout);
       if (options_.point_deadline > 0.0)
         deadline =
             std::min(deadline, s.dispatched_at + options_.point_deadline);

@@ -35,16 +35,6 @@
 //    point, so results are byte-identical no matter which worker (or how
 //    many, or after how many retries) computed them.
 //
-//  * With a nonzero options.epoch the engine is *fenced*: its welcomes
-//    carry the epoch, results must echo it, and a hello or fence frame
-//    naming a larger epoch means a standby coordinator has taken over --
-//    the engine declines everything, reports superseded(), and the driver
-//    aborts, so a zombie can never double-assign or double-count.
-//  * Every node accumulates a reliability score (EWMA of completions vs.
-//    forfeits); a flapping node is demoted to probation -- dispatched to
-//    only after healthy workers, with extra timeout slack, its welcomes
-//    flagged -- and re-promoted after consecutive successes.
-//
 // The engine never blocks and never touches a clock or a socket: `now` is
 // whatever monotonic seconds the driver supplies (wall time for TCP,
 // simulated time under sim/).
@@ -90,21 +80,6 @@ struct JobServerOptions {
   /// workers; empty `evaluator` means only pinned workers are admitted.
   std::string evaluator;
   std::string spec_text;
-  /// Coordinator activation epoch from the checkpoint journal
-  /// (core/sweep/checkpoint.h).  Nonzero enables fencing: welcomes carry
-  /// it, results must echo it, and any hello or fence frame naming a
-  /// larger epoch proves this coordinator has been superseded by a
-  /// failover and must stand down.  0 = unfenced (no journal).
-  std::uint64_t epoch = 0;
-  /// Health scoring (EWMA over per-node completions vs. forfeits): the
-  /// smoothing factor, the score below which a node is demoted to
-  /// probation, the consecutive completions that re-promote it, and the
-  /// extra timeout slack a probation worker gets (it is dispatched to
-  /// only after healthy workers, so extra patience is cheap).
-  double health_alpha = 0.4;
-  double probation_threshold = 0.5;
-  int probation_promote_after = 3;
-  double probation_timeout_factor = 2.0;
 };
 
 class JobServerEngine {
@@ -162,23 +137,12 @@ class JobServerEngine {
   std::uint64_t requeues() const { return requeues_; }
   std::uint64_t points_quarantined() const { return points_quarantined_; }
   std::uint64_t deadline_forfeits() const { return deadline_forfeits_; }
-  std::uint64_t stale_epoch_rejected() const { return stale_epoch_rejected_; }
-  std::uint64_t probation_demotions() const { return probation_demotions_; }
-  std::uint64_t probation_promotions() const { return probation_promotions_; }
-  /// True once a hello or fence frame proved a newer coordinator epoch
-  /// owns this sweep; the driver must abort instead of double-assigning.
-  bool superseded() const { return superseded_; }
-  std::uint64_t superseded_by() const { return superseded_by_; }
-  /// Current reliability score of `node` (1.0 for an unseen node).
-  double worker_score(const std::string& node) const;
-  bool on_probation(const std::string& node) const;
 
  private:
   struct Session {
     enum class State { kAwaitHello, kActive };
     State state = State::kAwaitHello;
     LineReassembler lines;
-    std::string node;
     bool busy = false;
     std::size_t in_flight = 0;
     double opened_at = 0.0;
@@ -191,25 +155,9 @@ class JobServerEngine {
     double last_heartbeat = 0.0;
   };
 
-  /// Per-node reliability state; keyed by the hello's node name so it
-  /// survives the node's sessions (a flapping worker reconnects a lot).
-  struct NodeHealth {
-    double score = 1.0;
-    bool probation = false;
-    int consecutive_successes = 0;
-  };
-
   void handle_line(SessionId session, const std::string& line, double now);
   void handle_hello(SessionId session, const JsonValue& value);
   void handle_result(SessionId session, const std::string& line);
-  void handle_fence(SessionId session, const JsonValue& value);
-  /// Marks this coordinator superseded by `epoch` (a fencing event).
-  void fence_out(std::uint64_t epoch);
-  /// EWMA update of `node`'s score on a completion (success) or a
-  /// forfeit/timeout/death (failure); handles probation transitions.
-  void note_outcome(const std::string& node, bool success);
-  /// Seconds of silence `s` gets before being declared dead.
-  double timeout_for(const Session& s) const;
   /// Drops the session, forfeiting (re-queueing) its in-flight point.
   void kill(SessionId session, const std::string& reason);
   /// Requeues a forfeited point, or quarantines it past its retry budget.
@@ -233,7 +181,6 @@ class JobServerEngine {
   std::vector<std::size_t> attempts_;
 
   std::map<SessionId, Session> sessions_;
-  std::map<std::string, NodeHealth> health_;
   std::vector<Send> outbox_;
   std::vector<std::pair<std::size_t, RunningStats>> completed_;
   std::vector<std::pair<std::size_t, std::size_t>> quarantined_;
@@ -246,11 +193,6 @@ class JobServerEngine {
   std::uint64_t requeues_ = 0;
   std::uint64_t points_quarantined_ = 0;
   std::uint64_t deadline_forfeits_ = 0;
-  std::uint64_t stale_epoch_rejected_ = 0;
-  std::uint64_t probation_demotions_ = 0;
-  std::uint64_t probation_promotions_ = 0;
-  bool superseded_ = false;
-  std::uint64_t superseded_by_ = 0;
 };
 
 }  // namespace qps::net

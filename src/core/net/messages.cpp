@@ -15,7 +15,6 @@ LineKind classify_line(const JsonValue& value) {
   // A notice also carries "point" (which index was quarantined), so it
   // must be tested before the request classification.
   if (value.contains("notice")) return LineKind::kNotice;
-  if (value.contains("fence")) return LineKind::kFence;
   if (value.contains("count")) return LineKind::kResult;
   if (value.contains("hb")) return LineKind::kHeartbeat;
   if (value.contains("bye")) return LineKind::kBye;
@@ -29,8 +28,6 @@ std::string encode_hello(const Hello& hello) {
   if (hello.pinned()) {
     line += ", \"sweep\": " + json_quote(hello.sweep) + ", \"fp\": " +
             json_quote(sweep::encode_hex_u64(hello.fingerprint));
-    if (hello.epoch != 0)
-      line += ", \"epoch\": " + std::to_string(hello.epoch);
   } else {
     line += ", \"evaluators\": [";
     for (std::size_t i = 0; i < hello.evaluators.size(); ++i)
@@ -51,7 +48,6 @@ std::optional<Hello> decode_hello(const JsonValue& value) {
       if (!fp) return std::nullopt;
       hello.fingerprint = *fp;
       if (hello.sweep.empty()) return std::nullopt;
-      if (value.contains("epoch")) hello.epoch = value.at("epoch").as_uint64();
     } else {
       for (const JsonValue& id : value.at("evaluators").as_array())
         hello.evaluators.push_back(id.as_string());
@@ -73,9 +69,6 @@ std::string encode_welcome(const Welcome& welcome) {
     line += ", \"hb\": " + json_number(welcome.heartbeat_seconds) +
             ", \"sweep\": " + json_quote(welcome.sweep) + ", \"fp\": " +
             json_quote(sweep::encode_hex_u64(welcome.fingerprint));
-    if (welcome.epoch != 0)
-      line += ", \"epoch\": " + std::to_string(welcome.epoch);
-    if (welcome.probation) line += ", \"probation\": true";
     if (!welcome.evaluator.empty()) {
       // The spec travels as its serialized text re-embedded verbatim; it
       // was produced by spec_to_json and is itself a JSON object.
@@ -101,10 +94,6 @@ std::optional<Welcome> decode_welcome(const JsonValue& value) {
     const auto fp = sweep::decode_hex_u64(value.at("fp").as_string());
     if (!fp) return std::nullopt;
     welcome.fingerprint = *fp;
-    if (value.contains("epoch"))
-      welcome.epoch = value.at("epoch").as_uint64();
-    if (value.contains("probation"))
-      welcome.probation = value.at("probation").as_bool();
     if (value.contains("evaluator")) {
       welcome.evaluator = value.at("evaluator").as_string();
       welcome.spec = value.at("spec");
@@ -130,28 +119,6 @@ std::optional<Notice> decode_notice(const JsonValue& value) {
     notice.id = value.at("id").as_string();
     notice.attempts = value.at("attempts").as_uint64();
     return notice;
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
-}
-
-std::string encode_fence(const Fence& fence) {
-  return "{\"fence\": " + std::to_string(fence.epoch) +
-         ", \"sweep\": " + json_quote(fence.sweep) +
-         ", \"fp\": " + json_quote(sweep::encode_hex_u64(fence.fingerprint)) +
-         ", \"node\": " + json_quote(fence.node) + "}\n";
-}
-
-std::optional<Fence> decode_fence(const JsonValue& value) {
-  try {
-    Fence fence;
-    fence.epoch = value.at("fence").as_uint64();
-    fence.sweep = value.at("sweep").as_string();
-    const auto fp = sweep::decode_hex_u64(value.at("fp").as_string());
-    if (!fp) return std::nullopt;
-    fence.fingerprint = *fp;
-    fence.node = value.at("node").as_string();
-    return fence;
   } catch (const std::exception&) {
     return std::nullopt;
   }

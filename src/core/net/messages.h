@@ -21,16 +21,6 @@
 //   coordinator -> worker   NOTICE     advisory broadcast (currently: a
 //                                      point was quarantined), so daemons
 //                                      can surface structured events
-//   worker -> coordinator   FENCE      the worker knows a newer epoch for
-//                                      this sweep than the welcome carried;
-//                                      tells a zombie coordinator it has
-//                                      been superseded, then disconnects
-//
-// Epoch fencing: every welcome from a journal-backed coordinator carries
-// the activation epoch the worker's results must be stamped with; a
-// pinned hello echoes the highest epoch the worker has seen for that
-// sweep, so a superseded coordinator learns of its replacement from the
-// very first line of a re-dialing worker.
 //
 // The version field exists so a mixed-version pair fails fast with both
 // versions named in the error instead of silently mis-parsing lines; the
@@ -53,9 +43,9 @@
 
 namespace qps::net {
 
-/// Bumped on any incompatible wire change (2: epoch fencing, probation,
-/// notice/fence frames).
-constexpr int kProtocolVersion = 2;
+/// Bumped on any incompatible wire change (3: hello, welcome and result
+/// frames lost their coordinator-takeover fields).
+constexpr int kProtocolVersion = 3;
 
 enum class LineKind {
   kHello,
@@ -65,7 +55,6 @@ enum class LineKind {
   kHeartbeat,
   kBye,
   kNotice,
-  kFence,
   kUnknown,
 };
 
@@ -82,11 +71,6 @@ struct Hello {
   /// Registry mode: evaluator ids the worker can serve
   /// (core/sweep/evaluators.h).
   std::vector<std::string> evaluators;
-  /// Pinned mode: highest coordinator epoch the worker has been admitted
-  /// under for this sweep (0 = none).  A coordinator receiving a hello
-  /// with an epoch above its own has been superseded by a failover and
-  /// must stand down.
-  std::uint64_t epoch = 0;
 
   bool pinned() const { return !sweep.empty(); }
 };
@@ -113,12 +97,6 @@ struct Welcome {
   std::string evaluator;
   std::string spec_text;
   std::optional<JsonValue> spec;
-  /// Coordinator activation epoch results must be stamped with (0 = the
-  /// coordinator is not journal-backed and runs unfenced).
-  std::uint64_t epoch = 0;
-  /// The worker's node is on probation (health score below threshold):
-  /// it still gets work, but one point at a time behind healthy workers.
-  bool probation = false;
 };
 
 std::string encode_welcome(const Welcome& welcome);
@@ -134,19 +112,6 @@ struct Notice {
 
 std::string encode_notice(const Notice& notice);
 std::optional<Notice> decode_notice(const JsonValue& value);
-
-/// Worker -> coordinator supersession report: the worker has already been
-/// admitted under `epoch` for (sweep, fingerprint), which is newer than
-/// what this coordinator offered.
-struct Fence {
-  std::uint64_t epoch = 0;
-  std::string sweep;
-  std::uint64_t fingerprint = 0;
-  std::string node;
-};
-
-std::string encode_fence(const Fence& fence);
-std::optional<Fence> decode_fence(const JsonValue& value);
 
 std::string encode_heartbeat();
 std::string encode_bye();

@@ -310,33 +310,9 @@ void coordinate(TcpListener* listener, LocalPool* pool,
   }
   spawn_children();
 
-  // Supersession: detection (a worker fence/hello named a newer epoch, or
-  // the lease callback fired) starts a short drain window during which
-  // reads are still processed -- so in-flight fence frames from re-dialing
-  // workers land in this process's counters -- and local evaluation stops;
-  // then the loop throws.  A zombie must stand down, not finish the sweep.
-  double superseded_at = 0.0;
-  const auto check_superseded = [&] {
-    if (superseded_at == 0.0 &&
-        (engine.superseded() ||
-         (options.superseded_check && options.superseded_check())))
-      superseded_at = monotonic_seconds();
-    if (superseded_at != 0.0 &&
-        monotonic_seconds() - superseded_at >= options.superseded_drain_seconds) {
-      std::ostringstream why;
-      why << "sweep " << sweep_name << ": coordinator epoch "
-          << options.engine.epoch << " superseded";
-      if (engine.superseded_by() != 0)
-        why << " by epoch " << engine.superseded_by();
-      why << "; standing down";
-      throw CoordinatorSuperseded(why.str(), engine.superseded_by());
-    }
-  };
-
   while (!engine.done()) {
     flush();
     deliver();
-    check_superseded();
     if (engine.done()) break;
 
     // Fallback waits for "no sessions at all", not just "no active
@@ -365,8 +341,6 @@ void coordinate(TcpListener* listener, LocalPool* pool,
         timeout_ms = wait < 10.0 ? 10 : (wait > 500.0 ? 500 : static_cast<int>(wait));
       }
     }
-    if (superseded_at != 0.0 && timeout_ms > 50)
-      timeout_ms = 50;  // drain window: keep the deadline check responsive
     const int ready = ::poll(fds.data(), fds.size(), timeout_ms);
     if (ready < 0) {
       if (errno == EINTR) continue;
@@ -415,19 +389,18 @@ void coordinate(TcpListener* listener, LocalPool* pool,
     engine.on_tick(monotonic_seconds());
     flush();
     deliver();
-    check_superseded();
 
     // Replace dead children before deciding the coordinator must evaluate
     // locally.
     spawn_children();
     if (options.local_fallback && engine.session_count() == 0 &&
-        superseded_at == 0.0 && !engine.done()) {
+        !engine.done()) {
       if (const auto index = engine.take_local_point()) {
         {
           QPS_TRACE_SPAN("sweep/point", "sweep");
           // Coordinator-side injection site: a delay here holds the
-          // coordinator mid-sweep (chaos scripts SIGSTOP/SIGKILL it there);
-          // crash/error exercise the journal-replay takeover.
+          // coordinator mid-sweep (chaos scripts SIGKILL it there);
+          // crash/error exercise the journal-replay resume.
           QPS_FAULT_POINT2("net/local_eval", points[*index].id);
           engine.complete_local(*index, local_eval(points[*index]));
         }
@@ -454,9 +427,7 @@ void coordinate(TcpListener* listener, LocalPool* pool,
        << " duplicate(s) ignored, " << engine.workers_timed_out()
        << " worker timeout(s), " << engine.deadline_forfeits()
        << " deadline forfeit(s), " << engine.protocol_errors()
-       << " protocol error(s), " << engine.stale_epoch_rejected()
-       << " stale-epoch rejection(s), " << engine.probation_demotions()
-       << " probation demotion(s)\n";
+       << " protocol error(s)\n";
   util::write_all(STDERR_FILENO, line.str());
   if (pool != nullptr) {
     // The local pool's own counters, mirrored from the engine's.
@@ -486,14 +457,12 @@ sweep::RemoteRunner make_socket_remote_runner(
   return [listener, options](const sweep::SweepSpec& spec,
                              const std::vector<sweep::SweepPoint>& points,
                              std::deque<std::size_t> pending,
-                             std::uint64_t epoch,
                              const sweep::PointEvaluator& eval,
                              const sweep::RemoteRecord& record,
                              const sweep::RemoteQuarantine& quarantine) {
     SocketCoordinatorOptions opts = options;
     if (!opts.engine.evaluator.empty() && opts.engine.spec_text.empty())
       opts.engine.spec_text = sweep::spec_to_json(spec);
-    if (epoch != 0) opts.engine.epoch = epoch;  // journal-backed: fenced
     run_socket_sweep(*listener, points, spec.name(), spec.fingerprint(),
                      std::move(pending), eval, record, opts, quarantine);
   };
@@ -505,37 +474,17 @@ sweep::RemoteRunner make_local_pool_runner(std::vector<std::string> command,
   return [command, workers, engine](
              const sweep::SweepSpec& spec,
              const std::vector<sweep::SweepPoint>& points,
-             std::deque<std::size_t> pending, std::uint64_t epoch,
+             std::deque<std::size_t> pending,
              const sweep::PointEvaluator& eval,
              const sweep::RemoteRecord& record,
              const sweep::RemoteQuarantine& quarantine) {
     SocketCoordinatorOptions options;
     options.engine = engine;
-    if (epoch != 0) options.engine.epoch = epoch;  // journal-backed: fenced
     LocalPool pool(command, std::min(workers, pending.size()),
                    engine.max_point_retries);
     coordinate(nullptr, &pool, points, spec.name(), spec.fingerprint(),
                std::move(pending), eval, record, options, quarantine);
   };
-}
-
-void decline_queued_connections(TcpListener& listener,
-                                const std::string& reason) {
-  for (;;) {
-    pollfd pfd{listener.fd(), POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, 0);
-    if (ready <= 0 || (pfd.revents & POLLIN) == 0) return;
-    TcpStream stream = listener.accept();
-    if (!stream.valid()) return;
-    // No need to read the hello: the decline is the same either way, and
-    // the worker's decline-retry budget turns it into a later re-dial.
-    Welcome welcome;
-    welcome.ok = false;
-    welcome.retry = true;
-    welcome.error = reason;
-    stream.send_all(encode_welcome(welcome));
-    stream.close();
-  }
 }
 
 ServeOutcome serve_connection(TcpStream& stream, const Hello& hello,
@@ -546,7 +495,7 @@ ServeOutcome serve_connection(TcpStream& stream, const Hello& hello,
     return outcome;
   };
 
-  WorkerEngine engine(hello, hooks.epochs);
+  WorkerEngine engine(hello);
   if (!stream.send_all(engine.hello_line()))
     return fail(ServeOutcome::kLost, "connection lost sending hello");
 
@@ -562,7 +511,8 @@ ServeOutcome serve_connection(TcpStream& stream, const Hello& hello,
       // A coordinator that goes completely silent (SIGSTOPped, wedged,
       // partitioned) would hold this worker in read(2) forever; bounded
       // patience turns that into a kLost and, through the caller's retry
-      // budget, a re-dial -- which is how workers migrate to a standby.
+      // budget, a re-dial -- which finds a restarted (--resume)
+      // coordinator.
       pollfd pfd{stream.fd(), POLLIN, 0};
       const int ready = ::poll(
           &pfd, 1,
@@ -626,16 +576,6 @@ ServeOutcome serve_connection(TcpStream& stream, const Hello& hello,
         case WorkerEngine::Event::Kind::kNotice:
           if (hooks.on_notice) hooks.on_notice(event.notice);
           break;
-        case WorkerEngine::Event::Kind::kStaleEpoch: {
-          // A zombie coordinator: answer with the fence frame naming the
-          // newer epoch (so the rejection lands in its metrics and it
-          // stands down), then refuse to serve it.
-          std::lock_guard<std::mutex> lock(write_mutex);
-          stream.send_all(engine.fence_line(event));
-          if (hooks.on_fence)
-            hooks.on_fence(event.known_epoch, event.welcome);
-          return fail(ServeOutcome::kFencedStale, event.error);
-        }
         case WorkerEngine::Event::Kind::kProtocolError:
           return fail(ServeOutcome::kLost, event.error);
       }
@@ -698,14 +638,6 @@ ServeOutcome serve_pinned_sweep(const std::string& host, std::uint16_t port,
       case ServeOutcome::kDeclinedFatal:
         std::cerr << "worker " << options.node << ": declined for sweep "
                   << spec.name() << ": " << error << "\n";
-        return outcome;
-      case ServeOutcome::kFencedStale:
-        // The peer at this address is a superseded zombie; serving it
-        // would be wasted (and wrong).  The caller knows where the live
-        // coordinator is -- or will re-invoke us when it does.
-        std::cerr << "worker " << options.node << ": fenced stale "
-                  << "coordinator for sweep " << spec.name() << ": " << error
-                  << "\n";
         return outcome;
       default:
         return outcome;

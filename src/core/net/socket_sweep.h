@@ -29,7 +29,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -39,22 +38,6 @@
 #include "core/sweep/sweep_runner.h"
 
 namespace qps::net {
-
-/// Thrown by run_socket_sweep when this coordinator learns it has been
-/// superseded by a failover (a worker fence/hello named a newer epoch, or
-/// the lease renewal thread saw a newer generation).  The driver must
-/// stop coordinating immediately -- a zombie that keeps dispatching could
-/// double-assign work the new coordinator already owns.
-class CoordinatorSuperseded : public std::runtime_error {
- public:
-  CoordinatorSuperseded(const std::string& what, std::uint64_t by_epoch)
-      : std::runtime_error(what), by_epoch_(by_epoch) {}
-  /// The newer epoch that fenced us out (0 when only the lease knew).
-  std::uint64_t by_epoch() const { return by_epoch_; }
-
- private:
-  std::uint64_t by_epoch_;
-};
 
 struct SocketCoordinatorOptions {
   JobServerOptions engine;
@@ -66,16 +49,6 @@ struct SocketCoordinatorOptions {
   /// every sweep live (registry daemons decline sweeps they cannot serve);
   /// tests disable it to prove workers computed everything.
   bool local_fallback = true;
-  /// Polled every loop iteration; returning true means an external
-  /// authority (the coordinator lease, core/sweep/lease.h) saw this
-  /// process superseded.  The loop then drains reads briefly and throws
-  /// CoordinatorSuperseded.
-  std::function<bool()> superseded_check;
-  /// How long to keep reading (counting in-flight fence frames) after
-  /// supersession is detected before throwing; gives re-dialing workers a
-  /// window to land the fence that proves the takeover in this process's
-  /// metrics.
-  double superseded_drain_seconds = 0.3;
 };
 
 /// Splits "host:port"; false on malformed input.
@@ -110,20 +83,13 @@ sweep::RemoteRunner make_socket_remote_runner(TcpListener* listener,
 /// mode, entering SweepRunner::serve) -- each with its end of a
 /// socketpair(AF_UNIX, SOCK_STREAM) on fds 0 and 3 and stdout discarded --
 /// driven as pinned sessions by the coordinator loop, with no listener and
-/// local fallback on.  Dispatch, retries, quarantine, the point deadline,
-/// health scoring and fencing are the engine's; children whose session
-/// closes are SIGKILLed and reaped, and replaced while points wait, up to
+/// local fallback on.  Dispatch, retries, quarantine and the point
+/// deadline are the engine's; children whose session closes are SIGKILLed
+/// and reaped, and replaced while points wait, up to
 /// workers x (max_point_retries + 1) respawns.
 sweep::RemoteRunner make_local_pool_runner(std::vector<std::string> command,
                                            std::size_t workers,
                                            JobServerOptions engine);
-
-/// Accepts and immediately declines (retry=true) every connection queued
-/// on `listener`, without reading the hello.  A warm standby calls this
-/// while waiting for the lease, so workers keep cycling against the
-/// listener instead of timing out their dial budgets before takeover.
-void decline_queued_connections(TcpListener& listener,
-                                const std::string& reason);
 
 enum class ServeOutcome {
   kServedBye,      ///< Clean completion: coordinator said bye.
@@ -131,26 +97,16 @@ enum class ServeOutcome {
   kDeclinedFatal,  ///< Declined for good (version mismatch, bad binder).
   kLost,           ///< Connection or protocol failure mid-serve.
   kConnectFailed,  ///< Dial retries exhausted.
-  kFencedStale,    ///< Welcome carried a stale epoch; fence sent, done.
 };
 
 /// Worker-side integration hooks, all optional.
 struct ServeHooks {
-  /// Epoch fencing memory (must outlive the serve): pinned hellos echo the
-  /// remembered epoch, accepted welcomes raise it, and a stale welcome is
-  /// answered with a fence frame and kFencedStale.
-  EpochMemory* epochs = nullptr;
   /// Invoked for every advisory NOTICE frame (quarantine broadcasts).
   std::function<void(const Notice&)> on_notice;
-  /// Invoked when a stale-epoch welcome is fenced: the remembered epoch
-  /// and the zombie's welcome.
-  std::function<void(std::uint64_t known_epoch, const Welcome& welcome)>
-      on_fence;
   /// Seconds of total coordinator silence after which the worker abandons
-  /// the connection as kLost and (through its retry budget) re-dials.
-  /// Essential for failover: a worker blocked in read(2) on a SIGSTOPped
-  /// coordinator would otherwise never migrate to the standby.  0 = wait
-  /// forever.
+  /// the connection as kLost and (through its retry budget) re-dials: a
+  /// worker blocked in read(2) on a SIGSTOPped or wedged coordinator
+  /// would otherwise wait forever.  0 = wait forever.
   double idle_timeout_seconds = 0.0;
 };
 
@@ -166,8 +122,8 @@ struct WorkerServeOptions {
   double decline_retry_seconds = 0.2;
   /// Reconnect budget after a mid-serve connection loss.
   int lost_retries = 3;
-  /// Worker-side hooks (epoch memory, notice/fence callbacks, idle
-  /// timeout), passed through to every serve_connection.
+  /// Worker-side hooks (notice callback, idle timeout), passed through to
+  /// every serve_connection.
   ServeHooks hooks;
 };
 

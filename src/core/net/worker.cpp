@@ -46,26 +46,9 @@ WorkerEngine::Event WorkerEngine::on_line(const std::string& line) {
         event.kind = Event::Kind::kDeclined;
         return event;
       }
-      if (epochs_ != nullptr && welcome->epoch != 0) {
-        const std::uint64_t known =
-            epochs_->get(welcome->sweep, welcome->fingerprint);
-        if (known > welcome->epoch) {
-          // This worker has already been admitted by a newer activation:
-          // the peer is a zombie coordinator that must not be served.
-          event.kind = Event::Kind::kStaleEpoch;
-          event.known_epoch = known;
-          event.error = "coordinator offers stale epoch " +
-                        std::to_string(welcome->epoch) + " for sweep '" +
-                        welcome->sweep + "' (already served epoch " +
-                        std::to_string(known) + ")";
-          return event;
-        }
-        epochs_->raise(welcome->sweep, welcome->fingerprint, welcome->epoch);
-      }
       accepted_ = true;
       sweep_name_ = welcome->sweep;
       fingerprint_ = welcome->fingerprint;
-      epoch_ = welcome->epoch;
       event.kind = Event::Kind::kAccepted;
       return event;
     }
@@ -113,16 +96,7 @@ WorkerEngine::Event WorkerEngine::on_line(const std::string& line) {
 
 std::string WorkerEngine::result_line(const sweep::SweepPoint& point,
                                       const RunningStats& stats) const {
-  return sweep::encode_result(sweep_name_, fingerprint_, point, stats, epoch_);
-}
-
-std::string WorkerEngine::fence_line(const Event& event) const {
-  Fence fence;
-  fence.epoch = event.known_epoch;
-  fence.sweep = event.welcome.sweep;
-  fence.fingerprint = event.welcome.fingerprint;
-  fence.node = hello_.node;
-  return encode_fence(fence);
+  return sweep::encode_result(sweep_name_, fingerprint_, point, stats);
 }
 
 SweepBinder pinned_binder(const sweep::SweepSpec& spec,

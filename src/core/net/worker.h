@@ -19,9 +19,7 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <mutex>
-#include <optional>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -32,42 +30,9 @@
 
 namespace qps::net {
 
-/// Highest coordinator epoch this worker process has been admitted under,
-/// per (sweep, fingerprint).  Shared across connections and threads, so a
-/// worker that outlives a coordinator failover recognizes -- and fences
-/// out -- the old coordinator if it ever comes back: a welcome carrying an
-/// epoch below the remembered one is refused with a fence frame instead
-/// of served.
-class EpochMemory {
- public:
-  std::uint64_t get(const std::string& sweep, std::uint64_t fingerprint) const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = epochs_.find({sweep, fingerprint});
-    return it == epochs_.end() ? 0 : it->second;
-  }
-  /// Raises the remembered epoch; never lowers it.
-  void raise(const std::string& sweep, std::uint64_t fingerprint,
-             std::uint64_t epoch) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::uint64_t& slot = epochs_[{sweep, fingerprint}];
-    if (epoch > slot) slot = epoch;
-  }
-
- private:
-  mutable std::mutex mutex_;
-  std::map<std::pair<std::string, std::uint64_t>, std::uint64_t> epochs_;
-};
-
 class WorkerEngine {
  public:
-  /// `epochs` (optional, must outlive the engine) enables epoch fencing:
-  /// a pinned hello echoes the remembered epoch, accepted welcomes raise
-  /// it, and a welcome below it yields kStaleEpoch instead of kAccepted.
-  explicit WorkerEngine(Hello hello, EpochMemory* epochs = nullptr)
-      : hello_(std::move(hello)), epochs_(epochs) {
-    if (epochs_ != nullptr && hello_.pinned())
-      hello_.epoch = epochs_->get(hello_.sweep, hello_.fingerprint);
-  }
+  explicit WorkerEngine(Hello hello) : hello_(std::move(hello)) {}
 
   /// The first frame to transmit after connecting.
   std::string hello_line() const { return encode_hello(hello_); }
@@ -80,41 +45,30 @@ class WorkerEngine {
       kEvaluate,       ///< Coordinator requests point `index`.
       kBye,            ///< Sweep complete; disconnect cleanly.
       kNotice,         ///< Advisory broadcast; `notice` holds the payload.
-      kStaleEpoch,     ///< Welcome from a superseded coordinator: send
-                       ///< fence_line() and disconnect.
       kProtocolError,  ///< Peer violated the protocol; `error` explains.
     };
     Kind kind = Kind::kNone;
     Welcome welcome;
     Notice notice;
     std::size_t index = 0;
-    /// kStaleEpoch: the newer epoch this worker already served under.
-    std::uint64_t known_epoch = 0;
     std::string error;
   };
 
   /// Consumes one reassembled line from the coordinator.
   Event on_line(const std::string& line);
 
-  /// Result frame for a completed evaluation (pinned fields from the
-  /// hello / accepted welcome, stamped with the welcome's epoch).
+  /// Result frame for a completed evaluation (sweep and fingerprint from
+  /// the accepted welcome).
   std::string result_line(const sweep::SweepPoint& point,
                           const RunningStats& stats) const;
 
-  /// Fence frame answering a kStaleEpoch welcome: names the newer epoch
-  /// so the zombie coordinator can count the rejection and stand down.
-  std::string fence_line(const Event& event) const;
-
   bool accepted() const { return accepted_; }
-  std::uint64_t epoch() const { return epoch_; }
 
  private:
   Hello hello_;
-  EpochMemory* epochs_ = nullptr;
   bool accepted_ = false;
   std::string sweep_name_;
   std::uint64_t fingerprint_ = 0;
-  std::uint64_t epoch_ = 0;
 };
 
 /// Produces the points and evaluator to serve from an accepted welcome;

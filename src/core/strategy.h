@@ -8,9 +8,10 @@
 // One per-trial entry point, run_with(), which every strategy implements
 // once.  It receives a TrialWorkspace (core/engine/trial_workspace.h) so a
 // strategy can reuse per-worker buffers instead of allocating per trial.
-// run() is a non-virtual convenience for one-off runs: it builds a fresh
-// workspace and forwards to run_with(), so both make the same probes and
-// the same Rng draws.
+// run() is a non-virtual convenience for one-off runs: it forwards to
+// run_with() on a per-thread workspace (rebuilt when the universe size
+// changes), so both make the same probes and the same Rng draws.  A
+// run_with() must therefore never call run() itself.
 //
 // Batch-capable randomized strategies add the engine's lane-major entry
 // points (result stream v5, core/engine/batch_kernel.h): draw_lane_choices()
@@ -47,7 +48,7 @@ class ProbeStrategy {
   virtual Witness run_with(TrialWorkspace& workspace, ProbeSession& session,
                            Rng& rng) const = 0;
 
-  /// run_with() on a fresh workspace over the session's universe.
+  /// run_with() on this thread's workspace for the session's universe.
   Witness run(ProbeSession& session, Rng& rng) const;
 
   /// True when the strategy can execute a bit-sliced batch block

@@ -1,6 +1,5 @@
 #include "core/sweep/checkpoint.h"
 
-#include <algorithm>
 #include <fstream>
 #include <iostream>
 
@@ -16,43 +15,29 @@ SweepCheckpoint::SweepCheckpoint(std::string path, std::string sweep_name,
       sweep_name_(std::move(sweep_name)),
       fingerprint_(fingerprint) {
   if (path_.empty()) return;
-  std::uint64_t max_epoch = 0;
-  {
-    // Scan even without --resume: the epoch records of earlier
-    // activations must be seen for this activation's epoch to be larger
-    // (results and poison markers are only loaded when resuming).
+  if (resume) {
     std::ifstream in(path_);
-    if (resume) recovery_.existed = in.good();
+    recovery_.existed = in.good();
     std::string line;
     while (in && std::getline(in, line)) {
       if (line.empty()) continue;
       if (is_journal_control(line)) {
         const auto ctl = decode_journal_control(line);
         if (!ctl) {
-          if (resume) ++recovery_.corrupt;
+          ++recovery_.corrupt;
           continue;
         }
         if (ctl->sweep != sweep_name_ || ctl->fingerprint != fingerprint_) {
-          if (resume) ++recovery_.foreign;
+          ++recovery_.foreign;
           continue;
         }
-        if (resume) ++recovery_.control;
-        switch (ctl->kind) {
-          case JournalRecordKind::kEpoch:
-            max_epoch = std::max(max_epoch, ctl->epoch);
-            break;
-          case JournalRecordKind::kQuarantine:
-            if (resume) poisoned_[ctl->index] = ctl->attempts;
-            break;
-          case JournalRecordKind::kReadmit:
-            poisoned_.erase(ctl->index);
-            break;
-          case JournalRecordKind::kResult:
-            break;
-        }
+        ++recovery_.control;
+        if (ctl->kind == JournalRecordKind::kQuarantine)
+          poisoned_[ctl->index] = ctl->attempts;
+        else if (ctl->kind == JournalRecordKind::kReadmit)
+          poisoned_.erase(ctl->index);
         continue;
       }
-      if (!resume) continue;
       const auto result = decode_result(line);
       if (!result) {
         // Torn tail (killed mid-append) or damaged mid-file line: the
@@ -94,12 +79,6 @@ SweepCheckpoint::SweepCheckpoint(std::string path, std::string sweep_name,
                               path_ + ": " + e.what(),
                           path_);
   }
-  // Claim this activation's epoch: one past everything the journal has
-  // seen for (sweep, fingerprint).  The record is durable before any
-  // result is dispatched, so a standby that later replays the journal is
-  // guaranteed a strictly larger epoch.
-  epoch_ = max_epoch + 1;
-  append_checked(encode_epoch_record(sweep_name_, fingerprint_, epoch_));
 }
 
 void SweepCheckpoint::append_checked(const std::string& line) {

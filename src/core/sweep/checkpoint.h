@@ -21,12 +21,11 @@
 // `crash` dies mid-transaction.
 //
 // Besides results the journal carries control records (core/sweep/wire.h):
-// an epoch record appended at every open (max seen + 1 becomes this
-// activation's epoch -- the monotonic fencing token for coordinator
-// failover), quarantine poison markers, and readmit records that clear
-// them.  Poison markers make quarantine sticky across --resume: a point
-// that burned its retry budget failed deterministically, so only an
-// explicit --readmit (after a code fix) re-runs it.
+// quarantine poison markers and readmit records that clear them.  Poison
+// markers make quarantine sticky across --resume: a point that burned its
+// retry budget failed deterministically, so only an explicit --readmit
+// (after a code fix) re-runs it.  A legacy control record that journals
+// of older builds carry (core/sweep/wire.h) is counted and ignored.
 #pragma once
 
 #include <map>
@@ -60,7 +59,7 @@ class SweepCheckpoint {
     std::size_t recovered = 0;   ///< Lines matching (sweep, fingerprint).
     std::size_t foreign = 0;     ///< Valid lines of other sweeps/options.
     std::size_t corrupt = 0;     ///< Unparseable (torn/damaged) lines.
-    std::size_t control = 0;     ///< Epoch/quarantine/readmit records.
+    std::size_t control = 0;     ///< Quarantine/readmit/legacy records.
   };
 
   /// An empty `path` disables journaling entirely.  With `resume` the
@@ -85,11 +84,6 @@ class SweepCheckpoint {
   /// Resume-scan accounting (all zeros when not resuming).
   const RecoveryReport& recovery() const { return recovery_; }
 
-  /// This activation's epoch: one past the highest epoch record for
-  /// (sweep, fingerprint) found in the journal, or 0 when journaling is
-  /// disabled (no journal, no fencing authority).
-  std::uint64_t epoch() const { return epoch_; }
-
   /// Points with an uncleared quarantine poison marker (index -> attempts
   /// recorded when poisoned); populated by the resume scan.
   const std::map<std::size_t, std::uint64_t>& poisoned() const {
@@ -112,7 +106,6 @@ class SweepCheckpoint {
   std::string path_;
   std::string sweep_name_;
   std::uint64_t fingerprint_;
-  std::uint64_t epoch_ = 0;
   std::map<std::size_t, RunningStats> completed_;
   std::map<std::size_t, std::uint64_t> poisoned_;
   RecoveryReport recovery_;

@@ -263,8 +263,7 @@ std::vector<PointResult> SweepRunner::run(const PointEvaluator& eval) const {
                   << " failed attempt(s)\n";
         progress.point_done();
       };
-      runner(spec_, points, std::move(pending), checkpoint.epoch(), eval,
-             record, quarantine);
+      runner(spec_, points, std::move(pending), eval, record, quarantine);
     }
   }
 

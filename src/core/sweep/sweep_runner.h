@@ -60,15 +60,13 @@ using RemoteQuarantine =
 /// points, and the indices still to be computed; must evaluate every
 /// pending point (remotely, or locally via `eval` as a fallback) and
 /// report each completion through `record` -- or, for a point that
-/// exhausts its retry budget, through `quarantine`.  `epoch` is the
-/// checkpoint journal's coordinator epoch for this activation (0 when no
-/// journal is in use); the hook stamps it into the protocol so results
-/// from a superseded coordinator can be fenced.  core/net/socket_sweep.h
-/// supplies the socket job server's hook and the local worker pool's.
+/// exhausts its retry budget, through `quarantine`.
+/// core/net/socket_sweep.h supplies the socket job server's hook and the
+/// local worker pool's.
 using RemoteRunner = std::function<void(
     const SweepSpec& spec, const std::vector<SweepPoint>& points,
-    std::deque<std::size_t> pending, std::uint64_t epoch,
-    const PointEvaluator& eval, const RemoteRecord& record,
+    std::deque<std::size_t> pending, const PointEvaluator& eval,
+    const RemoteRecord& record,
     const RemoteQuarantine& quarantine)>;
 
 struct SweepOptions {

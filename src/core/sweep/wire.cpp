@@ -44,19 +44,17 @@ std::optional<std::size_t> decode_request(std::string_view line) {
 
 std::string encode_result(const std::string& sweep_name,
                           std::uint64_t fingerprint, const SweepPoint& point,
-                          const RunningStats& stats, std::uint64_t epoch) {
+                          const RunningStats& stats) {
   const double m2 = stats.sum_squared_deviations();
-  std::string line = "{\"sweep\": " + json_quote(sweep_name) +
-                     ", \"fp\": " + json_quote(encode_hex_u64(fingerprint)) +
-                     ", \"point\": " + std::to_string(point.index) +
-                     ", \"id\": " + json_quote(point.id);
-  if (epoch != 0) line += ", \"epoch\": " + std::to_string(epoch);
-  line += ", \"count\": " + std::to_string(stats.count()) +
-          ", \"mean\": " + json_number(stats.mean()) +
-          ", \"m2\": " + json_number(m2) +
-          ", \"min\": " + json_number(stats.min()) +
-          ", \"max\": " + json_number(stats.max()) + "}\n";
-  return line;
+  return "{\"sweep\": " + json_quote(sweep_name) +
+         ", \"fp\": " + json_quote(encode_hex_u64(fingerprint)) +
+         ", \"point\": " + std::to_string(point.index) +
+         ", \"id\": " + json_quote(point.id) +
+         ", \"count\": " + std::to_string(stats.count()) +
+         ", \"mean\": " + json_number(stats.mean()) +
+         ", \"m2\": " + json_number(m2) +
+         ", \"min\": " + json_number(stats.min()) +
+         ", \"max\": " + json_number(stats.max()) + "}\n";
 }
 
 std::optional<WireResult> decode_result(std::string_view line) {
@@ -69,7 +67,6 @@ std::optional<WireResult> decode_result(std::string_view line) {
     result.fingerprint = *fp;
     result.index = static_cast<std::size_t>(v.at("point").as_uint64());
     result.id = v.at("id").as_string();
-    if (v.contains("epoch")) result.epoch = v.at("epoch").as_uint64();
     result.stats = RunningStats::from_moments(
         static_cast<std::size_t>(v.at("count").as_uint64()),
         v.at("mean").as_double(), v.at("m2").as_double(),
@@ -100,13 +97,6 @@ std::string control_prefix(const char* kind, const std::string& sweep_name,
 
 }  // namespace
 
-std::string encode_epoch_record(const std::string& sweep_name,
-                                std::uint64_t fingerprint,
-                                std::uint64_t epoch) {
-  return control_prefix("epoch", sweep_name, fingerprint) +
-         ", \"epoch\": " + std::to_string(epoch) + "}\n";
-}
-
 std::string encode_quarantine_record(const std::string& sweep_name,
                                      std::uint64_t fingerprint,
                                      const SweepPoint& point,
@@ -135,8 +125,7 @@ std::optional<JournalControl> decode_journal_control(std::string_view line) {
     if (!fp) return std::nullopt;
     record.fingerprint = *fp;
     if (kind == "epoch") {
-      record.kind = JournalRecordKind::kEpoch;
-      record.epoch = v.at("epoch").as_uint64();
+      record.kind = JournalRecordKind::kLegacyEpoch;
     } else if (kind == "quarantine") {
       record.kind = JournalRecordKind::kQuarantine;
       record.index = static_cast<std::size_t>(v.at("point").as_uint64());

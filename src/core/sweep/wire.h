@@ -40,10 +40,6 @@ struct WireResult {
   std::size_t index = 0;
   std::string id;
   RunningStats stats;
-  /// Coordinator activation that produced the result; 0 = unfenced (a
-  /// job server without a journal, and journal entries, which need no
-  /// fencing).
-  std::uint64_t epoch = 0;
 };
 
 /// Request line asking a worker for point `index` (newline included).
@@ -53,12 +49,10 @@ std::string encode_request(std::size_t index);
 std::optional<std::size_t> decode_request(std::string_view line);
 
 /// Result line for `point` of the sweep identified by (name, fingerprint)
-/// (newline included).  `epoch`, when nonzero, stamps the coordinator
-/// activation the producing worker was admitted under, so a fenced job
-/// server can reject results computed for a superseded coordinator.
+/// (newline included).
 std::string encode_result(const std::string& sweep_name,
                           std::uint64_t fingerprint, const SweepPoint& point,
-                          const RunningStats& stats, std::uint64_t epoch = 0);
+                          const RunningStats& stats);
 
 /// Parses a result line; nullopt when malformed or truncated.
 std::optional<WireResult> decode_result(std::string_view line);
@@ -70,24 +64,23 @@ std::optional<WireResult> decode_result(std::string_view line);
 // one-line JSON objects tagged with a "ctl" key so the resume scanner can
 // tell them from results (and from corruption):
 //
-//  * epoch    -- appended every time a coordinator opens the journal for a
-//    sweep; the maximum seen + 1 is the next activation's epoch, which is
-//    what makes coordinator epochs monotonic across failovers.
 //  * quarantine -- a poison marker: `point` burned its retry budget and
 //    must not be re-run by a plain --resume (the failure is deterministic
 //    until the code changes).
 //  * readmit  -- clears the poison marker for `point`; appended by
 //    --readmit before the point is re-run under a fresh retry budget.
+//  * epoch    -- legacy: journals written by older builds carry one per
+//    coordinator start.  It is still decoded, so resume counts it as a
+//    control record instead of corruption, and otherwise ignored.
 
-/// Kind of one journal line.
-enum class JournalRecordKind { kResult, kEpoch, kQuarantine, kReadmit };
+/// Kind of one journal control record.
+enum class JournalRecordKind { kQuarantine, kReadmit, kLegacyEpoch };
 
-/// A decoded journal control record (epoch / quarantine / readmit).
+/// A decoded journal control record (quarantine / readmit / legacy epoch).
 struct JournalControl {
-  JournalRecordKind kind = JournalRecordKind::kEpoch;
+  JournalRecordKind kind = JournalRecordKind::kQuarantine;
   std::string sweep;
   std::uint64_t fingerprint = 0;
-  std::uint64_t epoch = 0;     ///< kEpoch only.
   std::size_t index = 0;       ///< kQuarantine / kReadmit.
   std::string id;              ///< kQuarantine / kReadmit.
   std::uint64_t attempts = 0;  ///< kQuarantine only.
@@ -97,9 +90,6 @@ struct JournalControl {
 /// lines must never be counted as corrupt results.
 bool is_journal_control(std::string_view line);
 
-std::string encode_epoch_record(const std::string& sweep_name,
-                                std::uint64_t fingerprint,
-                                std::uint64_t epoch);
 std::string encode_quarantine_record(const std::string& sweep_name,
                                      std::uint64_t fingerprint,
                                      const SweepPoint& point,

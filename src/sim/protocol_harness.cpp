@@ -1,24 +1,23 @@
 #include "sim/protocol_harness.h"
 
+#include <deque>
 #include <utility>
 
 #include "core/net/messages.h"
 #include "core/sweep/evaluators.h"
-#include "core/sweep/wire.h"
 #include "util/require.h"
 
 namespace qps::sim {
 
-std::deque<std::size_t> SimCoordinator::pending_without(
-    std::size_t count, const std::vector<std::size_t>& skip) {
-  std::vector<char> done(count, 0);
-  for (const std::size_t index : skip)
-    if (index < count) done[index] = 1;
+namespace {
+
+std::deque<std::size_t> all_points(std::size_t count) {
   std::deque<std::size_t> pending;
-  for (std::size_t i = 0; i < count; ++i)
-    if (!done[i]) pending.push_back(i);
+  for (std::size_t i = 0; i < count; ++i) pending.push_back(i);
   return pending;
 }
+
+}  // namespace
 
 SimCoordinator::SimCoordinator(Simulator& simulator, StreamNetwork& network,
                                const sweep::SweepSpec& spec,
@@ -28,24 +27,21 @@ SimCoordinator::SimCoordinator(Simulator& simulator, StreamNetwork& network,
       options_(std::move(options)),
       points_(spec.expand()),
       engine_(points_, spec.name(), spec.fingerprint(),
-              pending_without(points_.size(), options_.precompleted),
+              all_points(points_.size()),
               options_.engine) {
   QPS_REQUIRE(!options_.local_fallback ||
                   static_cast<bool>(options_.local_eval),
               "local fallback needs an evaluator");
   network_->set_server(
       [this](StreamNetwork::ConnId conn) {
-        if (halted_) return;
         engine_.on_open(conn, simulator_->now());
         pump();
       },
       [this](StreamNetwork::ConnId conn, const std::string& bytes) {
-        if (halted_) return;
         engine_.on_bytes(conn, bytes, simulator_->now());
         pump();
       },
       [this](StreamNetwork::ConnId conn) {
-        if (halted_) return;
         engine_.on_close(conn, simulator_->now());
         pump();
       });
@@ -53,7 +49,6 @@ SimCoordinator::SimCoordinator(Simulator& simulator, StreamNetwork& network,
 }
 
 void SimCoordinator::tick() {
-  if (halted_) return;         // stop rescheduling: the process is "dead"
   if (engine_.done()) return;  // stop rescheduling: let the queue drain
   engine_.on_tick(simulator_->now());
   pump();
@@ -105,8 +100,7 @@ SimWorker::SimWorker(Simulator& simulator, StreamNetwork& network,
                            : options_.registry_evaluators;
     binder_ = net::registry_binder(options_.registry_dp_threads);
   }
-  engine_ = std::make_unique<net::WorkerEngine>(std::move(hello),
-                                                options_.epochs);
+  engine_ = std::make_unique<net::WorkerEngine>(std::move(hello));
   simulator_->schedule_at(options_.join_time, [this] { join(); });
 }
 
@@ -196,14 +190,6 @@ void SimWorker::on_data(const std::string& bytes) {
       case net::WorkerEngine::Event::Kind::kNotice:
         notices_.push_back(event.notice);
         break;
-      case net::WorkerEngine::Event::Kind::kStaleEpoch:
-        // Tell the zombie which epoch already owns this sweep, then
-        // refuse to serve it.
-        network_->send_to_server(conn_, engine_->fence_line(event));
-        state_ = State::kFenced;
-        error_ = event.error;
-        network_->close(conn_, /*from_server=*/false);
-        return;
       case net::WorkerEngine::Event::Kind::kProtocolError:
         state_ = State::kLost;
         error_ = event.error;
@@ -216,12 +202,7 @@ void SimWorker::on_data(const std::string& bytes) {
 void SimWorker::deliver_result(std::size_t index) {
   if (state_ != State::kServing) return;
   const RunningStats stats = eval_(points_[index]);
-  const std::string line =
-      options_.result_epoch_override != 0 && options_.spec != nullptr
-          ? sweep::encode_result(options_.spec->name(),
-                                 options_.spec->fingerprint(), points_[index],
-                                 stats, options_.result_epoch_override)
-          : engine_->result_line(points_[index], stats);
+  const std::string line = engine_->result_line(points_[index], stats);
   network_->send_to_server(conn_, line);
   if (options_.duplicate_results) network_->send_to_server(conn_, line);
   ++results_sent_;

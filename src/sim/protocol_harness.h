@@ -39,10 +39,6 @@ struct SimCoordinatorOptions {
   /// local_eval), as the TCP coordinator does by default.
   bool local_fallback = false;
   sweep::PointEvaluator local_eval;
-  /// Point indices treated as already done (a standby replaying the
-  /// journal of the coordinator it replaces starts exactly like this);
-  /// only the rest are dispatched.
-  std::vector<std::size_t> precompleted;
 };
 
 /// The coordinator end: owns a JobServerEngine wired to the network's
@@ -61,17 +57,9 @@ class SimCoordinator {
   const std::vector<sweep::SweepPoint>& points() const { return points_; }
   const net::JobServerEngine& engine() const { return engine_; }
 
-  /// Simulated coordinator death: stop reacting to every network event
-  /// and every tick, forever.  Existing connections stay up (the zombie /
-  /// SIGKILL-before-RST window); in-flight worker results land in a void.
-  void halt() { halted_ = true; }
-  bool halted() const { return halted_; }
-
  private:
   void pump();
   void tick();
-  static std::deque<std::size_t> pending_without(
-      std::size_t count, const std::vector<std::size_t>& skip);
 
   Simulator* simulator_;
   StreamNetwork* network_;
@@ -79,7 +67,6 @@ class SimCoordinator {
   std::vector<sweep::SweepPoint> points_;
   net::JobServerEngine engine_;
   std::map<std::size_t, RunningStats> results_;
-  bool halted_ = false;
 };
 
 struct SimWorkerOptions {
@@ -103,12 +90,6 @@ struct SimWorkerOptions {
   std::size_t vanish_holding = 0;
   /// Send every result twice (retransmission after a presumed loss).
   bool duplicate_results = false;
-  /// Epoch fencing memory shared across this worker's incarnations (must
-  /// outlive the worker); enables kFenced on stale welcomes.
-  net::EpochMemory* epochs = nullptr;
-  /// Misbehaviour: stamp every result with this epoch instead of the
-  /// welcome's (exercises the coordinator's stale-result rejection).
-  std::uint64_t result_epoch_override = 0;
 };
 
 class SimWorker {
@@ -120,7 +101,6 @@ class SimWorker {
     kDeclined,  ///< Welcome declined (see error()).
     kLost,      ///< Connection died or protocol violated mid-serve.
     kDead,      ///< Scripted death executed.
-    kFenced,    ///< Stale-epoch welcome: fence sent, connection closed.
   };
 
   SimWorker(Simulator& simulator, StreamNetwork& network,

@@ -28,7 +28,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -45,7 +44,6 @@
 #include "core/net/socket.h"
 #include "core/net/socket_sweep.h"
 #include "core/sweep/checkpoint.h"
-#include "core/sweep/lease.h"
 #include "core/sweep/sweep_runner.h"
 #include "core/sweep/sweep_spec.h"
 #include "core/sweep/wire.h"
@@ -147,9 +145,9 @@ TEST_F(ChaosTest, TornJournalTailIsDiagnosedAndOnlyThatPointRecomputed) {
   const std::string path = temp_path("torn.jsonl");
   std::remove(path.c_str());
 
-  // Tear the last append (the epoch record is write #1, so the 10th
-  // result is write #11): the run completes, the journal does not.
-  fault::configure("sweep/checkpoint_write:torn:frac=0.3:after=11:count=1");
+  // Tear the last append (the 10th result is write #10): the run
+  // completes, the journal does not.
+  fault::configure("sweep/checkpoint_write:torn:frac=0.3:after=10:count=1");
   SweepOptions first;
   first.checkpoint_path = path;
   const auto full = SweepRunner(make_chaos_spec(), first).run(eval_point);
@@ -190,9 +188,9 @@ TEST_F(ChaosTest, CorruptMidJournalLineIsSkippedNotTrusted) {
   const auto full = SweepRunner(make_chaos_spec(), first).run(eval_point);
 
   // Damage a mid-file result line in place, as a bad sector or partial
-  // overwrite would (line 1 is the epoch record).
+  // overwrite would.
   auto lines = read_lines(path);
-  ASSERT_EQ(lines.size(), 11u);
+  ASSERT_EQ(lines.size(), 10u);
   lines[3] = "XX" + lines[3].substr(0, lines[3].size() / 2);
   {
     std::ofstream out(path, std::ios::trunc);
@@ -255,10 +253,10 @@ TEST_F(ChaosTest, FullDiskSurfacesCheckpointErrorThenResumesCleanly) {
   const std::string path = temp_path("diskfull.jsonl");
   std::remove(path.c_str());
 
-  // The fourth append (epoch record, two results, then the third result)
-  // hits the injected "disk full": the run must abort with a structured
-  // error naming the journal, never continue with a silently lossy one.
-  fault::configure("sweep/checkpoint_write:error:after=4");
+  // The third append (the third result) hits the injected "disk full":
+  // the run must abort with a structured error naming the journal, never
+  // continue with a silently lossy one.
+  fault::configure("sweep/checkpoint_write:error:after=3");
   SweepOptions first;
   first.checkpoint_path = path;
   try {
@@ -269,7 +267,7 @@ TEST_F(ChaosTest, FullDiskSurfacesCheckpointErrorThenResumesCleanly) {
     EXPECT_NE(std::string(e.what()).find(path), std::string::npos) << e.what();
   }
   fault::clear();
-  EXPECT_EQ(read_lines(path).size(), 3u);  // epoch record + two points
+  EXPECT_EQ(read_lines(path).size(), 2u);  // two points
 
   // With the "disk" healthy again, resume finishes the remaining eight.
   std::atomic<int> calls{0};
@@ -559,65 +557,9 @@ TEST_F(ChaosTest, SimDeadlineWatchdogForfeitsLiveButStuckWorker) {
 }
 
 // ---------------------------------------------------------------------------
-// Failover: a coordinator dying mid-journal is replaced by a standby that
-// replays the journal under a strictly larger epoch; the merged sweep is
-// byte-identical.  Quarantine re-admission: --readmit clears poison
-// markers with a journaled record and re-runs exactly those points.
+// Quarantine re-admission: --readmit clears poison markers with a
+// journaled record and re-runs exactly those points.
 // ---------------------------------------------------------------------------
-
-TEST_F(ChaosTest, StandbyReplayingTheJournalBumpsTheEpochByteIdentical) {
-  REQUIRE_FAULTS();
-  const std::string path = temp_path("failover.jsonl");
-  std::remove(path.c_str());
-
-  // The primary dies at the 6th journal write (epoch record + 4 results
-  // committed): the injected full disk stands in for a SIGKILL -- either
-  // way the journal simply ends.
-  fault::configure("sweep/checkpoint_write:error:after=6");
-  SweepOptions primary;
-  primary.checkpoint_path = path;
-  EXPECT_THROW(SweepRunner(make_chaos_spec(), primary).run(eval_point),
-               sweep::CheckpointError);
-  fault::clear();
-  ASSERT_EQ(read_lines(path).size(), 5u);  // epoch record + 4 results
-
-  // The standby takes over: resume replays the journal, claims the next
-  // epoch, computes only the 6 missing points.
-  std::atomic<int> calls{0};
-  SweepOptions standby;
-  standby.checkpoint_path = path;
-  standby.resume = true;
-  const auto resumed =
-      SweepRunner(make_chaos_spec(), standby).run([&](const SweepPoint& p) {
-        ++calls;
-        return eval_point(p);
-      });
-  EXPECT_EQ(calls.load(), 6);
-  const auto baseline =
-      SweepRunner(make_chaos_spec(), SweepOptions{}).run(eval_point);
-  expect_same_results(baseline, resumed);
-  std::size_t revived = 0;
-  for (const auto& result : resumed)
-    if (result.from_checkpoint) ++revived;
-  EXPECT_EQ(revived, 4u);
-
-  // The journal now tells the whole failover story: epoch 1 (primary),
-  // epoch 2 (standby), monotonic -- and the next activation would be 3.
-  std::vector<std::uint64_t> epochs;
-  for (const auto& line : read_lines(path))
-    if (sweep::is_journal_control(line))
-      if (const auto ctl = sweep::decode_journal_control(line);
-          ctl && ctl->kind == sweep::JournalRecordKind::kEpoch)
-        epochs.push_back(ctl->epoch);
-  ASSERT_EQ(epochs.size(), 2u);
-  EXPECT_EQ(epochs[0], 1u);
-  EXPECT_EQ(epochs[1], 2u);
-  const SweepSpec spec = make_chaos_spec();
-  sweep::SweepCheckpoint scan(path, spec.name(), spec.fingerprint(),
-                              /*resume=*/true);
-  EXPECT_EQ(scan.epoch(), 3u);
-  std::remove(path.c_str());
-}
 
 TEST_F(ChaosTest, ReadmitRerunsExactlyTheQuarantinedPointByteIdentical) {
   REQUIRE_FAULTS();
@@ -709,58 +651,6 @@ TEST_F(ChaosTest, ReadmitNamingAHealthyPointIsRefusedLoudly) {
   EXPECT_THROW(SweepRunner(make_chaos_spec(), bad).run(eval_point),
                std::exception);  // nothing is quarantined: refuse, not no-op
   std::remove(path.c_str());
-}
-
-TEST_F(ChaosTest, LeaseHandoffStandbyTakesOverAndZombieSeesSupersession) {
-  const std::string journal = temp_path("lease.jsonl");
-  const std::string lease_path = sweep::CoordinatorLease::path_for(journal);
-  std::remove(lease_path.c_str());
-
-  // Primary acquires; a standby polling wait_and_acquire() stays blocked
-  // (and keeps invoking its on_wait hook) while renewals keep the lease
-  // fresh.
-  auto primary = std::make_unique<sweep::CoordinatorLease>(
-      lease_path, "primary:1", /*timeout_seconds=*/0.4);
-  primary->acquire();
-  EXPECT_TRUE(primary->held());
-  EXPECT_FALSE(primary->stale());
-  const auto holder = sweep::CoordinatorLease::read(lease_path);
-  ASSERT_TRUE(holder.has_value());
-  EXPECT_EQ(holder->node, "primary:1");
-
-  sweep::CoordinatorLease standby(lease_path, "standby:2",
-                                  /*timeout_seconds=*/0.4);
-  std::atomic<int> waits{0};
-  std::thread takeover([&] {
-    standby.wait_and_acquire([&] { ++waits; });
-  });
-  // Kill the primary.  Destruction releases (unlinks) the lease, so the
-  // standby's next poll takes over without waiting out the full timeout.
-  std::this_thread::sleep_for(std::chrono::milliseconds(150));
-  primary.reset();
-  takeover.join();
-  EXPECT_TRUE(standby.held());
-  EXPECT_GT(waits.load(), 0);
-  // A clean release unlinks the file, so the generation counter restarts;
-  // generations order holders only while the file persists (which is why
-  // fencing authority lives in the journal's epochs, not here).
-  EXPECT_EQ(standby.generation(), 1u);
-
-  // A zombie resurrected with the old generation discovers the takeover
-  // from its own renewal thread: re-read before rewrite, flag superseded,
-  // never clobber the new holder.
-  sweep::CoordinatorLease zombie(lease_path, "zombie:3",
-                                 /*timeout_seconds=*/0.4);
-  zombie.acquire();  // bumps the generation over the standby's
-  EXPECT_EQ(zombie.generation(), standby.generation() + 1);
-  for (int i = 0; i < 100 && !standby.superseded(); ++i)
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_TRUE(standby.superseded());
-  EXPECT_FALSE(zombie.superseded());
-  const auto final_holder = sweep::CoordinatorLease::read(lease_path);
-  ASSERT_TRUE(final_holder.has_value());
-  EXPECT_EQ(final_holder->node, "zombie:3");
-  std::remove(lease_path.c_str());
 }
 
 }  // namespace

@@ -168,13 +168,14 @@ TEST(ZeroAllocationHotPath, EveryStrategyAndFamilyIsAllocationFree) {
 
 TEST(ZeroAllocationHotPath, LegacyRProbeCwEntryPointIsClean) {
   // R_Probe_CW's per-call row scratch lives on the stack for n <= 64, and
-  // the fresh TrialWorkspace the run() convenience builds allocates
-  // nothing at that size, so even run() allocates nothing per trial.
-  // (Strategies that keep scratch in the workspace -- the greedy baseline,
-  // the random-order probers -- do allocate under run(): its workspace is
-  // new every call.)
+  // the run() convenience reuses one workspace per thread, so run()
+  // allocates nothing per trial -- nor do strategies that keep scratch in
+  // that workspace (the greedy baseline, the random-order probers).
   const CrumblingWall cw10 = CrumblingWall::triang(10);
   const RProbeCW r_probe_cw(cw10);
+  const RandomOrderProbe random_order(cw10);
+  const MajoritySystem maj9(9);
+  const GreedyCandidateProbe greedy(maj9);
   Rng rng(7);
 
   const auto steady_allocations = [&](const QuorumSystem& system,
@@ -195,6 +196,42 @@ TEST(ZeroAllocationHotPath, LegacyRProbeCwEntryPointIsClean) {
     return g_allocations.load() - before;
   };
   EXPECT_EQ(steady_allocations(cw10, r_probe_cw), 0u);
+  EXPECT_EQ(steady_allocations(cw10, random_order), 0u);
+  EXPECT_EQ(steady_allocations(maj9, greedy), 0u);
+}
+
+TEST(ZeroAllocationHotPath, RunConvenienceAboveSixtyFourAddsNoAllocation) {
+  // Above n = 64 a witness is heap-backed, so run_with itself allocates;
+  // run() must add nothing to that.  A fresh workspace per run() would
+  // heap-allocate and zero a coloring and three probe sets that run_with
+  // never reads; the per-thread workspace is built once per universe size.
+  const CrumblingWall triang32 = CrumblingWall::triang(32);  // n = 528
+  const ProbeCW probe_cw(triang32);
+  const RandomOrderProbe random_order(triang32);
+  Rng rng(8);
+  const Coloring coloring =
+      sample_iid_coloring(triang32.universe_size(), 0.5, rng);
+  ProbeSession session(coloring);
+  TrialWorkspace workspace(triang32.universe_size());
+  const auto steady_allocations = [&](const ProbeStrategy& strategy,
+                                      bool convenience) {
+    const auto trial = [&] {
+      session.reset(coloring);
+      (void)(convenience ? strategy.run(session, rng)
+                         : strategy.run_with(workspace, session, rng));
+    };
+    for (int i = 0; i < 16; ++i) trial();  // warmup
+    const std::size_t before = g_allocations.load();
+    for (int i = 0; i < 256; ++i) trial();
+    return g_allocations.load() - before;
+  };
+  for (const ProbeStrategy* strategy :
+       {static_cast<const ProbeStrategy*>(&probe_cw),
+        static_cast<const ProbeStrategy*>(&random_order)}) {
+    SCOPED_TRACE(strategy->name());
+    EXPECT_EQ(steady_allocations(*strategy, /*convenience=*/true),
+              steady_allocations(*strategy, /*convenience=*/false));
+  }
 }
 
 TEST(ZeroAllocationHotPath, BitSlicedBatchKernelIsAllocationFree) {

@@ -387,6 +387,12 @@ TEST(SweepRunner, HungWorkerIsFreedByThePointDeadline) {
   std::remove(marker.c_str());
 }
 
+std::string render_json(const std::vector<PointResult>& results) {
+  std::ostringstream out;
+  SweepReport("sweep_test_grid", results).write_json(out);
+  return out.str();
+}
+
 TEST(SweepCheckpoint, ResumeSkipsJournaledPointsExactly) {
   const std::string path = temp_path("resume.jsonl");
   std::remove(path.c_str());
@@ -402,35 +408,65 @@ TEST(SweepCheckpoint, ResumeSkipsJournaledPointsExactly) {
   const auto full = SweepRunner(make_grid_spec(), first).run(counting_eval);
   EXPECT_EQ(calls.load(), 10);
 
-  // Truncate the journal to the epoch record plus the first four result
-  // lines: an interrupted run.
   std::vector<std::string> lines;
   {
     std::ifstream in(path);
     std::string line;
     while (std::getline(in, line)) lines.push_back(line);
   }
-  ASSERT_EQ(lines.size(), 11u);  // 1 epoch record + 10 results
-  {
-    std::ofstream out(path, std::ios::trunc);
-    for (std::size_t i = 0; i < 5; ++i) out << lines[i] << "\n";
+  ASSERT_EQ(lines.size(), 10u);  // one line per result, nothing else
+
+  // An interrupted run keeps the first four result lines.  Journals
+  // written by older builds also start with an epoch control record; a
+  // resume must count it as control, never as corruption, and otherwise
+  // ignore it.
+  const SweepSpec spec = make_grid_spec();
+  const std::string legacy_epoch =
+      "{\"ctl\": \"epoch\", \"sweep\": \"" + spec.name() + "\", \"fp\": \"" +
+      encode_hex_u64(spec.fingerprint()) + "\", \"epoch\": 1}";
+  for (const bool legacy : {false, true}) {
+    SCOPED_TRACE(legacy ? "legacy journal with an epoch record"
+                        : "current journal");
+    {
+      std::ofstream out(path, std::ios::trunc);
+      if (legacy) out << legacy_epoch << "\n";
+      for (std::size_t i = 0; i < 4; ++i) out << lines[i] << "\n";
+    }
+    {
+      testing::internal::CaptureStderr();
+      SweepCheckpoint scan(path, spec.name(), spec.fingerprint(),
+                           /*resume=*/true);
+      const std::string warnings = testing::internal::GetCapturedStderr();
+      EXPECT_TRUE(scan.recovery().existed);
+      EXPECT_EQ(scan.recovery().recovered, 4u);
+      EXPECT_EQ(scan.recovery().control, legacy ? 1u : 0u);
+      EXPECT_EQ(scan.recovery().corrupt, 0u);
+      EXPECT_EQ(scan.recovery().foreign, 0u);
+      EXPECT_EQ(warnings.find("unparseable"), std::string::npos) << warnings;
+    }
+
+    calls = 0;
+    SweepOptions second;
+    second.checkpoint_path = path;
+    second.resume = true;
+    testing::internal::CaptureStderr();
+    const auto resumed =
+        SweepRunner(make_grid_spec(), second).run(counting_eval);
+    const std::string warnings = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(warnings.find("unparseable"), std::string::npos) << warnings;
+    EXPECT_EQ(calls.load(), 6);  // only the six non-journaled points
+    expect_same_results(full, resumed);
+    EXPECT_EQ(render_json(resumed), render_json(full));
+    for (std::size_t i = 0; i < resumed.size(); ++i)
+      EXPECT_EQ(resumed[i].from_checkpoint, i < 4) << i;
+
+    // A second resume re-runs nothing at all.
+    calls = 0;
+    const auto third = SweepRunner(make_grid_spec(), second).run(counting_eval);
+    EXPECT_EQ(calls.load(), 0);
+    expect_same_results(full, third);
+    EXPECT_EQ(render_json(third), render_json(full));
   }
-
-  calls = 0;
-  SweepOptions second;
-  second.checkpoint_path = path;
-  second.resume = true;
-  const auto resumed = SweepRunner(make_grid_spec(), second).run(counting_eval);
-  EXPECT_EQ(calls.load(), 6);  // only the six non-journaled points
-  expect_same_results(full, resumed);
-  for (std::size_t i = 0; i < resumed.size(); ++i)
-    EXPECT_EQ(resumed[i].from_checkpoint, i < 4) << i;
-
-  // A second resume re-runs nothing at all.
-  calls = 0;
-  const auto third = SweepRunner(make_grid_spec(), second).run(counting_eval);
-  EXPECT_EQ(calls.load(), 0);
-  expect_same_results(full, third);
   std::remove(path.c_str());
 }
 

@@ -175,74 +175,46 @@ TEST(Messages, CoordinatorDeclinesWorkerVersionMismatchAsFatal) {
   const std::vector<sweep::SweepPoint> points = make_spec().expand();
   std::deque<std::size_t> pending;
   for (std::size_t i = 0; i < points.size(); ++i) pending.push_back(i);
-  JobServerEngine engine(points, "msg_test_grid", make_spec().fingerprint(),
-                         pending, JobServerOptions{});
-  engine.on_open(1, 0.0);
-  Hello hello;
-  hello.version = kProtocolVersion + 1;
-  hello.node = "old-worker";
-  hello.sweep = "msg_test_grid";
-  hello.fingerprint = make_spec().fingerprint();
-  engine.on_bytes(1, encode_hello(hello), 0.0);
-  const auto outbox = engine.take_outbox();
-  ASSERT_EQ(outbox.size(), 1u);
-  EXPECT_TRUE(outbox[0].close_after);
-  const auto welcome =
-      decode_welcome(JsonValue::parse(strip_newline(outbox[0].bytes)));
-  ASSERT_TRUE(welcome.has_value());
-  EXPECT_FALSE(welcome->ok);
-  EXPECT_FALSE(welcome->retry);  // fatal: retrying the same binary is useless
-  EXPECT_NE(welcome->error.find("protocol version mismatch"),
-            std::string::npos);
-  EXPECT_NE(welcome->error.find("old-worker"), std::string::npos);
-  // And the worker engine surfaces that decline as non-retryable.
-  Hello worker_hello;
-  worker_hello.node = "old-worker";
-  worker_hello.sweep = "msg_test_grid";
-  WorkerEngine worker(worker_hello);
-  const auto event = worker.on_line(strip_newline(outbox[0].bytes));
-  EXPECT_EQ(event.kind, WorkerEngine::Event::Kind::kDeclined);
-  EXPECT_FALSE(event.welcome.retry);
-}
-
-TEST(Messages, EpochRoundTripsThroughHelloAndWelcome) {
-  // Pinned hello: a non-zero epoch is carried; zero is omitted entirely
-  // (v1-compatible frame, "never admitted" on decode).
-  Hello hello;
-  hello.node = "w:1";
-  hello.sweep = "s";
-  hello.fingerprint = 7;
-  hello.epoch = 42;
-  const auto decoded =
-      decode_hello(JsonValue::parse(strip_newline(encode_hello(hello))));
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->epoch, 42u);
-  hello.epoch = 0;
-  const auto bare =
-      decode_hello(JsonValue::parse(strip_newline(encode_hello(hello))));
-  ASSERT_TRUE(bare.has_value());
-  EXPECT_EQ(bare->epoch, 0u);
-
-  Welcome welcome;
-  welcome.ok = true;
-  welcome.sweep = "s";
-  welcome.epoch = 42;
-  const auto w =
-      decode_welcome(JsonValue::parse(strip_newline(encode_welcome(welcome))));
-  ASSERT_TRUE(w.has_value());
-  EXPECT_EQ(w->epoch, 42u);
-  EXPECT_FALSE(w->probation);
-}
-
-TEST(Messages, ProbationFlagRoundTripsInWelcome) {
-  Welcome welcome;
-  welcome.ok = true;
-  welcome.sweep = "s";
-  welcome.probation = true;
-  const auto decoded =
-      decode_welcome(JsonValue::parse(strip_newline(encode_welcome(welcome))));
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_TRUE(decoded->probation);
+  // A newer worker, and one still speaking v2 (the protocol whose frames
+  // carried coordinator-takeover fields).
+  for (const int version : {kProtocolVersion + 1, kProtocolVersion - 1}) {
+    SCOPED_TRACE("worker speaks v" + std::to_string(version));
+    JobServerEngine engine(points, "msg_test_grid", make_spec().fingerprint(),
+                           pending, JobServerOptions{});
+    engine.on_open(1, 0.0);
+    Hello hello;
+    hello.version = version;
+    hello.node = "old-worker";
+    hello.sweep = "msg_test_grid";
+    hello.fingerprint = make_spec().fingerprint();
+    engine.on_bytes(1, encode_hello(hello), 0.0);
+    const auto outbox = engine.take_outbox();
+    ASSERT_EQ(outbox.size(), 1u);
+    EXPECT_TRUE(outbox[0].close_after);
+    const auto welcome =
+        decode_welcome(JsonValue::parse(strip_newline(outbox[0].bytes)));
+    ASSERT_TRUE(welcome.has_value());
+    EXPECT_FALSE(welcome->ok);
+    EXPECT_FALSE(welcome->retry);  // fatal: retrying the same binary is useless
+    EXPECT_NE(welcome->error.find("protocol version mismatch"),
+              std::string::npos);
+    EXPECT_NE(welcome->error.find("old-worker"), std::string::npos);
+    EXPECT_NE(welcome->error.find("coordinator speaks v" +
+                                  std::to_string(kProtocolVersion)),
+              std::string::npos);
+    EXPECT_NE(welcome->error.find("speaks v" + std::to_string(version)),
+              std::string::npos);
+    EXPECT_EQ(engine.results_from_workers(), 0u);
+    EXPECT_EQ(engine.dispatches(), 0u);
+    // And the worker engine surfaces that decline as non-retryable.
+    Hello worker_hello;
+    worker_hello.node = "old-worker";
+    worker_hello.sweep = "msg_test_grid";
+    WorkerEngine worker(worker_hello);
+    const auto event = worker.on_line(strip_newline(outbox[0].bytes));
+    EXPECT_EQ(event.kind, WorkerEngine::Event::Kind::kDeclined);
+    EXPECT_FALSE(event.welcome.retry);
+  }
 }
 
 TEST(Messages, NoticeRoundTripsAndClassifiesBeforeRequest) {
@@ -261,23 +233,6 @@ TEST(Messages, NoticeRoundTripsAndClassifiesBeforeRequest) {
   EXPECT_EQ(decoded->index, 5u);
   EXPECT_EQ(decoded->id, "maj_n9_p0.25");
   EXPECT_EQ(decoded->attempts, 3u);
-}
-
-TEST(Messages, FenceRoundTrips) {
-  Fence fence;
-  fence.epoch = 9;
-  fence.sweep = "exact_curves";
-  fence.fingerprint = 0xdeadbeefULL;
-  fence.node = "worker:77";
-  const auto value = JsonValue::parse(strip_newline(encode_fence(fence)));
-  EXPECT_EQ(classify_line(value), LineKind::kFence);
-  const auto decoded = decode_fence(value);
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->epoch, 9u);
-  EXPECT_EQ(decoded->sweep, "exact_curves");
-  EXPECT_EQ(decoded->fingerprint, 0xdeadbeefULL);
-  EXPECT_EQ(decoded->node, "worker:77");
-  EXPECT_FALSE(decode_fence(JsonValue::parse("{\"fence\": 1}")).has_value());
 }
 
 TEST(Messages, HexU64RoundTripsEveryBitPattern) {

@@ -9,22 +9,17 @@
 // bit-identical to evaluating the points directly.
 #include <gtest/gtest.h>
 
-#include <deque>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "core/net/framing.h"
 #include "core/net/messages.h"
 #include "core/sweep/evaluators.h"
 #include "core/sweep/spec_codec.h"
 #include "core/sweep/sweep_spec.h"
-#include "core/sweep/wire.h"
 #include "sim/protocol_harness.h"
 #include "sim/simulator.h"
 #include "sim/stream_network.h"
-#include "util/json.h"
 #include "util/rng.h"
 
 namespace qps::sim {
@@ -492,280 +487,6 @@ TEST(ProtocolSim, WithoutHeartbeatsTheSlowWorkerIsKilled) {
 
   EXPECT_GE(coordinator.engine().workers_timed_out(), 1u);
   expect_complete_and_identical(coordinator, spec, eval_point);
-}
-
-// ---------------------------------------------------------------------------
-// Failover, epoch fencing, and worker health: the self-healing half of the
-// matrix.  A standby taking over runs as a second coordinator with the
-// dead one's completed points precompleted and a strictly larger epoch;
-// workers carry their EpochMemory between incarnations just as a real
-// daemon process does between re-dials.
-// ---------------------------------------------------------------------------
-
-TEST(ProtocolSim, CoordinatorFailoverCompletesTheSweepUnderABumpedEpoch) {
-  Simulator simulator;
-  Rng rng(21);
-  StreamNetwork primary_net(simulator, rng);
-  StreamNetwork standby_net(simulator, rng);
-  const sweep::SweepSpec spec = make_spec();
-
-  SimCoordinatorOptions primary_options = coordinator_options();
-  primary_options.engine.epoch = 5;
-  SimCoordinator primary(simulator, primary_net, spec, primary_options);
-  net::EpochMemory epochs;  // survives the worker's re-dial
-  SimWorkerOptions first = pinned_worker(spec, "survivor");
-  first.eval_seconds = 0.1;
-  first.epochs = &epochs;
-  SimWorker incarnation_one(simulator, primary_net, first);
-
-  // Let some -- not all -- results land, then the primary "SIGKILLs".
-  ASSERT_TRUE(simulator.run_until(
-      [&] { return primary.results().size() >= 4; }, 600.0));
-  primary.halt();
-  ASSERT_FALSE(primary.done());
-  EXPECT_EQ(epochs.get(spec.name(), spec.fingerprint()), 5u);
-
-  // The standby replayed the journal: the primary's completed points are
-  // precompleted, the epoch strictly larger.
-  SimCoordinatorOptions standby_options = coordinator_options();
-  standby_options.engine.epoch = 6;
-  for (const auto& [index, stats] : primary.results())
-    standby_options.precompleted.push_back(index);
-  SimCoordinator standby(simulator, standby_net, spec, standby_options);
-  SimWorkerOptions second = pinned_worker(spec, "survivor");
-  second.eval_seconds = 0.1;
-  second.epochs = &epochs;
-  second.join_time = simulator.now() + 0.1;
-  SimWorker incarnation_two(simulator, standby_net, second);
-
-  ASSERT_TRUE(simulator.run_until([&] { return standby.done(); }, 600.0));
-  // Drain the bye.  (A plain run() would never return: the halted
-  // primary's admitted worker keeps heartbeating into the void.)
-  ASSERT_TRUE(simulator.run_until(
-      [&] { return incarnation_two.state() == SimWorker::State::kDone; },
-      700.0));
-
-  EXPECT_EQ(incarnation_two.state(), SimWorker::State::kDone);
-  EXPECT_FALSE(standby.engine().superseded());
-  EXPECT_EQ(epochs.get(spec.name(), spec.fingerprint()), 6u);
-  EXPECT_EQ(standby.engine().results_from_workers(),
-            spec.point_count() - primary.results().size());
-
-  // The union of both coordinators' results is the complete sweep,
-  // bit-identical to direct evaluation -- no point lost, none doubled.
-  const auto points = spec.expand();
-  std::map<std::size_t, RunningStats> merged = primary.results();
-  for (const auto& [index, stats] : standby.results()) {
-    EXPECT_EQ(merged.count(index), 0u) << "double-counted point " << index;
-    merged[index] = stats;
-  }
-  ASSERT_EQ(merged.size(), points.size());
-  for (const auto& point : points) {
-    const RunningStats direct = eval_point(point);
-    EXPECT_EQ(merged.at(point.index).mean(), direct.mean()) << point.id;
-    EXPECT_EQ(merged.at(point.index).count(), direct.count()) << point.id;
-  }
-}
-
-TEST(ProtocolSim, PinnedWorkerHelloFencesAResurrectedCoordinator) {
-  // A pinned worker that was admitted under epoch 7 re-dials; the stale
-  // coordinator (epoch 3) must learn of its supersession from the hello's
-  // epoch echo alone and stand down without assigning anything.
-  Simulator simulator;
-  Rng rng(22);
-  StreamNetwork network(simulator, rng);
-  const sweep::SweepSpec spec = make_spec();
-  SimCoordinatorOptions options = coordinator_options();
-  options.engine.epoch = 3;
-  SimCoordinator zombie(simulator, network, spec, options);
-  net::EpochMemory epochs;
-  epochs.raise(spec.name(), spec.fingerprint(), 7);
-  SimWorkerOptions pinned = pinned_worker(spec, "returning");
-  pinned.epochs = &epochs;
-  SimWorker worker(simulator, network, pinned);
-
-  ASSERT_TRUE(simulator.run_until(
-      [&] { return zombie.engine().superseded(); }, 600.0));
-
-  EXPECT_EQ(zombie.engine().superseded_by(), 7u);
-  EXPECT_GE(zombie.engine().stale_epoch_rejected(), 1u);
-  EXPECT_EQ(zombie.engine().results_from_workers(), 0u);
-  EXPECT_EQ(zombie.results().size(), 0u);  // never dispatched a thing
-  // A superseded coordinator never reaches done(), so its tick runs
-  // forever -- drain with a predicate, not a plain run().
-  ASSERT_TRUE(simulator.run_until(
-      [&] { return worker.state() == SimWorker::State::kDeclined; }, 700.0));
-  EXPECT_EQ(worker.state(), SimWorker::State::kDeclined);
-  EXPECT_FALSE(worker.retry_suggested());  // this coordinator is done for
-}
-
-TEST(ProtocolSim, RegistryWorkerFencesAStaleWelcomeWithAFenceFrame) {
-  // Registry hellos name no sweep, so they cannot echo an epoch; the
-  // fencing ride the other direction -- a welcome below the worker's
-  // remembered epoch draws a FENCE frame and a refusal to serve.
-  Simulator simulator;
-  Rng rng(23);
-  StreamNetwork network(simulator, rng);
-  sweep::SweepSpec spec("sim_exact", 5);
-  spec.add_block("maj", {3, 5});
-  spec.set_ps({0.25, 0.75});
-  const sweep::PointEvaluator exact =
-      sweep::find_standard_evaluator("exact_ppc", 1);
-  SimCoordinatorOptions options = coordinator_options();
-  options.engine.evaluator = "exact_ppc";
-  options.engine.spec_text = sweep::spec_to_json(spec);
-  options.engine.epoch = 3;
-  SimCoordinator zombie(simulator, network, spec, options);
-  net::EpochMemory epochs;
-  epochs.raise(spec.name(), spec.fingerprint(), 7);
-  SimWorkerOptions daemon;
-  daemon.node = "daemon";
-  daemon.epochs = &epochs;
-  SimWorker worker(simulator, network, daemon);
-
-  ASSERT_TRUE(simulator.run_until(
-      [&] { return zombie.engine().superseded(); }, 600.0));
-
-  EXPECT_EQ(zombie.engine().superseded_by(), 7u);
-  ASSERT_TRUE(simulator.run_until(
-      [&] { return worker.state() == SimWorker::State::kFenced; }, 700.0));
-  EXPECT_EQ(worker.state(), SimWorker::State::kFenced);
-  EXPECT_EQ(worker.results_sent(), 0u);
-  EXPECT_EQ(zombie.engine().results_from_workers(), 0u);
-}
-
-TEST(ProtocolSim, StaleEpochResultIsRejectedNeverAggregated) {
-  // A worker stamping results with a bygone epoch (it missed the
-  // failover) must have every such result rejected and its session
-  // killed; the sweep still completes correctly without it.
-  Simulator simulator;
-  Rng rng(24);
-  StreamNetwork network(simulator, rng);
-  const sweep::SweepSpec spec = make_spec();
-  SimCoordinatorOptions options = coordinator_options();
-  options.engine.epoch = 6;
-  options.local_fallback = true;
-  options.local_eval = eval_point;
-  SimCoordinator coordinator(simulator, network, spec, options);
-  SimWorkerOptions lagging = pinned_worker(spec, "lagging");
-  lagging.result_epoch_override = 5;  // the pre-failover epoch
-  SimWorker worker(simulator, network, lagging);
-
-  ASSERT_TRUE(
-      simulator.run_until([&] { return coordinator.done(); }, 600.0));
-  simulator.run();
-
-  EXPECT_EQ(coordinator.engine().stale_epoch_rejected(), 1u);
-  EXPECT_EQ(coordinator.engine().results_from_workers(), 0u);
-  EXPECT_FALSE(coordinator.engine().superseded());  // stale, not newer
-  expect_complete_and_identical(coordinator, spec, eval_point);
-}
-
-TEST(ProtocolSim, FlappingWorkerIsDemotedToProbationThenRepromoted) {
-  // Two deaths drive the EWMA score 1.0 -> 0.6 -> 0.36, under the 0.5
-  // probation threshold; the third incarnation serves on probation and
-  // earns its way back after 3 consecutive completions.
-  Simulator simulator;
-  Rng rng(25);
-  StreamNetwork network(simulator, rng);
-  const sweep::SweepSpec spec = make_spec();
-  SimCoordinator coordinator(simulator, network, spec,
-                             coordinator_options());
-  SimWorkerOptions flap = pinned_worker(spec, "flappy");
-  flap.die_holding = 1;  // die on the first request, every time
-  SimWorker crash_one(simulator, network, flap);
-  SimWorkerOptions flap_again = flap;
-  flap_again.join_time = 0.5;
-  SimWorker crash_two(simulator, network, flap_again);
-  SimWorkerOptions steady = pinned_worker(spec, "flappy");
-  steady.join_time = 1.0;
-  SimWorker redemption(simulator, network, steady);
-
-  ASSERT_TRUE(
-      simulator.run_until([&] { return coordinator.done(); }, 600.0));
-  simulator.run();
-
-  EXPECT_EQ(coordinator.engine().probation_demotions(), 1u);
-  EXPECT_EQ(coordinator.engine().probation_promotions(), 1u);
-  EXPECT_FALSE(coordinator.engine().on_probation("flappy"));
-  EXPECT_GT(coordinator.engine().worker_score("flappy"), 0.5);
-  EXPECT_EQ(redemption.state(), SimWorker::State::kDone);
-  EXPECT_EQ(redemption.results_sent(), spec.point_count());
-  expect_complete_and_identical(coordinator, spec, eval_point);
-}
-
-TEST(ProtocolSim, ProbationMathCrossesTheDocumentedThresholdExactly) {
-  // Pins the documented health math: EWMA with alpha 0.4 from 1.0 gives
-  // 0.6 after one failure (still healthy) and 0.36 after two (under the
-  // 0.5 threshold -> probation); 3 consecutive completions re-promote.
-  const sweep::SweepSpec spec = make_spec();
-  const auto points = spec.expand();
-  std::deque<std::size_t> pending;
-  for (std::size_t i = 0; i < points.size(); ++i) pending.push_back(i);
-  net::JobServerEngine engine(points, spec.name(), spec.fingerprint(),
-                              pending, net::JobServerOptions{});
-  net::Hello hello;
-  hello.node = "flappy";
-  hello.sweep = spec.name();
-  hello.fingerprint = spec.fingerprint();
-
-  // Two crash cycles: admitted, dispatched a point, died holding it.
-  engine.on_open(1, 0.0);
-  engine.on_bytes(1, net::encode_hello(hello), 0.0);
-  engine.take_outbox();
-  engine.on_close(1, 0.1);
-  EXPECT_NEAR(engine.worker_score("flappy"), 0.6, 1e-12);
-  EXPECT_FALSE(engine.on_probation("flappy"));
-  EXPECT_EQ(engine.probation_demotions(), 0u);
-
-  engine.on_open(2, 0.2);
-  engine.on_bytes(2, net::encode_hello(hello), 0.2);
-  engine.take_outbox();
-  engine.on_close(2, 0.3);
-  EXPECT_NEAR(engine.worker_score("flappy"), 0.36, 1e-12);
-  EXPECT_TRUE(engine.on_probation("flappy"));
-  EXPECT_EQ(engine.probation_demotions(), 1u);
-
-  // Third connection: still admitted, but the welcome is flagged and 3
-  // completions earn the node its way back off probation.
-  engine.on_open(3, 0.4);
-  engine.on_bytes(3, net::encode_hello(hello), 0.4);
-  net::LineReassembler reassembler;
-  std::vector<std::string> queue;
-  const auto drain = [&] {
-    for (const auto& send : engine.take_outbox())
-      if (send.session == 3 && !send.bytes.empty())
-        ASSERT_TRUE(reassembler.feed(send.bytes, queue));
-  };
-  drain();
-  ASSERT_FALSE(queue.empty());
-  const auto welcome = net::decode_welcome(JsonValue::parse(queue.front()));
-  queue.erase(queue.begin());
-  ASSERT_TRUE(welcome.has_value());
-  EXPECT_TRUE(welcome->ok);
-  EXPECT_TRUE(welcome->probation);
-
-  double now = 0.5;
-  for (int round = 0; round < 3; ++round) {
-    drain();
-    std::optional<std::size_t> index;
-    while (!queue.empty() && !index.has_value()) {
-      const auto value = JsonValue::parse(queue.front());
-      queue.erase(queue.begin());
-      if (net::classify_line(value) == net::LineKind::kRequest)
-        index = static_cast<std::size_t>(value.at("point").as_uint64());
-    }
-    ASSERT_TRUE(index.has_value()) << "no request in round " << round;
-    engine.on_bytes(3,
-                    sweep::encode_result(spec.name(), spec.fingerprint(),
-                                         points[*index],
-                                         eval_point(points[*index])),
-                    now);
-    now += 0.1;
-  }
-  EXPECT_FALSE(engine.on_probation("flappy"));
-  EXPECT_EQ(engine.probation_promotions(), 1u);
-  EXPECT_GT(engine.worker_score("flappy"), 0.5);
 }
 
 TEST(ProtocolSim, QuarantineIsBroadcastAsANoticeToConnectedWorkers) {

@@ -295,19 +295,19 @@ TEST(SocketSweep, CheckpointResumeComposesWithSocketWorkers) {
   sweep::SweepRunner baseline(make_spec(), baseline_options);
   const auto expected = baseline.run(eval_point);
 
-  // "Kill" the coordinator mid-sweep: keep the epoch record plus 4 result
-  // lines and a torn fifth (a process dying mid-write leaves exactly this).
+  // "Kill" the coordinator mid-sweep: keep 4 result lines and a torn
+  // fifth (a process dying mid-write leaves exactly this).
   std::vector<std::string> lines;
   {
     std::ifstream in(journal);
     std::string line;
     while (std::getline(in, line)) lines.push_back(line);
   }
-  ASSERT_GT(lines.size(), 6u);
+  ASSERT_GT(lines.size(), 5u);
   {
     std::ofstream out(journal, std::ios::trunc);
-    for (int i = 0; i < 5; ++i) out << lines[i] << "\n";
-    out << lines[5].substr(0, lines[5].size() / 2);  // no terminator
+    for (int i = 0; i < 4; ++i) out << lines[i] << "\n";
+    out << lines[4].substr(0, lines[4].size() / 2);  // no terminator
   }
 
   // Resume with the remaining points computed by a socket worker.
@@ -364,6 +364,53 @@ TEST(SocketSweep, LocalFallbackCompletesWithNoWorkersAtAll) {
       },
       SocketCoordinatorOptions{});  // local_fallback defaults on
   expect_identical(results, spec);
+}
+
+TEST(SocketSweep, IdleTimeoutAbandonsASilentCoordinator) {
+  // A coordinator that accepts the worker and then goes silent (wedged or
+  // SIGSTOPped) must not hold the worker in read(2) forever: with an idle
+  // timeout the serve ends as kLost, so the caller's retry budget re-dials.
+  const sweep::SweepSpec spec = make_spec();
+  TcpListener listener = TcpListener::bind(0);
+  ASSERT_TRUE(listener.valid());
+  // Connect before the peer thread exists, so a failed assertion cannot
+  // leave that thread blocked in accept().
+  TcpStream stream = TcpStream::connect("127.0.0.1", listener.port());
+  ASSERT_TRUE(stream.valid());
+  std::thread silent([&listener, &spec] {
+    TcpStream peer = listener.accept();
+    if (!peer.valid()) return;
+    Welcome welcome;
+    welcome.ok = true;
+    welcome.sweep = spec.name();
+    welcome.fingerprint = spec.fingerprint();
+    peer.send_all(encode_welcome(welcome));
+    // Read (and discard) until the worker hangs up; never answer.
+    char chunk[512];
+    while (peer.read_some(chunk, sizeof chunk) > 0) {
+    }
+  });
+
+  Hello hello;
+  hello.node = "patient";
+  hello.sweep = spec.name();
+  hello.fingerprint = spec.fingerprint();
+  ServeHooks hooks;
+  hooks.idle_timeout_seconds = 0.2;
+  std::string error;
+  const auto start = std::chrono::steady_clock::now();
+  const ServeOutcome outcome = serve_connection(
+      stream, hello, pinned_binder(spec, eval_point), &error, hooks);
+  stream.close();  // releases the silent peer
+  const double elapsed = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  silent.join();
+
+  EXPECT_EQ(outcome, ServeOutcome::kLost);
+  EXPECT_NE(error.find("idle timeout"), std::string::npos) << error;
+  EXPECT_GE(elapsed, 0.2);
+  EXPECT_LT(elapsed, 5.0);
 }
 
 TEST(SocketSweep, HeartbeatGapHistogramWidensUnderInjectedDelay) {

@@ -34,13 +34,13 @@
 // fault injection (grammar in core/fault/fault.h); the daemon's own site
 // is "workerd/serve", hit once per accepted/dialed serving attempt.
 // --idle-timeout S abandons a coordinator that goes completely silent for
-// S seconds (a SIGSTOPped or wedged primary), which is how the daemon
-// migrates to a standby after a failover.
+// S seconds (a SIGSTOPped or wedged coordinator) and re-dials it, so the
+// daemon finds a coordinator restarted with --resume.
 //
 // Besides its human-readable log lines the daemon emits structured
-// one-line JSON events on stderr -- {"event": "quarantine"|"forfeit"|
-// "probation"|"epoch_fence", ...} -- so an operator (or CI) can grep the
-// fabric's health decisions without parsing prose.
+// one-line JSON events on stderr -- {"event": "quarantine"|"forfeit", ...}
+// -- so an operator (or CI) can grep the fabric's decisions without
+// parsing prose.
 //
 // A protocol-version mismatch is fatal (exit 3) with both versions named:
 // mixed-version fleets must fail fast, not mis-parse frames.
@@ -137,11 +137,6 @@ qps::net::ServeOutcome serve_once(qps::net::TcpStream& stream,
                  qps::json_quote(error) + "}");
       std::cerr << "qps_workerd: lost " << peer << ": " << error << "\n";
       if (is_version_mismatch(error)) std::exit(3);
-      break;
-    case qps::net::ServeOutcome::kFencedStale:
-      // The structured epoch_fence event came through hooks.on_fence.
-      std::cerr << "qps_workerd: fenced stale coordinator " << peer << ": "
-                << error << "\n";
       break;
     default:
       break;
@@ -303,28 +298,10 @@ int main(int argc, char** argv) {
   qps::net::Hello hello;
   hello.node = node_name();
   hello.evaluators = qps::sweep::standard_evaluator_ids();
-  // The probation event rides on the binder: the accepted welcome is the
-  // first (and only) place the daemon learns the coordinator has demoted
-  // its node.
-  const qps::net::SweepBinder registry =
-      qps::net::registry_binder(options.dp_threads);
   const qps::net::SweepBinder binder =
-      [registry](const qps::net::Welcome& welcome,
-                 std::vector<qps::sweep::SweepPoint>& points,
-                 qps::sweep::PointEvaluator& eval, std::string& error) {
-        if (welcome.probation)
-          emit_event("{\"event\": \"probation\", \"sweep\": " +
-                     qps::json_quote(welcome.sweep) + ", \"epoch\": " +
-                     std::to_string(welcome.epoch) + "}");
-        return registry(welcome, points, eval, error);
-      };
+      qps::net::registry_binder(options.dp_threads);
 
-  // Epoch memory spans every serve of this process: once admitted under a
-  // newer coordinator's epoch, the daemon fences any older one that comes
-  // back from the dead.
-  static qps::net::EpochMemory epochs;
   qps::net::ServeHooks hooks;
-  hooks.epochs = &epochs;
   hooks.idle_timeout_seconds = idle_timeout;
   hooks.on_notice = [](const qps::net::Notice& notice) {
     if (notice.kind != "quarantine") return;
@@ -332,13 +309,6 @@ int main(int argc, char** argv) {
                qps::json_quote(notice.id) + ", \"index\": " +
                std::to_string(notice.index) + ", \"attempts\": " +
                std::to_string(notice.attempts) + "}");
-  };
-  hooks.on_fence = [](std::uint64_t known_epoch,
-                      const qps::net::Welcome& welcome) {
-    emit_event("{\"event\": \"epoch_fence\", \"sweep\": " +
-               qps::json_quote(welcome.sweep) + ", \"stale_epoch\": " +
-               std::to_string(welcome.epoch) + ", \"known_epoch\": " +
-               std::to_string(known_epoch) + "}");
   };
 
   if (!connect.empty()) {
