@@ -27,6 +27,7 @@
 #include "core/algorithms/probe_maj.h"
 #include "core/algorithms/probe_tree.h"
 #include "core/estimator.h"
+#include "core/expectation.h"
 #include "core/formulas.h"
 #include "quorum/crumbling_wall.h"
 #include "quorum/hqs.h"
@@ -81,9 +82,12 @@ ProbeStrategyPtr make_strategy(const std::string& family,
 }
 
 // The exact PPC_p of the point's strategy under i.i.d. failures, where a
-// closed form is known: every det point of every family (the paper's
-// recursions, pinned to the algorithms by brute force in test_formulas)
-// and R_Probe_Maj (the binomial mixture of Thm 4.2's urn).
+// value is known: every det point of every family (the paper's
+// recursions, pinned to the algorithms by brute force in test_formulas),
+// R_Probe_Maj (the binomial mixture of Thm 4.2's urn), R_Probe_HQS and
+// IR_Probe_HQS at h = 1 (they randomize only over automorphic children,
+// so their PPC_p is Probe_HQS's), and IR_Probe_HQS at h = 2 (enumerated
+// over all 2^9 colorings).
 std::optional<double> exact_ppc(const sweep::SweepPoint& point,
                                 std::size_t n) {
   const double p = point.p;
@@ -96,6 +100,12 @@ std::optional<double> exact_ppc(const sweep::SweepPoint& point,
   }
   if (point.strategy == "R" && point.family == "maj")
     return r_probe_maj_ppc(n, p);
+  if (point.family == "hqs") {
+    if (point.strategy == "R" || (point.strategy == "IR" && point.size == 1))
+      return probe_hqs_expected(point.size, p);
+    if (point.strategy == "IR" && point.size == 2)
+      return ir_probe_hqs_ppc(HQSystem(point.size), p);
+  }
   return std::nullopt;
 }
 
@@ -106,7 +116,8 @@ int main(int argc, char** argv) {
   qps::bench::print_header(
       "Monte-Carlo strategy E(p) curves",
       "E[probes] of Probe_* / R_Probe_* per family across p; every det "
-      "point and R_Probe_Maj match their exact PPC_p within 4xSEM",
+      "point, R_Probe_Maj, R_Probe_HQS and IR_Probe_HQS at h <= 2 match "
+      "their exact PPC_p within 4xSEM",
       ctx);
   qps::bench::JsonReport report("mc_curves", ctx);
 

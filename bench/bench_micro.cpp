@@ -368,6 +368,13 @@ void BM_ProbeTrials_Hot_RHqs27(benchmark::State& state) {
 }
 BENCHMARK(BM_ProbeTrials_Hot_RHqs27);
 
+void BM_ProbeTrials_Hot_IrHqs27(benchmark::State& state) {
+  const HQSystem hqs(3);
+  const IRProbeHQS strategy(hqs);
+  run_hot_trials(state, hqs, strategy, 0.5);
+}
+BENCHMARK(BM_ProbeTrials_Hot_IrHqs27);
+
 void BM_ProbeTrials_Batch_Hqs27(benchmark::State& state) {
   const HQSystem hqs(3);
   const ProbeHQS strategy(hqs);
@@ -440,6 +447,13 @@ void BM_ProbeTrials_RandBatch_RHqs27(benchmark::State& state) {
   run_batch_trials(state, hqs, strategy, 0.5, SimdIsa::kAuto);
 }
 BENCHMARK(BM_ProbeTrials_RandBatch_RHqs27);
+
+void BM_ProbeTrials_RandBatch_IrHqs27(benchmark::State& state) {
+  const HQSystem hqs(3);
+  const IRProbeHQS strategy(hqs);
+  run_batch_trials(state, hqs, strategy, 0.5, SimdIsa::kAuto);
+}
+BENCHMARK(BM_ProbeTrials_RandBatch_IrHqs27);
 
 void BM_ProbeTrials_RandBatch_Cw55(benchmark::State& state) {
   const CrumblingWall wall = CrumblingWall::triang(10);

@@ -17,6 +17,10 @@
 // peek at one random grandchild of the next child; if it contradicts the
 // first child's value, jump to the third child first.  Improves the
 // exponent to ~0.89 (see EXPERIMENTS.md for the constant).
+//
+// All three have bit-sliced batch kernels (core/engine/simd.h); the two
+// randomized ones draw one child order per gate up front, lane-major, and
+// share that draw and its layout.
 #pragma once
 
 #include "core/strategy.h"
@@ -73,6 +77,21 @@ class IRProbeHQS final : public ProbeStrategy {
   /// Allocation-free for n <= 64 (word-mask supports).
   Witness run_with(TrialWorkspace& workspace, ProbeSession& session,
                    Rng& rng) const override;
+  /// Bit-sliced batch kernel on R_Probe_HQS's draws: every gate's child
+  /// order is drawn up front, lane-major, into the same 6 masks per gate
+  /// (each gate's children are shuffled at most once per trial, so this
+  /// has the law of Fig. 8's shuffles at first visit); irhqs_scan then
+  /// walks the gates with the lanes split by how they enter each node --
+  /// ir_eval, eval_node, the grandchild peek, or the peeked child's
+  /// completion.  run_lane() runs the scalar order-driven recursion on one
+  /// lane's orders, run_with() on orders drawn per trial.
+  bool supports_batch(std::size_t universe_size) const override;
+  void run_batch(BatchTrialBlock& block, Rng& rng) const override;
+  std::size_t lane_choice_words() const override;
+  void draw_lane_choices(Rng& rng, std::uint64_t* choices) const override;
+  Witness run_lane(TrialWorkspace& workspace, ProbeSession& session,
+                   const std::uint64_t* choices,
+                   std::size_t lane) const override;
 
  private:
   const HQSystem* hqs_;

@@ -23,11 +23,11 @@
 // trials 64g .. 64g+63.  One draw per word for every 0 < p < 1, and
 // comonotone in p, so two points that share a seed and differ only in p
 // see coupled colorings and identically placed strategy draws.  Then the
-// strategy draws (stream v5):
+// strategy draws (stream v6):
 //  * a batch-capable randomized strategy (R_Probe_Maj, Random_Order,
-//    R_Probe_Tree, R_Probe_HQS, R_Probe_CW) draws its choices lane-major
-//    for groups g = 0 .. G-1 in order, one word per choice bit per group
-//    with rejection rounds until all 64 lanes accept
+//    R_Probe_Tree, R_Probe_HQS, IR_Probe_HQS, R_Probe_CW) draws its
+//    choices lane-major for groups g = 0 .. G-1 in order, one word per
+//    choice bit per group with rejection rounds until all 64 lanes accept
 //    (ProbeStrategy::draw_lane_choices, core/engine/batch_kernel.h);
 //    lanes beyond the batch's count are drawn and ignored;
 //  * every other strategy draws per trial, in trial order, through
@@ -66,8 +66,11 @@ namespace qps {
 /// mask word, p-coupled; see sample_iid_coloring_words).  Version 4: the
 /// same sampler drawn lane-major, one word per element per 64 trials (see
 /// sample_iid_lane_words).  Version 5: the randomized strategies' choices
-/// drawn lane-major too, 64 trials per word (draw_lane_choices).
-inline constexpr std::uint32_t kResultStreamVersion = 5;
+/// drawn lane-major too, 64 trials per word (draw_lane_choices).  Version
+/// 6: IR_Probe_HQS draws every gate's child order up front, lane-major, as
+/// R_Probe_HQS does, instead of shuffling per trial at each gate's first
+/// visit; only its own points move.
+inline constexpr std::uint32_t kResultStreamVersion = 6;
 
 /// How estimate_ppc executes the trials of a batch.
 enum class Execution {

@@ -16,14 +16,14 @@ constexpr std::size_t kW = 4;
 }  // namespace w4
 
 constexpr SimdKernels kOffTable = {
-    SimdIsa::kOff,   1,
-    &w1::count_scan, &w1::tree_scan, &w1::rtree_scan, &w1::hqs_scan,
-    &w1::rhqs_scan,  &w1::cw_scan,   &w1::rcw_scan};
+    SimdIsa::kOff,    1,
+    &w1::count_scan,  &w1::tree_scan, &w1::rtree_scan, &w1::hqs_scan,
+    &w1::rhqs_scan,   &w1::irhqs_scan, &w1::cw_scan,   &w1::rcw_scan};
 
 constexpr SimdKernels kPortableTable = {
     SimdIsa::kPortable, 4,
-    &w4::count_scan,    &w4::tree_scan, &w4::rtree_scan, &w4::hqs_scan,
-    &w4::rhqs_scan,     &w4::cw_scan,   &w4::rcw_scan};
+    &w4::count_scan,    &w4::tree_scan,  &w4::rtree_scan, &w4::hqs_scan,
+    &w4::rhqs_scan,     &w4::irhqs_scan, &w4::cw_scan,    &w4::rcw_scan};
 
 }  // namespace
 

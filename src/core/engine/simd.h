@@ -83,6 +83,13 @@ struct SimdKernels {
   void (*rhqs_scan)(const BlockView&, std::size_t height,
                     const std::uint64_t* order_masks);
 
+  /// IR_Probe_HQS (Fig. 8) on the same per-lane child orders as
+  /// rhqs_scan: a masked walk whose node entries carry the lanes that
+  /// evaluate the node by ir_eval or eval_node, peek at its first child,
+  /// or complete it after a peek.
+  void (*irhqs_scan)(const BlockView&, std::size_t height,
+                     const std::uint64_t* order_masks);
+
   /// Probe_CW's top-down mode scan; rows are [row_begin[r], row_begin[r+1])
   /// and row_begin has row_count+1 entries.
   void (*cw_scan)(const BlockView&, const std::uint32_t* row_begin,

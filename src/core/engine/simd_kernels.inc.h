@@ -277,6 +277,165 @@ void rhqs_scan(const BlockView& v, std::size_t height, const U64* order_masks) {
   rhqs_rec(v, height, height, 0, v.active, order_masks, out);
 }
 
+// --------------------------------------------------------------- irhqs_scan
+
+/// The lanes entering one node of irhqs_rec, one disjoint mask per way in
+/// (core/algorithms/probe_hqs.cpp names the scalar steps):
+///   ir  Fig. 8's ir_eval (eval_node at heights 0 and 1);
+///   ev  eval_node: the first two children in the lane's order and, on
+///       disagreement, the third, each by ir_eval;
+///   pk  the grandchild peek of the parent's ir_eval: the first child only,
+///       by ir_eval;
+///   cp  complete_node after that peek: the second child and, when it
+///       disagrees with the peeked value g, the third.
+/// pk and cp lanes enter gates only, never leaves.
+struct IrLanes {
+  U64 ir[kW], ev[kW], pk[kW], cp[kW], g[kW];
+};
+
+/// IR_Probe_HQS with per-lane drawn child orders (rhqs_scan's layout).
+/// Each ir lane runs Fig. 8 in three masked phases over the children:
+/// (1) its first child by eval_node and the peek into its second child;
+/// (2) lanes whose peek agrees with the first child complete the second
+/// child (step 5), the others evaluate the third (step 6); (3) lanes still
+/// tied evaluate the remaining child -- the third or the rest of the
+/// second.  The ev, pk and cp lanes ride phases 1 and 2.  Writes the
+/// node's value for ir, ev and cp lanes, the first child's for pk lanes.
+/// Each lane enters a child at most once per phase, with disjoint child
+/// subtrees per entry, so probe sets match the scalar walk.
+void irhqs_rec(const BlockView& v, std::size_t height, std::size_t level,
+               std::size_t index, const IrLanes& in, const U64* orders,
+               U64* out) {
+  U64 any[kW];
+  for (std::size_t k = 0; k < kW; ++k)
+    any[k] = in.ir[k] | in.ev[k] | in.pk[k] | in.cp[k];
+  if (!any_set(any)) {
+    zero_w(out);
+    return;
+  }
+  if (level == 0) {
+    tally_add(v.probe_planes, v.planes, any);
+    copy_w(out, v.greens + index * kW);
+    return;
+  }
+  const U64* F = orders + rhqs_gate(height, level, index) * 6 * kW;
+  // Height-1 gates have no grandchildren: ir_eval is eval_node there.
+  U64 ir[kW], ev[kW];
+  for (std::size_t k = 0; k < kW; ++k) {
+    ir[k] = level == 1 ? 0 : in.ir[k];
+    ev[k] = level == 1 ? in.ev[k] | in.ir[k] : in.ev[k];
+  }
+  const auto picked = [F](std::size_t slot, const U64 (*r)[kW], U64* out_w) {
+    for (std::size_t k = 0; k < kW; ++k)
+      out_w[k] = (F[(slot + 0) * kW + k] & r[0][k]) |
+                 (F[(slot + 1) * kW + k] & r[1][k]) |
+                 (F[(slot + 2) * kW + k] & r[2][k]);
+  };
+  IrLanes child;
+  // Enters child c with `child`'s lanes.  A leaf is probed in place: only
+  // ir and ev lanes reach leaves, and the call is the kernel's hottest.
+  const auto enter = [&](std::size_t c, U64* value) {
+    const std::size_t node = index * 3 + c;
+    if (level > 1) {
+      irhqs_rec(v, height, level - 1, node, child, orders, value);
+      return;
+    }
+    U64 m[kW];
+    for (std::size_t k = 0; k < kW; ++k) m[k] = child.ir[k] | child.ev[k];
+    if (any_set(m)) tally_add(v.probe_planes, v.planes, m);
+    copy_w(value, v.greens + node * kW);
+  };
+
+  // Phase 1: ev lanes' first two children, pk lanes' first, cp lanes'
+  // second (all by ir_eval); ir lanes' first child by eval_node and their
+  // peek into the second.
+  U64 a[3][kW];
+  for (std::size_t c = 0; c < 3; ++c) {
+    const U64* Fc = F + c * kW;
+    const U64* Sc = F + (3 + c) * kW;
+    for (std::size_t k = 0; k < kW; ++k) {
+      child.ir[k] = (ev[k] & (Fc[k] | Sc[k])) | (in.pk[k] & Fc[k]) |
+                    (in.cp[k] & Sc[k]);
+      child.ev[k] = ir[k] & Fc[k];
+      child.pk[k] = ir[k] & Sc[k];
+      child.cp[k] = 0;
+    }
+    enter(c, a[c]);
+  }
+  U64 first[kW], second[kW], tie[kW], step5[kW], step6[kW];
+  picked(0, a, first);
+  picked(3, a, second);
+  for (std::size_t k = 0; k < kW; ++k) {
+    // ev and cp lanes whose two values disagree need their third child.
+    tie[k] = (ev[k] & (first[k] ^ second[k])) |
+             (in.cp[k] & (second[k] ^ in.g[k]));
+    step5[k] = ir[k] & ~(first[k] ^ second[k]);
+    step6[k] = ir[k] & (first[k] ^ second[k]);
+  }
+
+  // Phase 2: the tied ev / cp lanes' third child; step 5 completes the
+  // second child, step 6 evaluates the third.
+  U64 b[3][kW];
+  copy_w(child.g, second);
+  for (std::size_t c = 0; c < 3; ++c) {
+    const U64* Fc = F + c * kW;
+    const U64* Sc = F + (3 + c) * kW;
+    for (std::size_t k = 0; k < kW; ++k) {
+      const U64 Tc = ~(Fc[k] | Sc[k]);
+      child.ir[k] = tie[k] & Tc;
+      child.ev[k] = step6[k] & Tc;
+      child.pk[k] = 0;
+      child.cp[k] = step5[k] & Sc[k];
+    }
+    enter(c, b[c]);
+  }
+  U64 third[kW], done2[kW], late[kW];
+  for (std::size_t k = 0; k < kW; ++k) {
+    third[k] = ~(F[k] | F[3 * kW + k]) & b[0][k];
+    third[k] |= ~(F[kW + k] | F[4 * kW + k]) & b[1][k];
+    third[k] |= ~(F[2 * kW + k] | F[5 * kW + k]) & b[2][k];
+  }
+  picked(3, b, done2);
+  for (std::size_t k = 0; k < kW; ++k)
+    late[k] = (step5[k] & (done2[k] ^ first[k])) |
+              (step6[k] & (third[k] ^ first[k]));
+
+  // Phase 3: ir lanes still tied -- step 5 evaluates the third child,
+  // step 6 completes the second.
+  U64 last[kW];
+  zero_w(last);
+  if (any_set(late)) {
+    U64 r[kW];
+    for (std::size_t c = 0; c < 3; ++c) {
+      const U64* Fc = F + c * kW;
+      const U64* Sc = F + (3 + c) * kW;
+      for (std::size_t k = 0; k < kW; ++k) {
+        child.ir[k] = 0;
+        child.ev[k] = late[k] & step5[k] & ~(Fc[k] | Sc[k]);
+        child.cp[k] = late[k] & step6[k] & Sc[k];
+      }
+      enter(c, r);
+      for (std::size_t k = 0; k < kW; ++k)
+        last[k] |= (child.ev[k] | child.cp[k]) & r[k];
+    }
+  }
+  for (std::size_t k = 0; k < kW; ++k)
+    out[k] = (first[k] & (in.pk[k] | (ev[k] & ~tie[k]) | (ir[k] & ~late[k]))) |
+             (in.cp[k] & ~tie[k] & second[k]) | (tie[k] & third[k]) | last[k];
+}
+
+void irhqs_scan(const BlockView& v, std::size_t height,
+                const U64* order_masks) {
+  IrLanes root;
+  copy_w(root.ir, v.active);
+  zero_w(root.ev);
+  zero_w(root.pk);
+  zero_w(root.cp);
+  zero_w(root.g);
+  U64 out[kW];
+  irhqs_rec(v, height, height, 0, root, order_masks, out);
+}
+
 // ------------------------------------------------------------------ cw_scan
 
 /// Probe_CW's top-down row scan with a per-lane mode word: lanes leave a

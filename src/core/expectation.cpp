@@ -1,5 +1,6 @@
 #include "core/expectation.h"
 
+#include <cmath>
 #include <unordered_map>
 #include <vector>
 
@@ -240,6 +241,21 @@ double ir_probe_hqs_expectation(const HQSystem& hqs,
               "coloring over the wrong universe");
   IrEvaluator evaluator(hqs, coloring);
   return evaluator.ir_cost(hqs.height(), 0);
+}
+
+double ir_probe_hqs_ppc(const HQSystem& hqs, double p) {
+  QPS_REQUIRE(hqs.height() <= 2, "ir_probe_hqs_ppc enumerates heights <= 2");
+  QPS_REQUIRE(p >= 0.0 && p <= 1.0, "p must lie in [0, 1]");
+  const std::size_t n = hqs.universe_size();
+  long double total = 0.0;
+  for (std::uint64_t greens = 0; greens < (std::uint64_t{1} << n); ++greens) {
+    const Coloring coloring(n, ElementSet::from_mask(n, greens));
+    const double weight =
+        std::pow(p, static_cast<double>(coloring.red_count())) *
+        std::pow(1.0 - p, static_cast<double>(coloring.green_count()));
+    total += weight * ir_probe_hqs_expectation(hqs, coloring);
+  }
+  return static_cast<double>(total);
 }
 
 }  // namespace qps

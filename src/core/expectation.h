@@ -37,4 +37,10 @@ double r_probe_hqs_expectation(const HQSystem& hqs, const Coloring& coloring);
 /// Exact E[probes] of IR_Probe_HQS on the given coloring.
 double ir_probe_hqs_expectation(const HQSystem& hqs, const Coloring& coloring);
 
+/// Exact PPC_p of IR_Probe_HQS under i.i.d. failure probability p, by
+/// enumeration: the sum over all 2^n colorings of
+/// p^reds (1-p)^greens * ir_probe_hqs_expectation.  Heights <= 2 (n <= 9)
+/// only; beyond that the enumeration is out of reach.
+double ir_probe_hqs_ppc(const HQSystem& hqs, double p);
+
 }  // namespace qps

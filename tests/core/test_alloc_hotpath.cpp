@@ -254,6 +254,7 @@ TEST(ZeroAllocationHotPath, BitSlicedBatchKernelIsAllocationFree) {
   const RProbeTree r_probe_tree(tree5);
   const ProbeHQS probe_hqs(hqs3);
   const RProbeHQS r_probe_hqs(hqs3);
+  const IRProbeHQS ir_probe_hqs(hqs3);
   const ProbeCW probe_cw(cw10);
   const RProbeCW r_probe_cw(cw10);
 
@@ -263,7 +264,7 @@ TEST(ZeroAllocationHotPath, BitSlicedBatchKernelIsAllocationFree) {
   } cases[] = {
       {&maj63, &probe_maj}, {&maj63, &r_probe_maj}, {&maj63, &random_order},
       {&tree5, &probe_tree}, {&tree5, &r_probe_tree},
-      {&hqs3, &probe_hqs},   {&hqs3, &r_probe_hqs},
+      {&hqs3, &probe_hqs},   {&hqs3, &r_probe_hqs}, {&hqs3, &ir_probe_hqs},
       {&cw10, &probe_cw},    {&cw10, &r_probe_cw},
   };
   const SimdKernels& kernels = resolve_simd_kernels(SimdIsa::kAuto);

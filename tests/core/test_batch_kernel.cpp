@@ -208,6 +208,11 @@ std::vector<Case> batch_cases() {
     add("R_Probe_HQS/Hqs" + std::to_string(h), hqs,
         std::make_shared<RProbeHQS>(*hqs));
   }
+  for (const std::size_t h : {1u, 2u, 3u}) {
+    auto hqs = std::make_shared<HQSystem>(h);
+    add("IR_Probe_HQS/Hqs" + std::to_string(h), hqs,
+        std::make_shared<IRProbeHQS>(*hqs));
+  }
   for (const std::size_t rows : {2u, 4u, 10u}) {  // n = 3, 10, 55
     auto wall = std::make_shared<CrumblingWall>(CrumblingWall::triang(rows));
     add("Probe_CW/Triang" + std::to_string(rows), wall,
@@ -548,6 +553,8 @@ TEST(BatchKernel, EngineScalarMatchesBitSlicedForEveryStrategyAcrossSeams) {
         std::make_shared<ProbeHQS>(*hqs));
     add("R_Probe_HQS/Hqs" + std::to_string(h), hqs,
         std::make_shared<RProbeHQS>(*hqs));
+    add("IR_Probe_HQS/Hqs" + std::to_string(h), hqs,
+        std::make_shared<IRProbeHQS>(*hqs));
   }
   for (const Case& c : cases) {
     ASSERT_TRUE(c.strategy->supports_batch(c.system->universe_size()))
@@ -804,15 +811,12 @@ TEST(BatchKernel, EarlyStopDecisionsMatchTheScalarPath) {
 }
 
 TEST(BatchKernel, StrategiesWithoutAKernelFallBackUnchanged) {
-  // The greedy baseline and IR_Probe_HQS have no bit-sliced kernel (their
-  // probe order depends on observed colors mid-run); kBitSliced with such
-  // a strategy is exactly the scalar path.
+  // The greedy baseline has no bit-sliced kernel (its probe order depends
+  // on observed colors mid-run); kBitSliced with it is exactly the scalar
+  // path.
   const MajoritySystem maj(21);
   const GreedyCandidateProbe greedy(maj);
   EXPECT_FALSE(greedy.supports_batch(21));
-  const HQSystem hqs(3);
-  const IRProbeHQS ir(hqs);
-  EXPECT_FALSE(ir.supports_batch(hqs.universe_size()));
   auto sliced_options = engine_options(2, Execution::kBitSliced);
   sliced_options.trials = 500;  // the greedy baseline is slow per trial
   sliced_options.batch_size = 64;

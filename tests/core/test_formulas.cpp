@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
 #include <vector>
@@ -11,7 +12,9 @@
 #include "core/algorithms/probe_hqs.h"
 #include "core/algorithms/probe_maj.h"
 #include "core/algorithms/probe_tree.h"
+#include "core/engine/trial_workspace.h"
 #include "core/exact/ppc_exact.h"
+#include "core/expectation.h"
 #include "quorum/crumbling_wall.h"
 #include "quorum/hqs.h"
 #include "quorum/majority.h"
@@ -220,6 +223,86 @@ TEST(Formulas, DetClosedFormsMatchTheAlgorithmsOnEveryColoring) {
           << wall.name() << " p=" << p;
     }
   }
+}
+
+/// IR_Probe_HQS's exact expectation on one coloring from first principles:
+/// the probes of its order-driven recursion (run_lane), averaged over every
+/// assignment of one of the 3! child orders to each gate, 64 assignments
+/// per lane group in the draw_lane_choices layout (6 masks per gate: slot
+/// c = lanes whose first child is c, slot 3 + c = lanes whose second is c).
+double ir_probes_over_all_orders(const HQSystem& hqs,
+                                 const Coloring& coloring) {
+  static constexpr std::size_t kPairs[6][2] = {{0, 1}, {0, 2}, {1, 0},
+                                               {1, 2}, {2, 0}, {2, 1}};
+  const IRProbeHQS strategy(hqs);
+  const std::size_t gates = (hqs.universe_size() - 1) / 2;
+  std::size_t assignments = 1;
+  for (std::size_t g = 0; g < gates; ++g) assignments *= 6;
+  TrialWorkspace ws(hqs.universe_size());
+  std::vector<std::uint64_t> choices(strategy.lane_choice_words());
+  long double total = 0.0;
+  for (std::size_t base = 0; base < assignments; base += 64) {
+    std::fill(choices.begin(), choices.end(), 0);
+    const std::size_t lanes = std::min<std::size_t>(64, assignments - base);
+    for (std::size_t lane = 0; lane < lanes; ++lane) {
+      std::size_t digits = base + lane;
+      for (std::size_t g = 0; g < gates; ++g, digits /= 6) {
+        choices[g * 6 + kPairs[digits % 6][0]] |= 1ULL << lane;
+        choices[g * 6 + 3 + kPairs[digits % 6][1]] |= 1ULL << lane;
+      }
+    }
+    for (std::size_t lane = 0; lane < lanes; ++lane) {
+      ProbeSession session(coloring);
+      strategy.run_lane(ws, session, choices.data(), lane);
+      total += session.probe_count();
+    }
+  }
+  return static_cast<double>(total / static_cast<long double>(assignments));
+}
+
+TEST(Formulas, HqsRandomizedPpcAnchorsMatchBruteForce) {
+  // bench_mc_curves' exact anchors for the randomized HQS rows.  R_Probe_HQS
+  // and IR_Probe_HQS at h = 1 randomize only over automorphic children, so
+  // their PPC_p is Probe_HQS's closed form; IR_Probe_HQS at h = 2 is the
+  // enumeration ir_probe_hqs_ppc, pinned here to the algorithm itself run
+  // under every child order on every coloring.
+  const HQSystem hqs1(1);
+  const HQSystem hqs2(2);
+  std::vector<double> ir2_brute(std::size_t{1} << hqs2.universe_size());
+  for (std::uint64_t greens = 0; greens < ir2_brute.size(); ++greens) {
+    const Coloring coloring(9, ElementSet::from_mask(9, greens));
+    ir2_brute[greens] = ir_probes_over_all_orders(hqs2, coloring);
+    ASSERT_NEAR(ir2_brute[greens], ir_probe_hqs_expectation(hqs2, coloring),
+                1e-12)
+        << "greens=" << greens;
+  }
+  for (const double p : {0.0, 0.1, 0.25, 0.37, 0.5, 0.8, 0.9, 1.0}) {
+    for (std::size_t h = 1; h <= 2; ++h) {
+      const HQSystem hqs(h);
+      EXPECT_NEAR(probe_hqs_expected(h, p),
+                  enumerate_iid(hqs.universe_size(), p,
+                                [&](const Coloring& c) {
+                                  return r_probe_hqs_expectation(hqs, c);
+                                }),
+                  1e-12)
+          << "R_Probe_HQS h=" << h << " p=" << p;
+    }
+    EXPECT_NEAR(probe_hqs_expected(1, p),
+                enumerate_iid(3, p,
+                              [&](const Coloring& c) {
+                                return ir_probes_over_all_orders(hqs1, c);
+                              }),
+                1e-12)
+        << "IR_Probe_HQS h=1 p=" << p;
+    EXPECT_NEAR(ir_probe_hqs_ppc(hqs2, p),
+                enumerate_iid(9, p,
+                              [&](const Coloring& c) {
+                                return ir2_brute[c.greens().to_mask()];
+                              }),
+                1e-12)
+        << "IR_Probe_HQS h=2 p=" << p;
+  }
+  EXPECT_THROW(ir_probe_hqs_ppc(HQSystem(3), 0.5), std::invalid_argument);
 }
 
 TEST(Formulas, Table1Exponents) {

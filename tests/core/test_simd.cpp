@@ -119,6 +119,14 @@ std::vector<Case> boundary_cases() {
   auto hqs = std::make_shared<HQSystem>(4);  // n = 81
   add("Probe_HQS/Hqs4", hqs, std::make_shared<ProbeHQS>(*hqs));
   add("R_Probe_HQS/Hqs4", hqs, std::make_shared<RProbeHQS>(*hqs));
+  // IR_Probe_HQS at every height from one gate to n = 243, below and
+  // across the word boundary: h = 1 is plain eval_node, h = 2 the first
+  // peek, and h >= 3 peeks inside peeked and completed children.
+  for (const std::size_t h : {1u, 2u, 3u, 4u, 5u}) {
+    auto ir_hqs = std::make_shared<HQSystem>(h);
+    add("IR_Probe_HQS/Hqs" + std::to_string(h), ir_hqs,
+        std::make_shared<IRProbeHQS>(*ir_hqs));
+  }
   for (const std::size_t n : {64u, 65u, 128u, 129u}) {  // wheel: any n
     auto wall = std::make_shared<CrumblingWall>(CrumblingWall::wheel(n));
     add("Probe_CW/Wheel" + std::to_string(n), wall,

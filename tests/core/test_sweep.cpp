@@ -45,12 +45,14 @@ SweepSpec make_grid_spec() {
 // version 1 reduced with Welford, version 2 sampled colorings with the
 // fixed-cost LSB-first sampler, version 3 sampled them trial-major (one
 // mask row per trial), version 4 drew the randomized strategies' choices
-// per trial.  Journals and workers of those versions must never be mixed
-// into a current sweep.
+// per trial, version 5 drew IR_Probe_HQS's child orders per trial at each
+// gate's first visit.  Journals and workers of those versions must never
+// be mixed into a current sweep.
 constexpr std::uint64_t kStreamV1GridFingerprint = 0xdc106afb06f7fd11ULL;
 constexpr std::uint64_t kStreamV2GridFingerprint = 0x7b6ac39c652377b1ULL;
 constexpr std::uint64_t kStreamV3GridFingerprint = 0x1aaac265f67fc1d4ULL;
 constexpr std::uint64_t kStreamV4GridFingerprint = 0x1952c526721c0647ULL;
+constexpr std::uint64_t kStreamV5GridFingerprint = 0x2174183f433486caULL;
 
 /// Deterministic pure function of the point: what every process computes.
 RunningStats eval_point(const SweepPoint& point) {
@@ -138,12 +140,13 @@ TEST(SweepSpec, FingerprintCoversIdentityAndConfig) {
 TEST(SweepSpec, FingerprintPinsTheResultStreamVersion) {
   // A change to the engine's result stream must bump kResultStreamVersion,
   // which moves every fingerprint: update both pins together, on purpose.
-  EXPECT_EQ(kResultStreamVersion, 5u);
-  EXPECT_EQ(make_grid_spec().fingerprint(), 0x2174183f433486caULL);
+  EXPECT_EQ(kResultStreamVersion, 6u);
+  EXPECT_EQ(make_grid_spec().fingerprint(), 0xb46cd83c4fd3f42dULL);
   EXPECT_NE(make_grid_spec().fingerprint(), kStreamV1GridFingerprint);
   EXPECT_NE(make_grid_spec().fingerprint(), kStreamV2GridFingerprint);
   EXPECT_NE(make_grid_spec().fingerprint(), kStreamV3GridFingerprint);
   EXPECT_NE(make_grid_spec().fingerprint(), kStreamV4GridFingerprint);
+  EXPECT_NE(make_grid_spec().fingerprint(), kStreamV5GridFingerprint);
 }
 
 TEST(SweepWire, ResultLinesRoundTripExactly) {
@@ -508,7 +511,8 @@ TEST(SweepCheckpoint, MismatchedFingerprintsAndGarbageLinesAreIgnored) {
   // version's fingerprint on every line): all ten are recomputed.
   for (const std::uint64_t old_fingerprint :
        {kStreamV1GridFingerprint, kStreamV2GridFingerprint,
-        kStreamV3GridFingerprint, kStreamV4GridFingerprint}) {
+        kStreamV3GridFingerprint, kStreamV4GridFingerprint,
+        kStreamV5GridFingerprint}) {
     const std::string old_path = temp_path("mismatch_old.jsonl");
     {
       std::ifstream in(path);
