@@ -7,6 +7,8 @@
 // (core/engine/parallel_estimator.h): --threads picks the worker count
 // (default: all hardware threads; results are identical for any value),
 // and --target-sem enables early stopping at a standard-error target.
+// estimate_ppc runs the strategy's bit-sliced kernel when it has one and
+// the scalar per-trial loop otherwise, with bit-identical results.
 // --json FILE writes a machine-readable summary of the key metrics, which
 // CI uploads as the perf-trajectory artifact.
 //
@@ -73,11 +75,6 @@ struct BenchContext {
   std::size_t threads = 0;  // 0 = hardware concurrency
   double target_sem = 0.0;  // 0 = run the full trial budget
   std::string json_path;    // empty = no JSON report
-  // --execution bitsliced|scalar: trial execution mode for estimate_ppc
-  // (the bit-sliced 64-trials-per-word kernel where eligible, vs. always
-  // the scalar per-trial path).  Results are bit-identical either way --
-  // CI's bench-smoke job cmp's the two JSONs to prove it.
-  Execution execution = Execution::kBitSliced;
 
   // Sweep orchestration (core/sweep/).
   std::size_t workers = 0;       // subprocess count; 0 = in-process
@@ -154,7 +151,6 @@ struct BenchContext {
     options.threads = threads;
     options.target_sem = target_sem;
     options.seed = seed + 0x9e3779b97f4a7c15ULL * stream;
-    options.execution = execution;
     return options;
   }
 
@@ -216,16 +212,6 @@ inline BenchContext parse_context(int argc, char** argv) {
   ctx.threads = static_cast<std::size_t>(flags.get_int("threads", 0));
   ctx.target_sem = flags.get_double("target-sem", 0.0);
   ctx.json_path = flags.get_string("json", "");
-  const std::string execution = flags.get_string("execution", "bitsliced");
-  if (execution == "bitsliced") {
-    ctx.execution = Execution::kBitSliced;
-  } else if (execution == "scalar") {
-    ctx.execution = Execution::kScalar;
-  } else {
-    std::cerr << "--execution must be 'bitsliced' or 'scalar', got '"
-              << execution << "'\n";
-    std::exit(2);
-  }
   ctx.workers = static_cast<std::size_t>(flags.get_int("workers", 0));
   ctx.checkpoint_path = flags.get_string("checkpoint", "");
   ctx.resume = flags.get_bool("resume", false);
@@ -309,7 +295,7 @@ inline BenchContext parse_context(int argc, char** argv) {
   if (!unused.empty()) {
     std::cerr << "unknown flag --" << unused.front()
               << " (supported: --seed --trials --quick --threads "
-                 "--target-sem --execution --json --workers --checkpoint "
+                 "--target-sem --json --workers --checkpoint "
                  "--resume --readmit --point --family --size --listen "
                  "--connect --dial --net-timeout --net-heartbeat "
                  "--net-idle-timeout --no-local-fallback --trace "

@@ -9,8 +9,8 @@
 // and byte-identical for any worker or thread count.  Section [B]
 // cross-validates: the kernel's own extracted optimal decision tree is run
 // through the Monte-Carlo engine and the exact-vs-measured gap must sit
-// inside 4 x SEM.  Section [C] (--timings) records the kernel's speedup
-// over the legacy memoized recursion and a beyond-the-old-cap solve at
+// inside 4 x SEM.  Section [C] (--timings) times the kernel at one thread
+// against --threads workers and records a beyond-the-old-cap solve at
 // n = --big-n (default 18, over the old n <= 14 ceiling) for the CI
 // bench-smoke artifact.
 #include <chrono>
@@ -20,7 +20,6 @@
 
 #include "bench/bench_common.h"
 #include "core/exact/decision_tree.h"
-#include "core/exact/legacy_recursive.h"
 #include "core/exact/pc_exact.h"
 #include "core/exact/ppc_exact.h"
 #include "core/sweep/evaluators.h"
@@ -176,30 +175,21 @@ int main(int argc, char** argv) {
   // are nondeterministic, and the CI bit-identity check cmp's the JSON of
   // two runs at different thread counts, which must stay byte-identical.
   if (extra.timings && !ctx.worker_mode && !ctx.socket_worker_mode()) {
-    std::cout << "\n[C] Kernel vs legacy recursion, and a beyond-the-cap "
-                 "solve:\n";
+    std::cout << "\n[C] Kernel at 1 thread vs --threads, and a "
+                 "beyond-the-cap solve:\n";
     const std::size_t speed_n = ctx.quick ? 11 : 13;
     const MajoritySystem maj(speed_n);
-    double legacy_value = 0.0, kernel_value = 0.0;
-    const double legacy_s = seconds(
-        [&] { legacy_value = exact::legacy::ppc_exact_recursive(maj, 0.3); });
     exact::DpOptions one_thread = dp_options;
     one_thread.threads = 1;
-    const double kernel1_s =
-        seconds([&] { kernel_value = ppc_exact(maj, 0.3, one_thread); });
-    const double kernel_s =
-        seconds([&] { kernel_value = ppc_exact(maj, 0.3, dp_options); });
-    const bool match = kernel_value == legacy_value;
-    std::cout << "  PPC(Maj" << speed_n << ", p=0.3): legacy recursion "
-              << legacy_s << " s, kernel x1 " << kernel1_s << " s, kernel "
-              << kernel_s << " s (speedup " << legacy_s / kernel_s
-              << "x, bit-identical: " << bench::holds(match) << ")\n";
-    report.add_metric("timing/speedup_n" + std::to_string(speed_n),
-                      legacy_s / kernel_s);
-    report.add_metric("timing/legacy_ppc_seconds", legacy_s);
+    const double kernel1_s = seconds([&] { ppc_exact(maj, 0.3, one_thread); });
+    const double kernel_s = seconds([&] { ppc_exact(maj, 0.3, dp_options); });
+    std::cout << "  PPC(Maj" << speed_n << ", p=0.3): kernel x1 "
+              << kernel1_s << " s, kernel " << kernel_s << " s (speedup "
+              << kernel1_s / kernel_s << "x)\n";
+    report.add_metric("timing/thread_speedup_n" + std::to_string(speed_n),
+                      kernel1_s / kernel_s);
     report.add_metric("timing/kernel_ppc_1thread_seconds", kernel1_s);
     report.add_metric("timing/kernel_ppc_seconds", kernel_s);
-    report.add_check("kernel_matches_legacy", match);
 
     if (extra.big_n >= 3) {
       const WheelSystem wheel(extra.big_n);

@@ -463,9 +463,10 @@ void BM_ProbeTrials_RandBatch_Cw55(benchmark::State& state) {
 BENCHMARK(BM_ProbeTrials_RandBatch_Cw55);
 
 // Engine-level counterpart: estimate_ppc end to end -- the generic run()
-// lambda, the scalar workspace hot path (the PR 4 default, pinned with
-// Execution::kScalar), and the bit-sliced batch kernel the engine now
-// takes by default.
+// lambda and the engine's scalar per-trial loop, both validating every
+// witness (validation is what routes estimate_ppc to the scalar loop, so
+// the two sides do the same work), and the bit-sliced batch kernel the
+// engine takes whenever validation is off.
 void BM_EstimatePpcGenericLambda(benchmark::State& state) {
   const MajoritySystem maj(63);
   const ProbeMaj strategy(maj);
@@ -477,7 +478,7 @@ void BM_EstimatePpcGenericLambda(benchmark::State& state) {
   for (auto _ : state) {
     const auto stats = engine.run([&](Rng& rng) {
       const Coloring c = sample_iid_coloring(63, 0.5, rng);
-      return run_probe_trial(maj, strategy, c, false, rng);
+      return run_probe_trial(maj, strategy, c, true, rng);
     });
     benchmark::DoNotOptimize(stats.mean());
   }
@@ -493,7 +494,7 @@ void BM_EstimatePpcHotPath(benchmark::State& state) {
   options.trials = 16384;
   options.threads = 1;
   options.seed = 23;
-  options.execution = Execution::kScalar;  // the scalar hot path, explicitly
+  options.validate_witnesses = true;  // routes to the scalar per-trial loop
   const ParallelEstimator engine(options);
   for (auto _ : state)
     benchmark::DoNotOptimize(engine.estimate_ppc(maj, strategy, 0.5).mean());
@@ -509,7 +510,7 @@ void BM_EstimatePpcBitSliced(benchmark::State& state) {
   options.trials = 16384;
   options.threads = 1;
   options.seed = 23;
-  const ParallelEstimator engine(options);  // kBitSliced is the default
+  const ParallelEstimator engine(options);  // no validation: the kernel
   for (auto _ : state)
     benchmark::DoNotOptimize(engine.estimate_ppc(maj, strategy, 0.5).mean());
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

@@ -101,8 +101,9 @@ def main() -> int:
             gate("randomized_batch_vs_hot", case, rate[name],
                  rate[name.replace(RANDBATCH, HOT)])
 
-    # Engine end-to-end (estimate_ppc on Maj63): generic lambda vs. scalar
-    # hot path vs. the bit-sliced default.
+    # Engine end-to-end (estimate_ppc on Maj63): generic lambda vs. the
+    # engine's scalar loop (both validating witnesses) vs. the bit-sliced
+    # kernel, which runs whenever validation is off.
     metrics["engine/estimate_ppc/generic_trials_per_sec"] = \
         rate["BM_EstimatePpcGenericLambda"]
     metrics["engine/estimate_ppc/hot_trials_per_sec"] = \

@@ -43,9 +43,9 @@
 // coloring (tests/core/test_batch_kernel.cpp and test_simd.cpp enforce
 // this per strategy x family x lane width), and fold_probe_counts() must
 // equal those counts fed one by one through CountMoments::add.  The engine
-// dispatches to this kernel via EngineOptions::execution
-// (parallel_estimator.h) and always runs the production W = 4 table
-// (core/engine/simd.h).
+// dispatches to this kernel whenever the strategy supports_batch() and
+// witness validation is off (parallel_estimator.h), and always runs the
+// production W = 4 table (core/engine/simd.h).
 #pragma once
 
 #include <bit>

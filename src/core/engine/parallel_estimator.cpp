@@ -231,9 +231,9 @@ RunningStats ParallelEstimator::estimate_ppc(const QuorumSystem& system,
   // groups and runs each trial from its lane, so the per-trial probe
   // counts -- and therefore the merged statistics -- are bit-identical at
   // any lane width.  Validation needs materialized witnesses, which the
-  // kernels never build: that combination falls back to the scalar path.
+  // kernels never build: that combination runs the scalar path.
   const bool batch = strategy.supports_batch(n);
-  if (options_.execution == Execution::kBitSliced && !validate && batch) {
+  if (!validate && batch) {
     const SimdKernels& kernels = resolve_simd_kernels(SimdIsa::kAuto);
     return run_batches([&strategy, &kernels, p, n] {
       auto workspace = std::make_shared<TrialWorkspace>(n);

@@ -32,11 +32,17 @@
 //    lanes beyond the batch's count are drawn and ignored;
 //  * every other strategy draws per trial, in trial order, through
 //    run_with().
-// The bit-sliced path loads the coloring words as its element rows and
-// draws each group's choices into its kernel's layout; the scalar path
-// transposes the words into per-trial rows and runs each trial from its
-// lane of the same groups (ProbeStrategy::run_lane), so both see the same
-// trials with the same choices.
+// estimate_ppc takes the bit-sliced batch kernels (core/engine/
+// batch_kernel.h) whenever the strategy has one at this n
+// (ProbeStrategy::supports_batch) and witness validation is off: they load
+// the coloring words as their element rows and draw each group's choices
+// into their own layout.  Everything else -- strategies without a kernel
+// (Greedy_Candidate), and validation, which needs materialized witnesses
+// -- runs the scalar per-trial loop: it transposes the words into
+// per-trial rows and runs each trial from its lane of the same groups
+// (ProbeStrategy::run_lane), or through run_with() for the rest.  Both
+// paths see the same trials with the same choices, so their per-trial
+// probe counts, and the merged statistics, are bit-identical.
 // kResultStreamVersion names the result stream these rules produce; the
 // sweep layer mixes it into every spec fingerprint.
 //
@@ -72,23 +78,6 @@ namespace qps {
 /// visit; only its own points move.
 inline constexpr std::uint32_t kResultStreamVersion = 6;
 
-/// How estimate_ppc executes the trials of a batch.
-enum class Execution {
-  /// Bit-sliced batch kernels (core/engine/batch_kernel.h) where eligible:
-  /// the strategy has a batch kernel (ProbeStrategy::supports_batch --
-  /// deterministic-order scans and the lane-drawing randomized-order
-  /// strategies, any universe size) and witness validation is off (the
-  /// kernels resolve win/loss as lane masks and never materialize
-  /// witnesses).  Ineligible combinations -- strategies without a kernel,
-  /// validation -- fall back to the scalar path, so the default is always
-  /// safe.  Per-trial probe counts are bit-identical to kScalar's, hence so
-  /// are the returned statistics.
-  kBitSliced,
-  /// Always the per-trial scalar hot path: run_lane on the drawn lane
-  /// choices for batch-capable randomized strategies, run_with otherwise.
-  kScalar,
-};
-
 struct EngineOptions {
   /// Total Monte-Carlo trial budget (upper bound when early-stop is on).
   std::size_t trials = 1000;
@@ -104,13 +93,12 @@ struct EngineOptions {
   /// Early stop is not considered before this many merged trials.
   std::size_t min_trials = 1000;
   /// Validate every returned witness against the ground truth; failures
-  /// throw std::logic_error (deterministically, see above).
+  /// throw std::logic_error (deterministically, see above).  The
+  /// bit-sliced kernels never build witnesses, so validation also routes
+  /// estimate_ppc through the scalar per-trial loop.
   bool validate_witnesses = false;
   /// Root seed for the per-batch RNG streams.
   std::uint64_t seed = 0x9e3779b97f4a7c15ULL;
-  /// Trial execution mode for estimate_ppc (bit-sliced batch kernel where
-  /// eligible vs. always scalar); results are bit-identical either way.
-  Execution execution = Execution::kBitSliced;
 };
 
 class ParallelEstimator {

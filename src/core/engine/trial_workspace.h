@@ -92,7 +92,7 @@ class TrialWorkspace {
 
   /// The worker's bit-sliced batch block (core/engine/batch_kernel.h):
   /// storage sized once by BatchTrialBlock::configure, reloaded per
-  /// super-block by the engine's kBitSliced execution path.
+  /// super-block by estimate_ppc's bit-sliced path.
   BatchTrialBlock& batch_block() { return batch_block_; }
 
  private:

@@ -1,7 +1,5 @@
 #include "core/exact/yao_bound.h"
 
-#include "core/exact/legacy_recursive.h"
-
 namespace qps {
 
 double yao_bound(const QuorumSystem& system,
@@ -12,20 +10,6 @@ double yao_bound(const QuorumSystem& system,
 double yao_bound(const QuorumSystem& system,
                  const ColoringDistribution& distribution,
                  const exact::DpOptions& options) {
-  // The dense kernel evaluates all 3^n states (value + weight doubles),
-  // while the old recursion only visited states consistent with the
-  // support and was specified up to n <= 20.  To keep that public domain,
-  // sizes the kernel's memory budget rejects fall back to the sparse
-  // recursive solver as long as they fit its cap; beyond both, the
-  // kernel's centralized guard raises the explanatory error.
-  const std::size_t n = system.universe_size();
-  if (n >= 1 &&
-      exact::dp_peak_bytes(n, sizeof(double), /*weighted=*/true,
-                           /*record_policy=*/false) >
-          options.memory_limit_bytes &&
-      n <= 20) {
-    return exact::legacy::yao_bound_recursive(system, distribution);
-  }
   const exact::DpKernel<exact::DistributionPolicy> kernel(
       system, exact::DistributionPolicy(distribution), options);
   return kernel.root_value();

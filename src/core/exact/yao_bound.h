@@ -22,9 +22,11 @@ namespace qps {
 
 /// Expected probes of the best deterministic strategy against
 /// `distribution`.  Feasibility is the kernel's memory formula (value +
-/// weight doubles per state); with the default 8 GiB budget the kernel
-/// handles n <= 19, and sizes the budget rejects fall back to the sparse
-/// legacy recursion up to its n <= 20 cap (the pre-kernel public domain).
+/// weight doubles per state): the default 8 GiB budget admits n <= 19, and
+/// n = 20 needs DpOptions::memory_limit_bytes of about 19 GiB
+/// (dp_peak_bytes(20, 8, true, false) is about 18.9 GiB).  Sizes the budget
+/// rejects throw std::invalid_argument (exact::require_dp_feasible), as
+/// ppc_exact and pc_exact do.
 double yao_bound(const QuorumSystem& system,
                  const ColoringDistribution& distribution);
 

@@ -6,7 +6,7 @@
 // The same machine therefore runs over real TCP sockets and over the
 // socketpairs of SweepRunner's local worker pool (both driven by
 // core/net/socket_sweep.h), and over the in-process simulated network
-// (sim/protocol_harness.h), which is how slow joiners, mid-sweep worker
+// (the test suite's harness in tests/support/), which is how slow joiners, mid-sweep worker
 // death, partitions, duplicate deliveries, and truncated frames get full
 // ctest coverage without a real host pair.
 //

@@ -3,8 +3,8 @@
 // WorkerEngine mirrors JobServerEngine: a transport-free line-level state
 // machine (send hello, await welcome, then serve request frames until
 // bye).  The blocking TCP driver around it lives in
-// core/net/socket_sweep.h; the simulated driver in
-// sim/protocol_harness.h.
+// core/net/socket_sweep.h; the simulated driver in the test suite's
+// support library (tests/support/).
 //
 // What a worker actually evaluates is bound from the accepted welcome by
 // a SweepBinder:

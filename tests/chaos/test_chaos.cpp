@@ -48,9 +48,9 @@
 #include "core/sweep/sweep_spec.h"
 #include "core/sweep/wire.h"
 #include "quorum/majority.h"
-#include "sim/protocol_harness.h"
 #include "sim/simulator.h"
-#include "sim/stream_network.h"
+#include "tests/support/protocol_harness.h"
+#include "tests/support/stream_network.h"
 #include "util/rng.h"
 #include "util/stats.h"
 

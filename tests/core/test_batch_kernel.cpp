@@ -27,6 +27,7 @@
 #include "core/algorithms/random_order.h"
 #include "core/engine/trial_workspace.h"
 #include "core/estimator.h"
+#include "core/sweep/sweep_spec.h"
 #include "quorum/crumbling_wall.h"
 #include "quorum/hqs.h"
 #include "quorum/majority.h"
@@ -487,14 +488,29 @@ TEST(BatchKernel, RunBitSlicedTrialsMatchesScalarStatsAcrossBlockSeams) {
   }
 }
 
-EngineOptions engine_options(std::size_t threads, Execution execution) {
+EngineOptions engine_options(std::size_t threads) {
   EngineOptions options;
   options.trials = 5990;     // last batch is partial
   options.batch_size = 500;  // blocks of 64 end with a 52-lane partial
   options.threads = threads;
   options.seed = 42;
-  options.execution = execution;
   return options;
+}
+
+/// The same options routed through the engine's scalar per-trial loop:
+/// witness validation needs materialized witnesses, which only it builds.
+EngineOptions scalar_loop(EngineOptions options) {
+  options.validate_witnesses = true;
+  return options;
+}
+
+void expect_same_stats(const RunningStats& a, const RunningStats& b,
+                       const std::string& label) {
+  ASSERT_EQ(a.count(), b.count()) << label;
+  ASSERT_EQ(a.mean(), b.mean()) << label;
+  ASSERT_EQ(a.variance(), b.variance()) << label;
+  ASSERT_EQ(a.min(), b.min()) << label;
+  ASSERT_EQ(a.max(), b.max()) << label;
 }
 
 TEST(BatchKernel, EngineBitSlicedIsBitIdenticalToScalarForEveryFamily) {
@@ -502,16 +518,12 @@ TEST(BatchKernel, EngineBitSlicedIsBitIdenticalToScalarForEveryFamily) {
     for (const std::size_t threads : {1u, 4u}) {
       for (const double p : {0.3, 0.7}) {
         const RunningStats scalar =
-            ParallelEstimator(engine_options(threads, Execution::kScalar))
+            ParallelEstimator(scalar_loop(engine_options(threads)))
                 .estimate_ppc(*c.system, *c.strategy, p);
         const RunningStats sliced =
-            ParallelEstimator(engine_options(threads, Execution::kBitSliced))
+            ParallelEstimator(engine_options(threads))
                 .estimate_ppc(*c.system, *c.strategy, p);
-        ASSERT_EQ(sliced.count(), scalar.count()) << c.label;
-        ASSERT_EQ(sliced.mean(), scalar.mean()) << c.label;
-        ASSERT_EQ(sliced.variance(), scalar.variance()) << c.label;
-        ASSERT_EQ(sliced.min(), scalar.min()) << c.label;
-        ASSERT_EQ(sliced.max(), scalar.max()) << c.label;
+        expect_same_stats(sliced, scalar, c.label);
       }
     }
   }
@@ -559,19 +571,14 @@ TEST(BatchKernel, EngineScalarMatchesBitSlicedForEveryStrategyAcrossSeams) {
   for (const Case& c : cases) {
     ASSERT_TRUE(c.strategy->supports_batch(c.system->universe_size()))
         << c.label;
-    auto options = engine_options(2, Execution::kScalar);
+    auto options = engine_options(2);
     options.trials = 2300;
     options.batch_size = 1000;
-    const RunningStats scalar =
-        ParallelEstimator(options).estimate_ppc(*c.system, *c.strategy, 0.35);
-    options.execution = Execution::kBitSliced;
+    const RunningStats scalar = ParallelEstimator(scalar_loop(options))
+                                    .estimate_ppc(*c.system, *c.strategy, 0.35);
     const RunningStats sliced =
         ParallelEstimator(options).estimate_ppc(*c.system, *c.strategy, 0.35);
-    ASSERT_EQ(sliced.count(), scalar.count()) << c.label;
-    ASSERT_EQ(sliced.mean(), scalar.mean()) << c.label;
-    ASSERT_EQ(sliced.variance(), scalar.variance()) << c.label;
-    ASSERT_EQ(sliced.min(), scalar.min()) << c.label;
-    ASSERT_EQ(sliced.max(), scalar.max()) << c.label;
+    expect_same_stats(sliced, scalar, c.label);
   }
 }
 
@@ -649,11 +656,9 @@ void expect_engine_matches(const QuorumSystem& system,
                            EngineOptions options, double p,
                            const CountMoments& expected) {
   const RunningStats want = expected.stats();
-  for (const Execution execution :
-       {Execution::kScalar, Execution::kBitSliced}) {
-    options.execution = execution;
+  for (const EngineOptions& path : {scalar_loop(options), options}) {
     const RunningStats stats =
-        ParallelEstimator(options).estimate_ppc(system, strategy, p);
+        ParallelEstimator(path).estimate_ppc(system, strategy, p);
     EXPECT_EQ(stats.count(), want.count()) << strategy.name();
     EXPECT_EQ(stats.mean(), want.mean()) << strategy.name();
     EXPECT_EQ(stats.variance(), want.variance()) << strategy.name();
@@ -670,7 +675,8 @@ TEST(BatchKernel, EngineSamplesStreamV5LaneWordsAndChoices) {
   // per lane, order = Fisher-Yates swaps of positions i-1 and J_i.
   // R_Probe_Tree: per internal node, a trit from two words (a, c), plan =
   // a + 2c.  The strategy's own group words must equal the rebuild, and
-  // both execution paths must reproduce the rebuilt trials' statistics.
+  // both the kernel and the scalar loop must reproduce the rebuilt trials'
+  // statistics.
   const std::size_t count = 300;  // G = 5, the last group partial
   const double p = 0.3;
   EngineOptions options;
@@ -761,12 +767,10 @@ TEST(BatchKernel, EngineBitSlicedIsThreadCountInvariant) {
   const TreeSystem tree(5);
   const ProbeTree strategy(tree);
   const RunningStats baseline =
-      ParallelEstimator(engine_options(1, Execution::kBitSliced))
-          .estimate_ppc(tree, strategy, 0.4);
+      ParallelEstimator(engine_options(1)).estimate_ppc(tree, strategy, 0.4);
   for (const std::size_t threads : {2u, 4u, 8u}) {
-    const RunningStats stats =
-        ParallelEstimator(engine_options(threads, Execution::kBitSliced))
-            .estimate_ppc(tree, strategy, 0.4);
+    const RunningStats stats = ParallelEstimator(engine_options(threads))
+                                   .estimate_ppc(tree, strategy, 0.4);
     EXPECT_EQ(stats.count(), baseline.count()) << threads;
     EXPECT_EQ(stats.mean(), baseline.mean()) << threads;
     EXPECT_EQ(stats.variance(), baseline.variance()) << threads;
@@ -781,30 +785,78 @@ TEST(BatchKernel, EngineSimdChoiceNeverChangesTheStatistics) {
   const MajoritySystem maj(63);
   const RProbeMaj strategy(maj);
   const RunningStats sliced =
-      ParallelEstimator(engine_options(2, Execution::kBitSliced))
-          .estimate_ppc(maj, strategy, 0.5);
-  const RunningStats scalar =
-      ParallelEstimator(engine_options(2, Execution::kScalar))
-          .estimate_ppc(maj, strategy, 0.5);
-  EXPECT_EQ(sliced.count(), scalar.count());
-  EXPECT_EQ(sliced.mean(), scalar.mean());
-  EXPECT_EQ(sliced.variance(), scalar.variance());
-  EXPECT_EQ(sliced.min(), scalar.min());
-  EXPECT_EQ(sliced.max(), scalar.max());
+      ParallelEstimator(engine_options(2)).estimate_ppc(maj, strategy, 0.5);
+  const RunningStats scalar = ParallelEstimator(scalar_loop(engine_options(2)))
+                                  .estimate_ppc(maj, strategy, 0.5);
+  expect_same_stats(sliced, scalar, strategy.name());
+}
+
+TEST(BatchKernel, McCurvesQuickGridKernelsMatchTheScalarLoop) {
+  // bench_mc_curves --quick --trials 5000 --threads 2, point for point:
+  // its SweepSpec blocks, p grid, base seed and derived per-point seeds.
+  // Every one of the 39 points runs on the kernels (validation off) and on
+  // the scalar per-trial loop (validation on), and the statistics the
+  // bench would report must agree to the bit.
+  const std::vector<std::vector<std::size_t>> walls = {{1, 2}, {1, 2, 3}};
+  sweep::SweepSpec spec("mc_curves", 20010826);
+  spec.add_block("maj", {5, 7}, {"det", "R"});
+  spec.add_block("tree", {2}, {"det", "R"});
+  spec.add_block("hqs", {2}, {"det", "R", "IR"});
+  spec.add_block("cw", {0, 1}, {"det", "R"});
+  spec.set_ps({0.25, 0.5, 0.75});
+  const std::vector<sweep::SweepPoint> points = spec.expand();
+  ASSERT_EQ(points.size(), 39u);
+  for (const sweep::SweepPoint& point : points) {
+    std::unique_ptr<QuorumSystem> system;
+    ProbeStrategyPtr strategy;
+    const std::string& tag = point.strategy;
+    if (point.family == "maj") {
+      auto maj = std::make_unique<MajoritySystem>(point.size);
+      strategy = tag == "det" ? ProbeStrategyPtr(new ProbeMaj(*maj))
+                              : ProbeStrategyPtr(new RProbeMaj(*maj));
+      system = std::move(maj);
+    } else if (point.family == "tree") {
+      auto tree = std::make_unique<TreeSystem>(point.size);
+      strategy = tag == "det" ? ProbeStrategyPtr(new ProbeTree(*tree))
+                              : ProbeStrategyPtr(new RProbeTree(*tree));
+      system = std::move(tree);
+    } else if (point.family == "hqs") {
+      auto hqs = std::make_unique<HQSystem>(point.size);
+      strategy = tag == "det" ? ProbeStrategyPtr(new ProbeHQS(*hqs))
+                 : tag == "R" ? ProbeStrategyPtr(new RProbeHQS(*hqs))
+                              : ProbeStrategyPtr(new IRProbeHQS(*hqs));
+      system = std::move(hqs);
+    } else {
+      auto wall = std::make_unique<CrumblingWall>(walls.at(point.size));
+      strategy = tag == "det" ? ProbeStrategyPtr(new ProbeCW(*wall))
+                              : ProbeStrategyPtr(new RProbeCW(*wall));
+      system = std::move(wall);
+    }
+    ASSERT_TRUE(strategy->supports_batch(system->universe_size()))
+        << point.id;
+    EngineOptions options;
+    options.trials = 5000;
+    options.threads = 2;
+    options.seed = point.seed;
+    const RunningStats sliced =
+        ParallelEstimator(options).estimate_ppc(*system, *strategy, point.p);
+    const RunningStats scalar = ParallelEstimator(scalar_loop(options))
+                                    .estimate_ppc(*system, *strategy, point.p);
+    expect_same_stats(sliced, scalar, point.id);
+  }
 }
 
 TEST(BatchKernel, EarlyStopDecisionsMatchTheScalarPath) {
   const MajoritySystem maj(63);
   const ProbeMaj strategy(maj);
-  auto options = engine_options(4, Execution::kBitSliced);
+  auto options = engine_options(4);
   options.trials = 100000;
   options.target_sem = 0.05;
   options.min_trials = 2000;
   const RunningStats sliced =
       ParallelEstimator(options).estimate_ppc(maj, strategy, 0.5);
-  options.execution = Execution::kScalar;
   const RunningStats scalar =
-      ParallelEstimator(options).estimate_ppc(maj, strategy, 0.5);
+      ParallelEstimator(scalar_loop(options)).estimate_ppc(maj, strategy, 0.5);
   EXPECT_LT(sliced.count(), options.trials);  // the stop actually fired
   EXPECT_EQ(sliced.count(), scalar.count());
   EXPECT_EQ(sliced.mean(), scalar.mean());
@@ -812,23 +864,21 @@ TEST(BatchKernel, EarlyStopDecisionsMatchTheScalarPath) {
 
 TEST(BatchKernel, StrategiesWithoutAKernelFallBackUnchanged) {
   // The greedy baseline has no bit-sliced kernel (its probe order depends
-  // on observed colors mid-run); kBitSliced with it is exactly the scalar
-  // path.
+  // on observed colors mid-run), so it always runs the scalar loop, and
+  // validating its witnesses leaves the statistics unchanged.
   const MajoritySystem maj(21);
   const GreedyCandidateProbe greedy(maj);
   EXPECT_FALSE(greedy.supports_batch(21));
-  auto sliced_options = engine_options(2, Execution::kBitSliced);
-  sliced_options.trials = 500;  // the greedy baseline is slow per trial
-  sliced_options.batch_size = 64;
-  auto scalar_options = sliced_options;
-  scalar_options.execution = Execution::kScalar;
-  const RunningStats sliced =
-      ParallelEstimator(sliced_options).estimate_ppc(maj, greedy, 0.5);
-  const RunningStats scalar =
-      ParallelEstimator(scalar_options).estimate_ppc(maj, greedy, 0.5);
-  EXPECT_EQ(sliced.count(), scalar.count());
-  EXPECT_EQ(sliced.mean(), scalar.mean());
-  EXPECT_EQ(sliced.variance(), scalar.variance());
+  auto options = engine_options(2);
+  options.trials = 500;  // the greedy baseline is slow per trial
+  options.batch_size = 64;
+  const RunningStats plain =
+      ParallelEstimator(options).estimate_ppc(maj, greedy, 0.5);
+  const RunningStats validated =
+      ParallelEstimator(scalar_loop(options)).estimate_ppc(maj, greedy, 0.5);
+  EXPECT_EQ(plain.count(), validated.count());
+  EXPECT_EQ(plain.mean(), validated.mean());
+  EXPECT_EQ(plain.variance(), validated.variance());
 }
 
 TEST(BatchKernel, SupportsBatchRespectsStructuralEligibility) {
@@ -854,9 +904,9 @@ TEST(BatchKernel, SupportsBatchRespectsStructuralEligibility) {
 }
 
 TEST(BatchKernel, ValidationRequestsFallBackToTheValidatingScalarPath) {
-  // A broken strategy must still be caught when the engine default
-  // (kBitSliced) is combined with validate_witnesses: validation is a
-  // scalar-path concern and forces the fallback.
+  // A broken strategy that claims a kernel must still be caught under
+  // validate_witnesses: validation is a scalar-loop concern and routes
+  // estimate_ppc there.
   class Broken final : public ProbeStrategy {
    public:
     std::string name() const override { return "Broken"; }
@@ -873,8 +923,7 @@ TEST(BatchKernel, ValidationRequestsFallBackToTheValidatingScalarPath) {
   };
   const MajoritySystem maj(5);
   const Broken broken;
-  auto options = engine_options(2, Execution::kBitSliced);
-  options.validate_witnesses = true;
+  const EngineOptions options = scalar_loop(engine_options(2));
   EXPECT_THROW(ParallelEstimator(options).estimate_ppc(maj, broken, 0.5),
                std::logic_error);
 }

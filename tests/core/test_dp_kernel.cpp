@@ -11,7 +11,6 @@
 
 #include "core/engine/parallel_estimator.h"
 #include "core/exact/decision_tree.h"
-#include "core/exact/legacy_recursive.h"
 #include "core/exact/pc_exact.h"
 #include "core/exact/ppc_exact.h"
 #include "core/exact/yao_bound.h"
@@ -22,6 +21,7 @@
 #include "quorum/majority.h"
 #include "quorum/tree_system.h"
 #include "quorum/wheel.h"
+#include "tests/support/legacy_recursive.h"
 
 namespace qps {
 namespace {
@@ -61,6 +61,10 @@ TEST(DpKernel, PpcIsBitIdenticalToLegacyRecursionOnSeedFamilies) {
           << system->name() << " p=" << p;
     }
   }
+  // One size above the seed families, near the recursion's n <= 14 cap.
+  const MajoritySystem maj13(13);
+  EXPECT_EQ(ppc_exact(maj13, 0.3),
+            exact::legacy::ppc_exact_recursive(maj13, 0.3));
 }
 
 TEST(DpKernel, RootPolicyMatchesLegacyFirstProbe) {
@@ -184,18 +188,10 @@ TEST(DpKernel, MemoryGuardIsEnforcedThroughTheAdapters) {
   EXPECT_THROW(ppc_exact(MajoritySystem(11), 0.5, starved),
                std::invalid_argument);
   EXPECT_THROW(pc_exact(MajoritySystem(13), starved), std::invalid_argument);
-}
-
-TEST(DpKernel, YaoFallsBackToSparseRecursionWhenBudgetRejects) {
-  // The dense weighted kernel is budget-gated, but yao_bound keeps the
-  // pre-kernel public domain by falling back to the sparse recursion
-  // (cap n <= 20) instead of throwing.
-  const MajoritySystem maj(9);
-  const auto hard = maj_hard_distribution(9);
-  exact::DpOptions starved;
-  starved.memory_limit_bytes = 1 << 12;  // 4 KiB: kernel infeasible
-  EXPECT_NEAR(yao_bound(maj, hard, starved),
-              exact::legacy::yao_bound_recursive(maj, hard), 1e-12);
+  // yao_bound has no fallback: a size the budget rejects is the same typed
+  // error, not a slower second engine.
+  EXPECT_THROW(yao_bound(MajoritySystem(9), maj_hard_distribution(9), starved),
+               std::invalid_argument);
 }
 
 TEST(DpKernel, ColexRankingRoundTrips) {

@@ -199,10 +199,9 @@ TEST(SimdBoundary, EngineStatisticsAreIsaInvariantAboveSixtyFourElements) {
     options.batch_size = 256;
     options.threads = 2;
     options.seed = 7;
-    options.execution = Execution::kBitSliced;
     const RunningStats sliced =
         ParallelEstimator(options).estimate_ppc(*c.system, *c.strategy, 0.45);
-    options.execution = Execution::kScalar;
+    options.validate_witnesses = true;  // the scalar per-trial loop
     const RunningStats scalar =
         ParallelEstimator(options).estimate_ppc(*c.system, *c.strategy, 0.45);
     EXPECT_EQ(sliced.count(), scalar.count()) << c.strategy->name();
@@ -223,7 +222,6 @@ TEST(SimdBoundary, BitSlicedEngineRunsCountSimdBlocks) {
   options.trials = 512;
   options.batch_size = 256;
   options.threads = 1;
-  options.execution = Execution::kBitSliced;
   (void)ParallelEstimator(options).estimate_ppc(maj, strategy, 0.5);
   EXPECT_GT(blocks.value(), before);
 }

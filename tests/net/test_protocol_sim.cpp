@@ -1,6 +1,6 @@
 // The distributed failure matrix, as plain ctest cases: the socket worker
 // protocol running over the simulated stream network
-// (sim/protocol_harness.h + sim/stream_network.h).
+// (tests/support/protocol_harness.h + tests/support/stream_network.h).
 //
 // Every scenario the fabric must survive on real hosts -- slow joiners,
 // workers dying or vanishing mid-sweep, duplicate deliveries after a
@@ -17,9 +17,9 @@
 #include "core/sweep/evaluators.h"
 #include "core/sweep/spec_codec.h"
 #include "core/sweep/sweep_spec.h"
-#include "sim/protocol_harness.h"
 #include "sim/simulator.h"
-#include "sim/stream_network.h"
+#include "tests/support/protocol_harness.h"
+#include "tests/support/stream_network.h"
 #include "util/rng.h"
 
 namespace qps::sim {

@@ -1,4 +1,4 @@
-#include "core/exact/legacy_recursive.h"
+#include "tests/support/legacy_recursive.h"
 
 #include <algorithm>
 #include <unordered_map>

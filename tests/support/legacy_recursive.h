@@ -3,15 +3,11 @@
 // Before the dense DP kernel (core/exact/dp_kernel.h), PC, PPC and the Yao
 // bounds were each solved by a single-threaded memoized search over a hash
 // map of knowledge states, capped at small n.  Those solvers live on here,
-// verbatim, for two jobs:
-//
-//  * differential testing -- the kernel cross-check suite asserts that both
-//    engines agree on every seed family at sizes the recursion can reach;
-//  * the speedup baseline -- bench_exact_curves times the kernel against
-//    this recursion and records the ratio in the bench-smoke JSON.
-//
-// New code should call the kernel adapters (pc_exact, ppc_exact,
-// yao_bound); nothing outside tests and benches should use these.
+// verbatim, as the kernel's differential oracle: the DpKernel suite
+// asserts that both engines agree on every seed family at sizes the
+// recursion can reach.  They are part of the test support library, not of
+// libqps; production code calls the kernel adapters (pc_exact, ppc_exact,
+// yao_bound).
 #pragma once
 
 #include <cstddef>

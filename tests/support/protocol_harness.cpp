@@ -1,4 +1,4 @@
-#include "sim/protocol_harness.h"
+#include "tests/support/protocol_harness.h"
 
 #include <deque>
 #include <utility>

@@ -1,7 +1,7 @@
 // The socket worker protocol running over the simulated stream network.
 //
 // SimCoordinator and SimWorker bind the transport-free protocol engines
-// (core/net/job_server.h, core/net/worker.h) to sim/stream_network.h the
+// (core/net/job_server.h, core/net/worker.h) to stream_network.h the
 // same way core/net/socket_sweep.cpp binds them to TCP -- except the
 // clock is the simulator's, latencies and partitions are programmable,
 // and workers can be scripted to misbehave:
@@ -27,7 +27,7 @@
 #include "core/net/worker.h"
 #include "core/sweep/sweep_runner.h"
 #include "core/sweep/sweep_spec.h"
-#include "sim/stream_network.h"
+#include "tests/support/stream_network.h"
 
 namespace qps::sim {
 

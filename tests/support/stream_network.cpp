@@ -1,4 +1,4 @@
-#include "sim/stream_network.h"
+#include "tests/support/stream_network.h"
 
 #include <utility>
 
