@@ -77,6 +77,62 @@ std::uint64_t expand_submask(std::size_t idx, std::uint64_t mask) {
   return out;
 }
 
+/// Folds `count` Bellman candidates of one child element into the parent
+/// states best[first, first + count): candidate i costs
+/// probe_cost(values[green + i * kStride], values[red + i * kStride]), with
+/// the matching weights for weighted policies.  Strict < keeps the earlier,
+/// smaller element on ties.  Both forms are selects, not branches; without
+/// kTrack the fold is a plain running min the compiler vectorises.
+template <std::size_t kStride, bool kTrack, class Policy>
+void fold_run(const Policy& policy,
+              const typename Policy::Value* __restrict values,
+              const double* __restrict weights, std::size_t red,
+              std::size_t green, std::size_t first, std::size_t count,
+              typename Policy::Value* __restrict best,
+              std::uint8_t* __restrict arg, std::uint8_t element) {
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::size_t r = red + i * kStride;
+    const std::size_t g = green + i * kStride;
+    typename Policy::Value candidate{};
+    if constexpr (Policy::kWeighted) {
+      candidate = policy.probe_cost(values[g], values[r], weights[g],
+                                    weights[r]);
+    } else {
+      candidate = policy.probe_cost(values[g], values[r]);
+    }
+    const std::size_t s = first + i;
+    const bool better = candidate < best[s];
+    best[s] = better ? candidate : best[s];
+    if constexpr (kTrack) arg[s] = better ? element : arg[s];
+  }
+}
+
+/// Folds child `element` of one probed block into the block's states
+/// [lo, hi) (compressed green indices).  State g's red child is g with a 0
+/// bit inserted at `pos`, the element's position in the child's probed set,
+/// and its green child has a 1 there; so the reds and greens of 2^pos
+/// consecutive states are adjacent runs of the child block, streamed once.
+/// pos = 0 interleaves them (stride 2).
+template <bool kTrack, class Policy>
+void fold_child(const Policy& policy, const typename Policy::Value* values,
+                const double* weights, unsigned pos, std::size_t lo,
+                std::size_t hi, typename Policy::Value* best,
+                std::uint8_t* arg, std::uint8_t element) {
+  if (pos == 0) {
+    fold_run<2, kTrack>(policy, values, weights, 2 * lo, 2 * lo + 1, lo,
+                        hi - lo, best, arg, element);
+    return;
+  }
+  const std::size_t run = std::size_t{1} << pos;
+  for (std::size_t g = lo; g < hi;) {
+    const std::size_t end = std::min(hi, (g | (run - 1)) + 1);
+    const std::size_t red = ((g >> pos) << (pos + 1)) | (g & (run - 1));
+    fold_run<1, kTrack>(policy, values, weights, red, red + run, g, end - g,
+                        best, arg, element);
+    g = end;
+  }
+}
+
 }  // namespace
 
 namespace detail {
@@ -130,18 +186,22 @@ std::size_t dp_state_count(std::size_t n, std::size_t k) {
   return static_cast<std::size_t>(binom(n, k)) << k;
 }
 
+DpFrontierLayout dp_frontier_layout(std::size_t n) {
+  DpFrontierLayout layout;
+  for (std::size_t k = 0; k <= n; ++k) {
+    std::size_t& half = k % 2 == 0 ? layout.even_states : layout.odd_states;
+    half = std::max(half, dp_state_count(n, k));
+  }
+  return layout;
+}
+
 std::size_t dp_peak_bytes(std::size_t n, std::size_t value_bytes,
                           bool weighted, bool record_policy) {
   const std::size_t per_state = value_bytes + (weighted ? sizeof(double) : 0);
-  std::size_t peak_pair = dp_state_count(n, n);
   std::size_t argmin_total = 0;
-  for (std::size_t k = 0; k <= n; ++k) {
+  for (std::size_t k = 0; k <= n; ++k)
     argmin_total += dp_state_count(n, k);  // sums to 3^n
-    if (k < n)
-      peak_pair = std::max(peak_pair,
-                           dp_state_count(n, k) + dp_state_count(n, k + 1));
-  }
-  return peak_pair * per_state + (std::size_t{1} << n) +
+  return dp_frontier_layout(n).states() * per_state + (std::size_t{1} << n) +
          (record_policy ? argmin_total : 0);
 }
 
@@ -186,69 +246,82 @@ void DpKernel<Policy>::solve() {
   metrics.solves.increment();
   ThreadPool& pool = ThreadPool::local(options_.threads);
 
-  std::vector<Value> values_next;
-  std::vector<Value> values_cur;
-  std::vector<double> weights_next;
-  std::vector<double> weights_cur;
+  // The frontier, allocated once per solve and left uninitialised: every
+  // state of a level is written before the level below reads it, and the
+  // weights are zeroed block by block as they are scattered.
+  const DpFrontierLayout layout = dp_frontier_layout(n_);
+  constexpr std::size_t kStateBytes =
+      sizeof(Value) + (Policy::kWeighted ? sizeof(double) : 0);
+  std::unique_ptr<Value[]> values;
+  std::unique_ptr<double[]> weights;
+  try {
+    QPS_FAULT_POINT("exact/level_alloc");  // alloc action: forced OOM here
+    values = std::make_unique_for_overwrite<Value[]>(layout.states());
+    if constexpr (Policy::kWeighted)
+      weights = std::make_unique_for_overwrite<double[]>(layout.states());
+  } catch (const std::bad_alloc&) {
+    throw BudgetExceeded(n_, n_, layout.states() * kStateBytes);
+  }
+  if constexpr (obs::kMetricsCompiled)
+    metrics.frontier_bytes.set(
+        static_cast<std::int64_t>(layout.states() * kStateBytes));
+  const auto level = [&](std::size_t k) {
+    Level slice{values.get() + layout.offset(k), nullptr};
+    if constexpr (Policy::kWeighted)
+      slice.weights = weights.get() + layout.offset(k);
+    return slice;
+  };
 
   for (std::size_t k = n_ + 1; k-- > 0;) {
     QPS_TRACE_SPAN("exact/level", "exact");
     std::uint64_t level_t0 = 0;
     if constexpr (obs::kMetricsCompiled) level_t0 = obs::monotonic_us();
     const std::size_t total = dp_state_count(n_, k);
-    try {
-      QPS_FAULT_POINT("exact/level_alloc");  // alloc action: forced OOM here
-      values_cur.assign(total, Value{});
-      if constexpr (Policy::kWeighted) weights_cur.assign(total, 0.0);
-      if (options_.record_policy) argmin_tables_[k].assign(total, kDpNoProbe);
-    } catch (const std::bad_alloc&) {
-      const std::size_t bytes =
-          total * (sizeof(Value) + (Policy::kWeighted ? sizeof(double) : 0) +
-                   (options_.record_policy ? 1 : 0));
-      throw BudgetExceeded(n_, k, bytes);
+    std::uint8_t* argmin = nullptr;
+    if (options_.record_policy) {
+      try {
+        QPS_FAULT_POINT("exact/level_alloc");
+        argmin_tables_[k] =
+            std::make_unique_for_overwrite<std::uint8_t[]>(total);
+      } catch (const std::bad_alloc&) {
+        throw BudgetExceeded(n_, k, total);
+      }
+      argmin = argmin_tables_[k].get();
     }
+    const Level cur = level(k);
+    const Level next = level(k + 1);
     if constexpr (Policy::kWeighted) {
       const std::size_t blocks = static_cast<std::size_t>(binom(n_, k));
       pool.parallel_for(0, blocks, 64,
                         [&](std::size_t block_begin, std::size_t block_end) {
                           scatter_weights_range(k, block_begin, block_end,
-                                                weights_cur);
+                                                cur.weights);
                         });
     }
-    std::vector<std::uint8_t>* argmin =
-        options_.record_policy ? &argmin_tables_[k] : nullptr;
     pool.parallel_for(0, total, kStateGrain,
                       [&](std::size_t state_begin, std::size_t state_end) {
-                        evaluate_states(k, state_begin, state_end, values_next,
-                                        weights_next, values_cur, argmin);
+                        evaluate_states(k, state_begin, state_end, next, cur,
+                                        argmin);
                       });
-    values_next = std::move(values_cur);
-    if constexpr (Policy::kWeighted) weights_next = std::move(weights_cur);
     metrics.levels.increment();
-    if constexpr (obs::kMetricsCompiled) {
+    if constexpr (obs::kMetricsCompiled)
       metrics.level_us.record(obs::monotonic_us() - level_t0);
-      // Live DP frontier: the level just produced, plus its weights when
-      // the policy carries them.
-      metrics.frontier_bytes.set(static_cast<std::int64_t>(
-          values_next.size() * sizeof(Value) +
-          (Policy::kWeighted ? weights_next.size() * sizeof(double) : 0)));
-    }
   }
-  root_value_ = values_next[0];
+  root_value_ = level(0).values[0];
 }
 
 template <class Policy>
 void DpKernel<Policy>::scatter_weights_range(std::size_t k,
                                              std::size_t block_begin,
                                              std::size_t block_end,
-                                             std::vector<double>& weights)
-    const {
+                                             double* weights) const {
   if constexpr (Policy::kWeighted) {
     const std::vector<std::uint64_t>& support = policy_.support();
     const std::vector<double>& weight = policy_.weights();
     std::uint64_t probed = detail::colex_unrank(block_begin, k);
     for (std::size_t b = block_begin; b < block_end; ++b) {
-      double* slot = weights.data() + (b << k);
+      double* slot = weights + (b << k);
+      std::fill(slot, slot + (std::size_t{1} << k), 0.0);
       for (std::size_t i = 0; i < support.size(); ++i)
         slot[detail::compress_submask(support[i] & probed, probed)] +=
             weight[i];
@@ -263,95 +336,66 @@ void DpKernel<Policy>::scatter_weights_range(std::size_t k,
 }
 
 template <class Policy>
-void DpKernel<Policy>::evaluate_states(
-    std::size_t k, std::size_t state_begin, std::size_t state_end,
-    const std::vector<Value>& next_values,
-    const std::vector<double>& next_weights, std::vector<Value>& values,
-    std::vector<std::uint8_t>* argmin) {
+void DpKernel<Policy>::evaluate_states(std::size_t k, std::size_t state_begin,
+                                       std::size_t state_end, Level next,
+                                       Level cur, std::uint8_t* argmin) {
   const std::uint64_t full = table_->full_mask();
-
-  // Per-child lookup tables, rebuilt once per probed block: the child's
-  // dense base in level k+1 and the compressed position the probed element
-  // occupies there (greens indices gain one bit at that position).
-  struct Child {
-    std::uint8_t element;
-    std::uint8_t insert_pos;
-    const Value* values;
-    const double* weights;
-  };
-  std::array<Child, kMaxUniverse> children{};
+  // The argmin is kept only where it is read: the recorded policy, and the
+  // root's optimal first probe.
+  const bool track = argmin != nullptr || k == 0;
+  std::uint8_t root_arg = kDpNoProbe;
 
   std::size_t b = state_begin >> k;
   std::uint64_t probed = detail::colex_unrank(b, k);
   while ((b << k) < state_end) {
+    // This chunk's share [lo, hi) of block b, as compressed green indices.
     const std::size_t block_lo = b << k;
-    const std::size_t lo = std::max(state_begin, block_lo);
+    const std::size_t lo = std::max(state_begin, block_lo) - block_lo;
     const std::size_t hi =
-        std::min(state_end, block_lo + (std::size_t{1} << k));
+        std::min(state_end - block_lo, std::size_t{1} << k);
     const std::uint64_t unprobed = full & ~probed;
+    Value* best = cur.values + block_lo;
+    std::uint8_t* arg = argmin != nullptr ? argmin + block_lo : &root_arg;
+    std::fill(best + lo, best + hi, policy_.init_value(n_));
+    if (track) std::fill(arg + lo, arg + hi, kDpNoProbe);
 
-    std::size_t child_count = 0;
-    for (std::size_t e = 0; e < n_; ++e) {
-      const std::uint64_t bit = 1ULL << e;
-      if (probed & bit) continue;
+    // Child-major fold, elements ascending: the child's dense base in
+    // level k+1 and the compressed position the element occupies there.
+    for (std::uint64_t rest = unprobed; rest != 0; rest &= rest - 1) {
+      const std::uint64_t bit = rest & (~rest + 1);
+      const auto element = static_cast<std::uint8_t>(std::countr_zero(rest));
+      const auto pos = static_cast<unsigned>(std::popcount(probed & (bit - 1)));
       const std::size_t child_base = detail::colex_rank(probed | bit)
                                      << (k + 1);
-      Child child{static_cast<std::uint8_t>(e),
-                  static_cast<std::uint8_t>(std::popcount(probed & (bit - 1))),
-                  next_values.data() + child_base, nullptr};
+      const double* child_weights = nullptr;
       if constexpr (Policy::kWeighted)
-        child.weights = next_weights.data() + child_base;
-      children[child_count++] = child;
+        child_weights = next.weights + child_base;
+      if (track) {
+        fold_child<true>(policy_, next.values + child_base, child_weights,
+                         pos, lo, hi, best, arg, element);
+      } else {
+        fold_child<false>(policy_, next.values + child_base, child_weights,
+                          pos, lo, hi, best, arg, element);
+      }
     }
 
-    // Submask enumeration in descending compressed-index order: stepping
-    // (greens - 1) & probed walks gidx down by exactly one.
-    std::size_t gidx = hi - 1 - block_lo;
-    std::uint64_t greens = expand_submask(gidx, probed);
-    for (;;) {
-      Value value;
-      std::uint8_t arg = kDpNoProbe;
+    // Terminal states make no probe; submasks ascend with the index.
+    std::uint64_t greens = expand_submask(lo, probed);
+    for (std::size_t g = lo; g < hi; ++g) {
       if (table_->contains_quorum(greens) ||
           !table_->contains_quorum(greens | unprobed)) {
-        value = policy_.terminal_value();
-      } else {
-        Value best = policy_.init_value(n_);
-        for (std::size_t c = 0; c < child_count; ++c) {
-          const Child& child = children[c];
-          const std::uint32_t low =
-              static_cast<std::uint32_t>(gidx) &
-              ((1u << child.insert_pos) - 1);
-          const std::uint32_t red_idx =
-              ((static_cast<std::uint32_t>(gidx >> child.insert_pos))
-               << (child.insert_pos + 1)) |
-              low;
-          const std::uint32_t green_idx = red_idx | (1u << child.insert_pos);
-          Value candidate;
-          if constexpr (Policy::kWeighted) {
-            candidate = policy_.probe_cost(
-                child.values[green_idx], child.values[red_idx],
-                child.weights[green_idx], child.weights[red_idx]);
-          } else {
-            candidate = policy_.probe_cost(child.values[green_idx],
-                                           child.values[red_idx]);
-          }
-          if (candidate < best) {
-            best = candidate;
-            arg = child.element;
-          }
-        }
-        value = best;
+        best[g] = policy_.terminal_value();
+        if (track) arg[g] = kDpNoProbe;
       }
-      values[block_lo + gidx] = value;
-      if (argmin != nullptr) (*argmin)[block_lo + gidx] = arg;
-      if (k == 0) root_probe_ = arg == kDpNoProbe ? n_ : arg;
-      if (gidx == lo - block_lo) break;
-      --gidx;
-      greens = (greens - 1) & probed;
+      greens = ((greens | ~probed) + 1) & probed;
     }
 
     ++b;
     probed = detail::next_same_popcount(probed);
+  }
+  if (k == 0) {
+    const std::uint8_t root = argmin != nullptr ? argmin[0] : root_arg;
+    root_probe_ = root == kDpNoProbe ? n_ : root;
   }
 }
 

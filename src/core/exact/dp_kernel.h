@@ -20,9 +20,17 @@
 // rank order), and within a probed block the green subset is addressed by
 // its compressed index (greens' bits packed into the low k positions).
 // Only two levels are alive at a time -- the one being written and the one
-// it reads -- so the working set is two frontier buffers instead of a
-// global memo, and the practical cap moves from the old n <= 14 to
-// n >= 18 (the exact bound is the memory formula in dp_peak_bytes()).
+// it reads, always one even and one odd -- so the whole frontier is one
+// uninitialised allocation per solve, split by level parity
+// (DpFrontierLayout), instead of a global memo; the practical cap moves
+// from the old n <= 14 to n >= 18 (the exact bound is the memory formula
+// in dp_peak_bytes()).
+//
+// The Bellman min is folded child-major: for each unprobed element in
+// ascending order, the kernel streams that child's block once and folds
+// its probe costs into the parent block's values (strict <, so ties keep
+// the smaller element), tracking the argmin only where it is kept.  The
+// terminal states are then overwritten in one pass.
 //
 // States within a level are independent (transitions only reach level
 // k+1), so the kernel evaluates them in parallel on the calling thread's
@@ -49,26 +57,29 @@
 
 namespace qps::exact {
 
-/// Thrown when a mid-solve frontier allocation fails: the upfront
-/// require_dp_feasible() formula admitted the solve but the OS could not
-/// actually back the level buffers (overcommit, cgroup limits, memory
-/// pressure from neighbors).  Structured degradation -- callers can shrink
-/// n or retry -- instead of an uncaught bad_alloc tearing the process
-/// down.  Deterministically exercised via the "exact/level_alloc" fault
-/// point.
+/// Thrown when one of the solve's allocations fails -- the frontier (made
+/// once per solve, reported at level k = n) or a level's argmin table
+/// (record_policy): the upfront require_dp_feasible() formula admitted the
+/// solve but the OS could not actually back the buffers (overcommit, cgroup
+/// limits, memory pressure from neighbors).  Structured degradation --
+/// callers can shrink n or retry -- instead of an uncaught bad_alloc
+/// tearing the process down.  Deterministically exercised via the
+/// "exact/level_alloc" fault point, which guards exactly those
+/// allocations.
 class BudgetExceeded : public std::runtime_error {
  public:
   BudgetExceeded(std::size_t n, std::size_t level, std::size_t bytes)
       : std::runtime_error("exact DP out of memory at n=" + std::to_string(n) +
                            " level k=" + std::to_string(level) + " (" +
                            std::to_string(bytes >> 20) +
-                           " MiB frontier); the feasibility formula admitted "
+                           " MiB allocation); the feasibility formula admitted "
                            "the solve but the allocation failed"),
         n_(n),
         level_(level),
         bytes_(bytes) {}
   std::size_t universe_size() const { return n_; }
   std::size_t level() const { return level_; }
+  /// Size of the allocation that failed.
   std::size_t frontier_bytes() const { return bytes_; }
 
  private:
@@ -96,10 +107,25 @@ struct DpOptions {
 /// Number of knowledge states at level k: C(n,k) * 2^k.
 std::size_t dp_state_count(std::size_t n, std::size_t k);
 
-/// Peak bytes the kernel needs for universe size n: the largest adjacent
-/// level pair sum_{k,k+1} C(n,k) 2^k states times the per-state payload
-/// (value_bytes, plus 8 weight bytes for weighted policies), plus the 2^n
-/// characteristic table, plus 3^n argmin bytes when recording the policy.
+/// The kernel's frontier for universe size n: one allocation of states()
+/// slots, even levels at offset 0 and odd levels after the largest even
+/// one.  Because C(n,k) * 2^k is unimodal in k, states() equals the
+/// largest adjacent level pair, so the split costs no memory.
+struct DpFrontierLayout {
+  std::size_t even_states = 0;  ///< max over even k of dp_state_count(n, k)
+  std::size_t odd_states = 0;   ///< max over odd k of dp_state_count(n, k)
+  std::size_t states() const { return even_states + odd_states; }
+  std::size_t offset(std::size_t k) const {
+    return k % 2 == 0 ? 0 : even_states;
+  }
+};
+
+DpFrontierLayout dp_frontier_layout(std::size_t n);
+
+/// Peak bytes the kernel needs for universe size n: the frontier's
+/// dp_frontier_layout(n).states() times the per-state payload (value_bytes,
+/// plus 8 weight bytes for weighted policies), plus the 2^n characteristic
+/// table, plus 3^n argmin bytes when recording the policy.
 std::size_t dp_peak_bytes(std::size_t n, std::size_t value_bytes,
                           bool weighted, bool record_policy);
 
@@ -232,16 +258,19 @@ class DpKernel {
   std::size_t policy_probe(std::uint64_t probed, std::uint64_t greens) const;
 
  private:
+  /// One level's slice of the frontier (weights only for weighted
+  /// policies).
+  struct Level {
+    Value* values;
+    double* weights;
+  };
+
   void solve();
   void scatter_weights_range(std::size_t k, std::size_t block_begin,
-                             std::size_t block_end,
-                             std::vector<double>& weights) const;
+                             std::size_t block_end, double* weights) const;
   void evaluate_states(std::size_t k, std::size_t state_begin,
-                       std::size_t state_end,
-                       const std::vector<Value>& next_values,
-                       const std::vector<double>& next_weights,
-                       std::vector<Value>& values,
-                       std::vector<std::uint8_t>* argmin);
+                       std::size_t state_end, Level next, Level cur,
+                       std::uint8_t* argmin);
 
   Policy policy_;
   DpOptions options_;
@@ -250,7 +279,7 @@ class DpKernel {
   Value root_value_{};
   std::size_t root_probe_ = 0;
   /// argmin_tables_[k] has one entry per level-k state (record_policy).
-  std::vector<std::vector<std::uint8_t>> argmin_tables_;
+  std::vector<std::unique_ptr<std::uint8_t[]>> argmin_tables_;
 };
 
 extern template class DpKernel<MinimaxPolicy>;

@@ -38,6 +38,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/exact/decision_tree.h"
 #include "core/exact/dp_kernel.h"
 #include "core/exact/ppc_exact.h"
 #include "core/fault/fault.h"
@@ -287,30 +288,51 @@ TEST_F(ChaosTest, FullDiskSurfacesCheckpointErrorThenResumesCleanly) {
 }
 
 // ---------------------------------------------------------------------------
-// DP kernel: a mid-solve allocation failure must degrade to the structured
-// BudgetExceeded, and the very next solve must be untainted.
+// DP kernel: a failed allocation -- the frontier, or a level's argmin table
+// -- must degrade to the structured BudgetExceeded naming the level, and
+// the very next solve must be untainted.
 // ---------------------------------------------------------------------------
 
 TEST_F(ChaosTest, MidSolveAllocationFailureDegradesToBudgetExceeded) {
   REQUIRE_FAULTS();
   const MajoritySystem majority(9);
   const double clean = ppc_exact(majority, 0.5);
+  const std::string clean_tree = optimal_ppc_tree(majority, 0.5)->to_ascii();
 
-  // after=2: the top level allocates fine, the second one "fails" -- the
-  // genuinely mid-solve case the upfront feasibility check cannot catch.
-  fault::configure("exact/level_alloc:alloc:after=2:count=1");
+  // after=1: plain ppc_exact allocates once, the whole frontier up front.
+  fault::configure("exact/level_alloc:alloc:after=1:count=1");
   try {
     ppc_exact(majority, 0.5);
     FAIL() << "expected exact::BudgetExceeded";
   } catch (const exact::BudgetExceeded& e) {
     EXPECT_EQ(e.universe_size(), 9u);
-    EXPECT_GT(e.frontier_bytes(), 0u);
+    EXPECT_EQ(e.level(), 9u);
+    EXPECT_EQ(e.frontier_bytes(),
+              exact::dp_frontier_layout(9).states() * sizeof(double));
+    EXPECT_NE(std::string(e.what()).find("out of memory"), std::string::npos)
+        << e.what();
+  }
+  fault::clear();
+  EXPECT_EQ(ppc_exact(majority, 0.5), clean);
+
+  // after=2: a recorded-policy solve also allocates an argmin table per
+  // level; the frontier is in hand when the top level's table "fails" --
+  // the case the upfront feasibility check cannot catch.
+  fault::configure("exact/level_alloc:alloc:after=2:count=1");
+  try {
+    optimal_ppc_tree(majority, 0.5);
+    FAIL() << "expected exact::BudgetExceeded";
+  } catch (const exact::BudgetExceeded& e) {
+    EXPECT_EQ(e.universe_size(), 9u);
+    EXPECT_EQ(e.level(), 9u);
+    EXPECT_EQ(e.frontier_bytes(), exact::dp_state_count(9, 9));
     EXPECT_NE(std::string(e.what()).find("out of memory"), std::string::npos)
         << e.what();
   }
   fault::clear();
 
-  // The failure is stateless: the same solve succeeds bit-identically.
+  // The failure is stateless: the same solves succeed bit-identically.
+  EXPECT_EQ(optimal_ppc_tree(majority, 0.5)->to_ascii(), clean_tree);
   EXPECT_EQ(ppc_exact(majority, 0.5), clean);
 }
 

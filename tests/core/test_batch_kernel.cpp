@@ -866,9 +866,9 @@ TEST(BatchKernel, StrategiesWithoutAKernelFallBackUnchanged) {
   // The greedy baseline has no bit-sliced kernel (its probe order depends
   // on observed colors mid-run), so it always runs the scalar loop, and
   // validating its witnesses leaves the statistics unchanged.
-  const MajoritySystem maj(21);
+  const MajoritySystem maj(11);
   const GreedyCandidateProbe greedy(maj);
-  EXPECT_FALSE(greedy.supports_batch(21));
+  EXPECT_FALSE(greedy.supports_batch(11));
   auto options = engine_options(2);
   options.trials = 500;  // the greedy baseline is slow per trial
   options.batch_size = 64;

@@ -1,10 +1,12 @@
 // The unified Bellman DP kernel: differential tests against the legacy
-// recursive solvers, thread-count bit-identity, the centralized memory
-// guard, and the combinatorial ranking that backs the dense state layout.
+// recursive solvers and a per-state reference argmin, thread-count
+// bit-identity, the frontier layout and the centralized memory guard, and
+// the combinatorial ranking that backs the dense state layout.
 #include "core/exact/dp_kernel.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <memory>
 #include <vector>
@@ -108,6 +110,9 @@ TEST(DpKernel, YaoMatchesLegacyRecursionOnPaperDistributions) {
 TEST(DpKernel, ResultsAreBitIdenticalAcrossThreadCounts) {
   const MajoritySystem maj(11);
   const CrumblingWall wall({1, 3, 4});
+  // n = 13: blocks of 2^13 states and more are split across the kernel's
+  // 4096-state chunks, so each chunk folds a partial block.
+  const MajoritySystem maj13(13);
   exact::DpOptions one;
   one.threads = 1;
   for (std::size_t threads : {2u, 4u, 7u}) {
@@ -124,6 +129,101 @@ TEST(DpKernel, ResultsAreBitIdenticalAcrossThreadCounts) {
     const MajoritySystem maj9(9);
     EXPECT_EQ(yao_bound(maj9, hard, one), yao_bound(maj9, hard, many))
         << "threads=" << threads;
+  }
+  exact::DpOptions four;
+  four.threads = 4;
+  EXPECT_EQ(ppc_exact(maj13, 0.3, one), ppc_exact(maj13, 0.3, four));
+  EXPECT_EQ(pc_exact(maj13, one), pc_exact(maj13, four));
+  // The recorded argmin of every state, through the tree it materializes.
+  EXPECT_EQ(optimal_ppc_tree(maj13, 0.3, one)->to_ascii(),
+            optimal_ppc_tree(maj13, 0.3, four)->to_ascii());
+  EXPECT_EQ(optimal_ppc_tree(wall, 0.5, one)->to_ascii(),
+            optimal_ppc_tree(wall, 0.5, four)->to_ascii());
+}
+
+/// Per-state Bellman reference for PPC_p: memoized over (probed, greens),
+/// the kernel's arithmetic 1 + q*V(green) + p*V(red), elements ascending,
+/// strict < from the init value n + 1.
+class BellmanReference {
+ public:
+  BellmanReference(const QuorumSystem& system, double p)
+      : table_(system),
+        n_(system.universe_size()),
+        p_(p),
+        q_(1.0 - p),
+        value_(std::size_t{1} << (2 * n_), -1.0),
+        argmin_(value_.size(), n_) {}
+
+  double value(std::uint64_t probed, std::uint64_t greens) {
+    const std::size_t index = (probed << n_) | greens;
+    if (value_[index] >= 0.0) return value_[index];
+    double best = 0.0;
+    std::size_t arg = n_;
+    if (!table_.is_terminal(probed, greens)) {
+      best = static_cast<double>(n_) + 1.0;
+      for (std::size_t e = 0; e < n_; ++e) {
+        const std::uint64_t bit = 1ULL << e;
+        if (probed & bit) continue;
+        const double candidate = 1.0 + q_ * value(probed | bit, greens | bit) +
+                                 p_ * value(probed | bit, greens);
+        if (candidate < best) {
+          best = candidate;
+          arg = e;
+        }
+      }
+    }
+    argmin_[index] = arg;
+    return value_[index] = best;
+  }
+
+  std::size_t argmin(std::uint64_t probed, std::uint64_t greens) {
+    value(probed, greens);
+    return argmin_[(probed << n_) | greens];
+  }
+
+ private:
+  CharTable table_;
+  std::size_t n_;
+  double p_;
+  double q_;
+  std::vector<double> value_;
+  std::vector<std::size_t> argmin_;
+};
+
+TEST(DpKernel, RecordedPolicyIsTheSmallestBellmanArgmin) {
+  // Ties are common (symmetric systems have many optimal probes), so this
+  // pins the tie-break on every state, not just at the root.
+  std::vector<std::unique_ptr<QuorumSystem>> systems;
+  systems.push_back(std::make_unique<MajoritySystem>(7));
+  systems.push_back(std::make_unique<WheelSystem>(8));
+  systems.push_back(
+      std::make_unique<CrumblingWall>(std::vector<std::size_t>{1, 2, 2}));
+  systems.push_back(std::make_unique<HQSystem>(2));
+  for (const auto& system : systems) {
+    const std::size_t n = system->universe_size();
+    for (double p : {0.3, 0.5}) {
+      exact::DpOptions options;
+      options.record_policy = true;
+      const exact::DpKernel<exact::ExpectationPolicy> kernel(
+          *system, exact::ExpectationPolicy(p), options);
+      BellmanReference reference(*system, p);
+      EXPECT_EQ(kernel.root_value(), reference.value(0, 0))
+          << system->name() << " p=" << p;
+      std::size_t checked = 0;
+      for (std::uint64_t probed = 0; probed < (1ULL << n); ++probed) {
+        for (std::uint64_t greens = probed;; greens = (greens - 1) & probed) {
+          if (!kernel.char_table().is_terminal(probed, greens)) {
+            ASSERT_EQ(kernel.policy_probe(probed, greens),
+                      reference.argmin(probed, greens))
+                << system->name() << " p=" << p << " probed=" << probed
+                << " greens=" << greens;
+            ++checked;
+          }
+          if (greens == 0) break;
+        }
+      }
+      EXPECT_GT(checked, 0u) << system->name();
+    }
   }
 }
 
@@ -156,6 +256,37 @@ TEST(DpKernel, StateCountsSumToPowersOfThree) {
     for (std::size_t i = 0; i < n; ++i) expected *= 3;
     EXPECT_EQ(total, expected) << "n=" << n;
   }
+}
+
+TEST(DpKernel, FrontierLayoutIsTheLargestAdjacentLevelPair) {
+  // The kernel allocates one parity-split frontier; since C(n,k) * 2^k is
+  // unimodal in k it equals the largest adjacent level pair, the peak the
+  // memory formula charges for.
+  for (std::size_t n = 1; n <= 22; ++n) {
+    std::size_t pair = 0;
+    for (std::size_t k = 0; k < n; ++k)
+      pair = std::max(pair, exact::dp_state_count(n, k) +
+                                exact::dp_state_count(n, k + 1));
+    const exact::DpFrontierLayout layout = exact::dp_frontier_layout(n);
+    EXPECT_EQ(layout.states(), pair) << "n=" << n;
+    EXPECT_EQ(layout.offset(0), 0u);
+    EXPECT_EQ(layout.offset(1), layout.even_states);
+    for (std::size_t k = 0; k <= n; ++k)
+      EXPECT_LE(exact::dp_state_count(n, k),
+                k % 2 == 0 ? layout.even_states : layout.odd_states)
+          << "n=" << n << " k=" << k;
+    EXPECT_EQ(exact::dp_peak_bytes(n, sizeof(double), false, false),
+              pair * sizeof(double) + (std::size_t{1} << n))
+        << "n=" << n;
+  }
+  // Under the default 8 GiB budget: PPC and Yao up to n = 19, PC up to 21.
+  const std::size_t limit = exact::kDefaultDpMemoryLimit;
+  EXPECT_LE(exact::dp_peak_bytes(19, sizeof(double), false, false), limit);
+  EXPECT_GT(exact::dp_peak_bytes(20, sizeof(double), false, false), limit);
+  EXPECT_LE(exact::dp_peak_bytes(19, sizeof(double), true, false), limit);
+  EXPECT_GT(exact::dp_peak_bytes(20, sizeof(double), true, false), limit);
+  EXPECT_LE(exact::dp_peak_bytes(21, 1, false, false), limit);
+  EXPECT_GT(exact::dp_peak_bytes(22, 1, false, false), limit);
 }
 
 TEST(DpKernel, MemoryGuardStatesTheCapFormula) {
