@@ -263,26 +263,35 @@ void coordinate(TcpListener* listener, LocalPool* pool,
   };
   std::size_t quarantined_count = 0;
   std::size_t rescued_count = 0;
+  // One delivery round: everything the engine completed since the last
+  // round goes to `record` in one call -- one journal commit, not one per
+  // point.  The round is handed over before any last-resort evaluation
+  // runs, so a long local evaluation never holds finished results back.
   const auto deliver = [&] {
-    for (const auto& [index, stats] : engine.take_completed())
-      record(index, stats);
+    const sweep::ResultRound completed = engine.take_completed();
+    if (!completed.empty()) record(completed);
     for (const auto& [index, attempts] : engine.take_quarantined()) {
       // With local fallback enabled the coordinator is allowed one
       // last-resort evaluation before declaring the point poison.  Without
       // it (tests proving workers computed everything) quarantine is final.
       if (options.local_fallback) {
+        sweep::ResultRound rescued;
         try {
           QPS_TRACE_SPAN("sweep/point", "sweep");
           QPS_FAULT_POINT2("net/local_eval", points[index].id);
-          const RunningStats stats = local_eval(points[index]);
-          record(index, stats);
-          ++rescued_count;
-          continue;
+          rescued.emplace_back(index, local_eval(points[index]));
         } catch (const std::exception& e) {
           std::cerr << "sweep " << sweep_name << ": point "
                     << points[index].id
                     << " failed the local last resort too: " << e.what()
                     << "\n";
+        }
+        // Recorded outside the try: a failed journal write must surface
+        // as such, not pass for a failed evaluation.
+        if (!rescued.empty()) {
+          record(rescued);
+          ++rescued_count;
+          continue;
         }
       }
       ++quarantined_count;

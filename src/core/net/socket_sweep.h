@@ -10,7 +10,11 @@
 //    handshake axe), flushes its outbox, and -- when no worker is serving
 //    and local fallback is enabled -- evaluates pending points in-process
 //    so the sweep terminates even if every worker declines or dies.  TCP
-//    workers arrive through the listener or options.dial.
+//    workers arrive through the listener or options.dial.  After each
+//    pass over its sockets the loop delivers one round: every result the
+//    engine completed since the last round goes to the record sink in a
+//    single call, which SweepRunner journals with one write(2) per result
+//    and one fdatasync per round -- before the loop polls again.
 //  * make_local_pool_runner() runs the same loop without a listener over
 //    SweepRunner's local worker children, one socketpair each.
 //  * serve_connection() / serve_pinned_sweep() are the worker's blocking
@@ -57,12 +61,13 @@ bool parse_host_port(const std::string& text, std::string& host,
 
 /// Coordinator loop: drives the job-server engine over `listener` until
 /// every pending index has a result or is quarantined, invoking `record`
-/// exactly once per completed point.  A point that burns its retry budget
-/// gets one local last-resort evaluation when options.local_fallback is
-/// enabled; only if that throws too (or fallback is disabled) is
-/// `quarantine` (when non-null) invoked for it.  `local_eval` is used only
-/// for local fallback and the last resort, and only when
-/// options.local_fallback.
+/// once per delivery round with the points completed in it (each index in
+/// exactly one round).  A point that burns its retry budget gets one local
+/// last-resort evaluation, delivered as its own round, when
+/// options.local_fallback is enabled; only if that throws too (or fallback
+/// is disabled) is `quarantine` (when non-null) invoked for it.
+/// `local_eval` is used only for local fallback and the last resort, and
+/// only when options.local_fallback.
 void run_socket_sweep(TcpListener& listener,
                       const std::vector<sweep::SweepPoint>& points,
                       const std::string& sweep_name, std::uint64_t fingerprint,

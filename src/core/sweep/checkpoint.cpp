@@ -81,9 +81,9 @@ SweepCheckpoint::SweepCheckpoint(std::string path, std::string sweep_name,
   }
 }
 
-void SweepCheckpoint::append_checked(const std::string& line) {
+void SweepCheckpoint::write_checked(const std::string& line) {
   try {
-    out_->append_line(line);
+    out_->write_line(line);
   } catch (const util::IoError& e) {
     throw CheckpointError(
         std::string("failed writing checkpoint journal: ") + e.what(), path_);
@@ -95,29 +95,46 @@ void SweepCheckpoint::append_checked(const std::string& line) {
             e.what(),
         path_);
   }
+  uncommitted_ = true;
 }
 
 void SweepCheckpoint::record(const SweepPoint& point,
                              const RunningStats& stats) {
   if (!out_) return;
-  append_checked(encode_result(sweep_name_, fingerprint_, point, stats));
+  write_checked(encode_result(sweep_name_, fingerprint_, point, stats));
   completed_[point.index] = stats;
   static obs::Counter& writes =
       obs::MetricsRegistry::instance().counter("sweep/checkpoint_writes");
   writes.increment();
 }
 
+void SweepCheckpoint::commit() {
+  if (!out_ || !uncommitted_) return;
+  try {
+    out_->sync();
+  } catch (const util::IoError& e) {
+    throw CheckpointError(
+        std::string("failed syncing checkpoint journal: ") + e.what(), path_);
+  }
+  uncommitted_ = false;
+  static obs::Counter& syncs =
+      obs::MetricsRegistry::instance().counter("sweep/checkpoint_syncs");
+  syncs.increment();
+}
+
 void SweepCheckpoint::record_quarantine(const SweepPoint& point,
                                         std::uint64_t attempts) {
   if (!out_) return;
-  append_checked(
+  write_checked(
       encode_quarantine_record(sweep_name_, fingerprint_, point, attempts));
+  commit();
   poisoned_[point.index] = attempts;
 }
 
 void SweepCheckpoint::record_readmit(const SweepPoint& point) {
   if (!out_) return;
-  append_checked(encode_readmit_record(sweep_name_, fingerprint_, point));
+  write_checked(encode_readmit_record(sweep_name_, fingerprint_, point));
+  commit();
   poisoned_.erase(point.index);
 }
 

@@ -1,21 +1,27 @@
 // Checkpoint/resume journal for sweeps.
 //
-// The runner appends one wire-format result line per completed point; each
-// append is a single write(2) on an O_APPEND descriptor followed by
-// fdatasync (util/fsio.h), so a committed point survives SIGKILL and a
-// crash can tear at most the in-flight line.  On resume the journal is
-// scanned and every line whose (sweep name, fingerprint) matches the
-// current spec seeds the result table; those points are never
-// re-evaluated.  Lines from other sweeps (a bench may journal several into
-// one file) or from a spec run under different options (fingerprint
-// mismatch) are skipped silently -- they are someone else's data.  Corrupt
-// or torn lines are skipped too, but *diagnosed*: the resume scan reports
-// how many lines it could not parse (those points are recomputed), so a
-// damaged journal never silently shrinks a resume.  Write failures throw
-// CheckpointError naming the journal -- a silently lost journal would turn
-// --resume into silent recomputation.
+// The runner appends one wire-format result line per completed point with
+// record(): a single write(2) on an O_APPEND descriptor (util/fsio.h), so a
+// recorded point survives SIGKILL of the process and a crash can tear at
+// most the in-flight line.  commit() then makes every line recorded since
+// the last commit durable against power loss with one fdatasync: the
+// runner commits once per point in-process and once per delivery round of
+// the coordinator loop (sweep_runner.h), so a power loss drops at most the
+// last uncommitted group, which --resume simply recomputes.  Quarantine
+// and readmit records are written and synced at once.
 //
-// Every append consults the "sweep/checkpoint_write" fault point
+// On resume the journal is scanned and every line whose (sweep name,
+// fingerprint) matches the current spec seeds the result table; those
+// points are never re-evaluated.  Lines from other sweeps (a bench may
+// journal several into one file) or from a spec run under different
+// options (fingerprint mismatch) are skipped silently -- they are someone
+// else's data.  Corrupt or torn lines are skipped too, but *diagnosed*:
+// the resume scan reports how many lines it could not parse (those points
+// are recomputed), so a damaged journal never silently shrinks a resume.
+// Write and sync failures throw CheckpointError naming the journal -- a
+// silently lost journal would turn --resume into silent recomputation.
+//
+// Every line written consults the "sweep/checkpoint_write" fault point
 // (core/fault/fault.h): `error` models a full disk, `torn` produces
 // exactly the mid-file corruption the resume scanner must survive, and
 // `crash` dies mid-transaction.
@@ -90,18 +96,24 @@ class SweepCheckpoint {
     return poisoned_;
   }
 
-  /// Appends one completed point durably; throws CheckpointError on any
-  /// write or sync failure.
+  /// Writes one completed point to the journal (one write(2), no sync);
+  /// throws CheckpointError on a failed write.  commit() makes it durable.
   void record(const SweepPoint& point, const RunningStats& stats);
 
-  /// Appends a quarantine poison marker for `point`.
+  /// fdatasyncs every line written since the last commit (a no-op when
+  /// there is none) and counts it in sweep/checkpoint_syncs; throws
+  /// CheckpointError on a failed sync.
+  void commit();
+
+  /// Appends a quarantine poison marker for `point` and commits it.
   void record_quarantine(const SweepPoint& point, std::uint64_t attempts);
 
-  /// Appends a readmit record for `point` and clears its poison marker.
+  /// Appends a readmit record for `point`, commits it, and clears its
+  /// poison marker.
   void record_readmit(const SweepPoint& point);
 
  private:
-  void append_checked(const std::string& line);
+  void write_checked(const std::string& line);
 
   std::string path_;
   std::string sweep_name_;
@@ -110,6 +122,7 @@ class SweepCheckpoint {
   std::map<std::size_t, std::uint64_t> poisoned_;
   RecoveryReport recovery_;
   std::unique_ptr<util::AppendFile> out_;
+  bool uncommitted_ = false;  ///< Lines written since the last sync.
 };
 
 }  // namespace qps::sweep

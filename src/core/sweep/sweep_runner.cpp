@@ -221,7 +221,8 @@ std::vector<PointResult> SweepRunner::run(const PointEvaluator& eval) const {
       obs::MetricsRegistry::instance().counter("sweep/points_done");
   static obs::Counter& points_quarantined =
       obs::MetricsRegistry::instance().counter("sweep/points_quarantined");
-  // One computed point, from either path: aggregate, journal, count.
+  // One computed point, from either path: aggregate, journal (written, not
+  // yet synced -- each path commits its own group), count.
   const auto complete = [&](std::size_t index, const RunningStats& stats) {
     results[index].stats = stats;
     have[index] = 1;
@@ -233,7 +234,8 @@ std::vector<PointResult> SweepRunner::run(const PointEvaluator& eval) const {
   // Engine-driven path: the local worker pool, or an injected remote
   // runner, gets the still-missing indices.  The record sink is
   // dedup-guarded: a badly-behaved hook reporting an index twice must not
-  // double-journal.
+  // double-journal.  Each round is one journal commit, made before the
+  // sink returns -- so before the coordinator loop polls again.
   const RemoteRunner runner =
       options_.workers > 0
           ? net::make_local_pool_runner(options_.worker_command,
@@ -244,10 +246,13 @@ std::vector<PointResult> SweepRunner::run(const PointEvaluator& eval) const {
     for (std::size_t i = 0; i < points.size(); ++i)
       if (!have[i]) pending.push_back(i);
     if (!pending.empty()) {
-      const RemoteRecord record = [&](std::size_t index,
-                                      const RunningStats& stats) {
-        QPS_REQUIRE(index < points.size(), "remote result index out of range");
-        if (!have[index]) complete(index, stats);
+      const RemoteRecord record = [&](const ResultRound& round) {
+        for (const auto& [index, stats] : round) {
+          QPS_REQUIRE(index < points.size(),
+                      "remote result index out of range");
+          if (!have[index]) complete(index, stats);
+        }
+        checkpoint.commit();
       };
       const RemoteQuarantine quarantine = [&](std::size_t index,
                                               std::size_t attempts) {
@@ -267,9 +272,10 @@ std::vector<PointResult> SweepRunner::run(const PointEvaluator& eval) const {
     }
   }
 
-  // In-process path: evaluate whatever is still missing, in index order.
-  // After an engine-driven run nothing is (its loop falls back to local
-  // evaluation itself), so this is the workers == 0 path.
+  // In-process path: evaluate whatever is still missing, in index order,
+  // committing each point on its own.  After an engine-driven run nothing
+  // is (its loop falls back to local evaluation itself), so this is the
+  // workers == 0 path.
   for (std::size_t i = 0; i < points.size(); ++i) {
     if (have[i]) continue;
     RunningStats stats;
@@ -278,6 +284,7 @@ std::vector<PointResult> SweepRunner::run(const PointEvaluator& eval) const {
       stats = eval(points[i]);
     }
     complete(i, stats);
+    checkpoint.commit();
   }
   progress.finish();
   return results;

@@ -29,6 +29,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/net/job_server.h"
@@ -42,10 +43,17 @@ namespace qps::sweep {
 /// results; exact evaluations return a single-sample accumulator.
 using PointEvaluator = std::function<RunningStats(const SweepPoint&)>;
 
-/// Sink a RemoteRunner reports each completed point through, exactly once
-/// per index.
-using RemoteRecord =
-    std::function<void(std::size_t index, const RunningStats& stats)>;
+/// One delivery round: the (index, stats) results a RemoteRunner hands
+/// over together.
+using ResultRound = std::vector<std::pair<std::size_t, RunningStats>>;
+
+/// Sink a RemoteRunner reports completed points through, each index exactly
+/// once over the sweep.  One call is one durable group: SweepRunner writes
+/// every result of the round to the checkpoint journal as it aggregates it
+/// and fdatasyncs the journal once before the call returns, so a runner
+/// should hand over everything it has ready in one call rather than one
+/// call per point.
+using RemoteRecord = std::function<void(const ResultRound& round)>;
 
 /// Sink a RemoteRunner reports quarantined points through: `index` burned
 /// its retry budget (it killed or timed out `attempts` workers) and will
@@ -59,8 +67,9 @@ using RemoteQuarantine =
 /// Engine-driven execution hook.  Called with the spec, its expanded
 /// points, and the indices still to be computed; must evaluate every
 /// pending point (remotely, or locally via `eval` as a fallback) and
-/// report each completion through `record` -- or, for a point that
-/// exhausts its retry budget, through `quarantine`.
+/// report each completion through `record`, in rounds of whatever results
+/// are ready together -- or, for a point that exhausts its retry budget,
+/// through `quarantine`.
 /// core/net/socket_sweep.h supplies the socket job server's hook and the
 /// local worker pool's.
 using RemoteRunner = std::function<void(

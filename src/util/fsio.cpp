@@ -126,7 +126,7 @@ AppendFile::~AppendFile() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-void AppendFile::append_line(std::string_view line) {
+void AppendFile::write_line(std::string_view line) {
   std::size_t size = line.size();
   if (fault_point_ != nullptr) {
     // error/alloc throw here (the "disk full" stand-in), crash exits
@@ -137,8 +137,16 @@ void AppendFile::append_line(std::string_view line) {
   }
   if (!write_all(fd_, line.substr(0, size)))
     throw IoError("failed writing " + path_ + ": " + errno_text(), path_);
+}
+
+void AppendFile::sync() {
   if (::fdatasync(fd_) != 0)
     throw IoError("failed syncing " + path_ + ": " + errno_text(), path_);
+}
+
+void AppendFile::append_line(std::string_view line) {
+  write_line(line);
+  sync();
 }
 
 }  // namespace qps::util

@@ -11,17 +11,22 @@
 //    durable.
 //
 //  * AppendFile: append-only journals (the sweep checkpoint).  Each
-//    append_line() is one write(2) on an O_APPEND descriptor followed by
-//    fdatasync(2), so a committed line survives SIGKILL and at most the
-//    in-flight line can be torn.  Failures throw IoError naming the path
-//    and errno -- a silently lost journal line would turn resume into
-//    silent recomputation.
+//    write_line() is one write(2) on an O_APPEND descriptor, so a written
+//    line survives SIGKILL and at most the in-flight line can be torn;
+//    sync() is one fdatasync(2) that makes every line written so far
+//    survive a power loss too.  append_line() is both, for a line that
+//    must be durable on its own; a caller committing a group of lines
+//    writes each and syncs once.  AppendFile is the only journal code
+//    that syncs.  Failures throw IoError naming the path and errno -- a
+//    silently lost journal line would turn resume into silent
+//    recomputation.
 //
 // Both honor fault-injection rules on the caller-supplied fault point
 // (core/fault/fault.h): `error`/`alloc`/`crash`/`delay` act before the
 // write, and a `torn` rule makes AppendFile keep only a prefix of the
 // line while still reporting success -- the exact corruption the resume
-// scanner must survive.
+// scanner must survive.  AppendFile consults its fault point once per
+// line written, never on sync().
 #pragma once
 
 #include <stdexcept>
@@ -54,7 +59,8 @@ bool write_file_atomic(const std::string& path, std::string_view content,
 class AppendFile {
  public:
   /// Opens `path` for durable appends (O_APPEND | O_CREAT).  `fault_point`
-  /// (may be null) names the injection point consulted on every append.
+  /// (may be null) names the injection point consulted on every line
+  /// written.
   /// Throws IoError when the file cannot be opened.
   explicit AppendFile(std::string path, const char* fault_point = nullptr);
   ~AppendFile();
@@ -62,9 +68,15 @@ class AppendFile {
   AppendFile(const AppendFile&) = delete;
   AppendFile& operator=(const AppendFile&) = delete;
 
-  /// Appends `line` with one write(2) and fdatasyncs; throws IoError on
+  /// Appends `line` with one write(2), without syncing; throws IoError on
   /// short or failed writes.  A torn-write fault keeps a prefix only and
   /// reports success (that is the fault).
+  void write_line(std::string_view line);
+
+  /// fdatasyncs every line written so far; throws IoError on failure.
+  void sync();
+
+  /// write_line() then sync(): one line, durable on its own.
   void append_line(std::string_view line);
 
   const std::string& path() const { return path_; }

@@ -30,6 +30,7 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -252,38 +253,60 @@ TEST_F(ChaosTest, ZeroByteJournalResumesFromScratchWithoutError) {
 TEST_F(ChaosTest, FullDiskSurfacesCheckpointErrorThenResumesCleanly) {
   REQUIRE_FAULTS();
   const std::string path = temp_path("diskfull.jsonl");
-  std::remove(path.c_str());
-
-  // The third append (the third result) hits the injected "disk full":
-  // the run must abort with a structured error naming the journal, never
-  // continue with a silently lossy one.
-  fault::configure("sweep/checkpoint_write:error:after=3");
-  SweepOptions first;
-  first.checkpoint_path = path;
-  try {
-    SweepRunner(make_chaos_spec(), first).run(eval_point);
-    FAIL() << "expected CheckpointError";
-  } catch (const sweep::CheckpointError& e) {
-    EXPECT_EQ(e.path(), path);
-    EXPECT_NE(std::string(e.what()).find(path), std::string::npos) << e.what();
-  }
-  fault::clear();
-  EXPECT_EQ(read_lines(path).size(), 2u);  // two points
-
-  // With the "disk" healthy again, resume finishes the remaining eight.
-  std::atomic<int> calls{0};
-  SweepOptions second;
-  second.checkpoint_path = path;
-  second.resume = true;
-  const auto resumed =
-      SweepRunner(make_chaos_spec(), second).run([&](const SweepPoint& p) {
-        ++calls;
-        return eval_point(p);
-      });
-  EXPECT_EQ(calls.load(), 8);
   const auto baseline =
       SweepRunner(make_chaos_spec(), SweepOptions{}).run(eval_point);
-  expect_same_results(baseline, resumed);
+
+  // In-process every result is its own commit; sharded, the coordinator
+  // commits once per delivery round, so the failing write usually lands
+  // mid-round, after lines of the same round that are written but not yet
+  // synced.
+  for (const std::size_t workers : {0u, 2u}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    std::remove(path.c_str());
+
+    // The third append (the third result) hits the injected "disk full":
+    // the run must abort with a structured error naming the journal,
+    // never continue with a silently lossy one.
+    fault::configure("sweep/checkpoint_write:error:after=3");
+    SweepOptions first;
+    first.checkpoint_path = path;
+    first.workers = workers;
+    if (workers > 0) first.worker_command = self_worker_command("");
+    try {
+      SweepRunner(make_chaos_spec(), first).run(eval_point);
+      FAIL() << "expected CheckpointError";
+    } catch (const sweep::CheckpointError& e) {
+      EXPECT_EQ(e.path(), path);
+      EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+          << e.what();
+    }
+    fault::clear();
+    // Two whole result lines, nothing torn.
+    const auto lines = read_lines(path);
+    EXPECT_EQ(lines.size(), 2u);
+    for (const std::string& line : lines)
+      EXPECT_TRUE(sweep::decode_result(line).has_value()) << line;
+    {
+      std::ifstream in(path, std::ios::binary);
+      const std::string bytes((std::istreambuf_iterator<char>(in)),
+                              std::istreambuf_iterator<char>());
+      ASSERT_FALSE(bytes.empty());
+      EXPECT_EQ(bytes.back(), '\n');
+    }
+
+    // With the "disk" healthy again, resume finishes the remaining eight.
+    std::atomic<int> calls{0};
+    SweepOptions second;
+    second.checkpoint_path = path;
+    second.resume = true;
+    const auto resumed =
+        SweepRunner(make_chaos_spec(), second).run([&](const SweepPoint& p) {
+          ++calls;
+          return eval_point(p);
+        });
+    EXPECT_EQ(calls.load(), 8);
+    expect_same_results(baseline, resumed);
+  }
   std::remove(path.c_str());
 }
 
@@ -438,8 +461,8 @@ TEST_F(ChaosTest, TcpPoisonPointQuarantinesRestStaysByteIdentical) {
   std::thread coordinator([&] {
     net::run_socket_sweep(
         listener, points, spec.name(), spec.fingerprint(), pending, eval_point,
-        [&](std::size_t index, const RunningStats& stats) {
-          results.emplace(index, stats);
+        [&](const sweep::ResultRound& round) {
+          results.insert(round.begin(), round.end());
         },
         options,
         [&](std::size_t index, std::size_t attempts) {
@@ -474,6 +497,58 @@ TEST_F(ChaosTest, TcpPoisonPointQuarantinesRestStaysByteIdentical) {
               expected.sum_squared_deviations())
         << points[index].id;
   }
+}
+
+TEST_F(ChaosTest, JournalFailureOnALastResortResultSurfaces) {
+  // The coordinator's last resort rescues a quarantined point, and then
+  // recording that result fails (a full journal disk).  The failure must
+  // surface from the loop -- never pass for a failed evaluation that
+  // quarantines a point whose result was in hand.
+  REQUIRE_FAULTS();
+  const SweepSpec spec = make_chaos_spec();
+  const auto points = spec.expand();
+  const std::size_t poison = points.size() - 1;
+  fault::configure("net/worker_eval:error:match=" + points[poison].id);
+
+  net::TcpListener listener = net::TcpListener::bind(0);
+  ASSERT_TRUE(listener.valid());
+  // The worker connects before the loop starts, so the loop accepts it
+  // before its local fallback could take a point: the poison point
+  // reaches the worker, fails there and is quarantined at once (budget
+  // 0), which leaves it to the last resort.
+  net::TcpStream stream = net::TcpStream::connect("127.0.0.1", listener.port());
+  ASSERT_TRUE(stream.valid());
+  std::thread worker([&] {
+    net::Hello hello;
+    hello.node = "chaos-journal-worker";
+    hello.sweep = spec.name();
+    hello.fingerprint = spec.fingerprint();
+    net::serve_connection(stream, hello, net::pinned_binder(spec, eval_point));
+    stream.close();
+  });
+
+  std::deque<std::size_t> pending;
+  for (std::size_t i = 0; i < points.size(); ++i) pending.push_back(i);
+  net::SocketCoordinatorOptions options;
+  options.engine.max_point_retries = 0;
+  std::size_t quarantined = 0;
+  try {
+    net::run_socket_sweep(
+        listener, points, spec.name(), spec.fingerprint(), pending, eval_point,
+        [&](const sweep::ResultRound& round) {
+          for (const auto& result : round)
+            if (result.first == poison)
+              throw sweep::CheckpointError("injected journal failure",
+                                           "journal");
+        },
+        options, [&](std::size_t, std::size_t) { ++quarantined; });
+    ADD_FAILURE() << "expected CheckpointError";
+  } catch (const sweep::CheckpointError& e) {
+    EXPECT_EQ(e.path(), "journal");
+  }
+  listener.close();  // a connection never accepted must not strand the worker
+  worker.join();
+  EXPECT_EQ(quarantined, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -117,8 +117,9 @@ TEST(ThreadPool, NestedDispatchOnTheCallingThreadRunsInline) {
   EXPECT_EQ(inner.load(), 1);
   // Asking for another size mid-dispatch keeps the running pool.
   pool.run_workers([&] {
-    if (std::this_thread::get_id() == caller)
+    if (std::this_thread::get_id() == caller) {
       EXPECT_EQ(&ThreadPool::local(2), &pool);
+    }
   });
   // The pool is still whole afterwards.
   std::atomic<int> again{0};

@@ -398,77 +398,112 @@ std::string render_json(const std::vector<PointResult>& results) {
 
 TEST(SweepCheckpoint, ResumeSkipsJournaledPointsExactly) {
   const std::string path = temp_path("resume.jsonl");
-  std::remove(path.c_str());
-
+  const SweepSpec spec = make_grid_spec();
   std::atomic<int> calls{0};
   const auto counting_eval = [&](const SweepPoint& p) {
     ++calls;
     return eval_point(p);
   };
+  obs::Counter& writes =
+      obs::MetricsRegistry::instance().counter("sweep/checkpoint_writes");
+  obs::Counter& syncs =
+      obs::MetricsRegistry::instance().counter("sweep/checkpoint_syncs");
 
-  SweepOptions first;
-  first.checkpoint_path = path;
-  const auto full = SweepRunner(make_grid_spec(), first).run(counting_eval);
-  EXPECT_EQ(calls.load(), 10);
-
-  std::vector<std::string> lines;
-  {
-    std::ifstream in(path);
-    std::string line;
-    while (std::getline(in, line)) lines.push_back(line);
-  }
-  ASSERT_EQ(lines.size(), 10u);  // one line per result, nothing else
-
-  // An interrupted run keeps the first four result lines.  Journals
-  // written by older builds also start with an epoch control record; a
-  // resume must count it as control, never as corruption, and otherwise
-  // ignore it.
-  const SweepSpec spec = make_grid_spec();
-  const std::string legacy_epoch =
-      "{\"ctl\": \"epoch\", \"sweep\": \"" + spec.name() + "\", \"fp\": \"" +
-      encode_hex_u64(spec.fingerprint()) + "\", \"epoch\": 1}";
-  for (const bool legacy : {false, true}) {
-    SCOPED_TRACE(legacy ? "legacy journal with an epoch record"
-                        : "current journal");
-    {
-      std::ofstream out(path, std::ios::trunc);
-      if (legacy) out << legacy_epoch << "\n";
-      for (std::size_t i = 0; i < 4; ++i) out << lines[i] << "\n";
+  // The first pass runs in-process (one journal commit per point) and
+  // sharded (one commit per delivery round of the coordinator loop); both
+  // must journal exactly one line per point.
+  for (const std::size_t workers : {0u, 2u}) {
+    SCOPED_TRACE("first pass with workers=" + std::to_string(workers));
+    std::remove(path.c_str());
+    calls = 0;
+    SweepOptions first;
+    first.checkpoint_path = path;
+    first.workers = workers;
+    if (workers > 0) first.worker_command = self_worker_command("grid");
+    const std::uint64_t writes_before = writes.value();
+    const std::uint64_t syncs_before = syncs.value();
+    const auto full = SweepRunner(spec, first).run(counting_eval);
+    if (workers == 0) {
+      EXPECT_EQ(calls.load(), 10);
     }
+    if (obs::kMetricsCompiled) {
+      const std::uint64_t wrote = writes.value() - writes_before;
+      const std::uint64_t synced = syncs.value() - syncs_before;
+      EXPECT_EQ(wrote, 10u);
+      if (workers == 0) {
+        EXPECT_EQ(synced, 10u);
+      } else {
+        EXPECT_GE(synced, 1u);
+        EXPECT_LE(synced, wrote);
+      }
+    }
+
+    std::vector<std::string> lines;
     {
+      std::ifstream in(path);
+      std::string line;
+      while (std::getline(in, line)) lines.push_back(line);
+    }
+    ASSERT_EQ(lines.size(), 10u);  // one line per result, nothing else
+
+    // An interrupted run keeps the first four result lines: points 0-3
+    // in-process, whichever four arrived first when sharded.
+    std::vector<char> kept(lines.size(), 0);
+    for (std::size_t i = 0; i < 4; ++i) {
+      const auto result = decode_result(lines[i]);
+      ASSERT_TRUE(result.has_value()) << lines[i];
+      kept.at(result->index) = 1;
+    }
+    // Journals written by older builds also start with an epoch control
+    // record; a resume must count it as control, never as corruption, and
+    // otherwise ignore it.
+    const std::string legacy_epoch =
+        "{\"ctl\": \"epoch\", \"sweep\": \"" + spec.name() +
+        "\", \"fp\": \"" + encode_hex_u64(spec.fingerprint()) +
+        "\", \"epoch\": 1}";
+    for (const bool legacy : {false, true}) {
+      SCOPED_TRACE(legacy ? "legacy journal with an epoch record"
+                          : "current journal");
+      {
+        std::ofstream out(path, std::ios::trunc);
+        if (legacy) out << legacy_epoch << "\n";
+        for (std::size_t i = 0; i < 4; ++i) out << lines[i] << "\n";
+      }
+      {
+        testing::internal::CaptureStderr();
+        SweepCheckpoint scan(path, spec.name(), spec.fingerprint(),
+                             /*resume=*/true);
+        const std::string warnings = testing::internal::GetCapturedStderr();
+        EXPECT_TRUE(scan.recovery().existed);
+        EXPECT_EQ(scan.recovery().recovered, 4u);
+        EXPECT_EQ(scan.recovery().control, legacy ? 1u : 0u);
+        EXPECT_EQ(scan.recovery().corrupt, 0u);
+        EXPECT_EQ(scan.recovery().foreign, 0u);
+        EXPECT_EQ(warnings.find("unparseable"), std::string::npos)
+            << warnings;
+      }
+
+      calls = 0;
+      SweepOptions second;
+      second.checkpoint_path = path;
+      second.resume = true;
       testing::internal::CaptureStderr();
-      SweepCheckpoint scan(path, spec.name(), spec.fingerprint(),
-                           /*resume=*/true);
+      const auto resumed = SweepRunner(spec, second).run(counting_eval);
       const std::string warnings = testing::internal::GetCapturedStderr();
-      EXPECT_TRUE(scan.recovery().existed);
-      EXPECT_EQ(scan.recovery().recovered, 4u);
-      EXPECT_EQ(scan.recovery().control, legacy ? 1u : 0u);
-      EXPECT_EQ(scan.recovery().corrupt, 0u);
-      EXPECT_EQ(scan.recovery().foreign, 0u);
       EXPECT_EQ(warnings.find("unparseable"), std::string::npos) << warnings;
+      EXPECT_EQ(calls.load(), 6);  // only the six non-journaled points
+      expect_same_results(full, resumed);
+      EXPECT_EQ(render_json(resumed), render_json(full));
+      for (std::size_t i = 0; i < resumed.size(); ++i)
+        EXPECT_EQ(resumed[i].from_checkpoint, kept[i] != 0) << i;
+
+      // A second resume re-runs nothing at all.
+      calls = 0;
+      const auto third = SweepRunner(spec, second).run(counting_eval);
+      EXPECT_EQ(calls.load(), 0);
+      expect_same_results(full, third);
+      EXPECT_EQ(render_json(third), render_json(full));
     }
-
-    calls = 0;
-    SweepOptions second;
-    second.checkpoint_path = path;
-    second.resume = true;
-    testing::internal::CaptureStderr();
-    const auto resumed =
-        SweepRunner(make_grid_spec(), second).run(counting_eval);
-    const std::string warnings = testing::internal::GetCapturedStderr();
-    EXPECT_EQ(warnings.find("unparseable"), std::string::npos) << warnings;
-    EXPECT_EQ(calls.load(), 6);  // only the six non-journaled points
-    expect_same_results(full, resumed);
-    EXPECT_EQ(render_json(resumed), render_json(full));
-    for (std::size_t i = 0; i < resumed.size(); ++i)
-      EXPECT_EQ(resumed[i].from_checkpoint, i < 4) << i;
-
-    // A second resume re-runs nothing at all.
-    calls = 0;
-    const auto third = SweepRunner(make_grid_spec(), second).run(counting_eval);
-    EXPECT_EQ(calls.load(), 0);
-    expect_same_results(full, third);
-    EXPECT_EQ(render_json(third), render_json(full));
   }
   std::remove(path.c_str());
 }

@@ -56,9 +56,10 @@ TEST(CrossEngine, ModelsAreOrderedOnRandomCoteries) {
     // the best case needs min_quorum_size probes.  (Dominated systems can
     // certify failure through a smaller transversal -- e.g. one veto
     // member -- so the floor is restricted to self-dual systems.)
-    if (is_self_dual(system))
+    if (is_self_dual(system)) {
       EXPECT_GE(ppc + 1e-9, static_cast<double>(system.min_quorum_size()))
           << system.name();
+    }
   }
 }
 
@@ -142,9 +143,10 @@ TEST(CrossEngine, AvailabilityRelationsOnRandomCoteries) {
       EXPECT_GE(f, previous - 1e-12) << system.name();
       previous = f;
     }
-    if (is_self_dual(system))
+    if (is_self_dual(system)) {
       EXPECT_NEAR(failure_probability_exact(system, 0.5), 0.5, 1e-12)
           << system.name();
+    }
   }
 }
 

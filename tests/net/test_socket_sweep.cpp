@@ -86,8 +86,8 @@ std::thread coordinator_thread(TcpListener& listener,
     run_socket_sweep(
         listener, points, spec.name(), spec.fingerprint(), std::move(pending),
         eval_point,
-        [&results](std::size_t index, const RunningStats& stats) {
-          results[index] = stats;
+        [&results](const sweep::ResultRound& round) {
+          for (const auto& [index, stats] : round) results[index] = stats;
         },
         options);
   });
@@ -359,8 +359,8 @@ TEST(SocketSweep, LocalFallbackCompletesWithNoWorkersAtAll) {
   run_socket_sweep(
       listener, points, spec.name(), spec.fingerprint(), std::move(pending),
       eval_point,
-      [&results](std::size_t index, const RunningStats& stats) {
-        results[index] = stats;
+      [&results](const sweep::ResultRound& round) {
+        for (const auto& [index, stats] : round) results[index] = stats;
       },
       SocketCoordinatorOptions{});  // local_fallback defaults on
   expect_identical(results, spec);

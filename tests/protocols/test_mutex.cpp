@@ -152,7 +152,9 @@ TEST(Mutex, FailsCleanlyWithoutLiveQuorum) {
   EXPECT_FALSE(result);
   EXPECT_FALSE(f.clients[0]->holds_lock());
   for (const auto& server : f.servers)
-    if (server->alive()) EXPECT_FALSE(server->locked());
+    if (server->alive()) {
+      EXPECT_FALSE(server->locked());
+    }
 }
 
 TEST(Mutex, WorksWithCrumblingWallSystem) {

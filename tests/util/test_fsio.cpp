@@ -112,6 +112,48 @@ TEST(AppendFile, ErrorFaultSurfacesAsInjectedFault) {
   std::remove(path.c_str());
 }
 
+TEST(AppendFile, GroupedWritesKeepPerLineFaultSemantics) {
+  // A group commit writes each line on its own and syncs once: the fault
+  // point is still consulted once per line written and never by sync(),
+  // so torn and error rules land on the same line as with append_line().
+  fault::clear();
+  const std::string torn_path = temp_path("group_torn.jsonl");
+  std::remove(torn_path.c_str());
+  fault::configure("test/fsio_group:torn:frac=0.5:after=2:count=1");
+  {
+    AppendFile journal(torn_path, "test/fsio_group");
+    journal.write_line("0123456789\n");  // hit 1: intact
+    journal.sync();
+    journal.sync();                       // consults no fault point
+    journal.write_line("0123456789\n");  // hit 2: torn, first 5 bytes kept
+    journal.write_line("0123456789\n");  // hit 3: intact again
+    journal.sync();
+  }
+  fault::clear();
+  if (fault::kFaultCompiled)
+    EXPECT_EQ(slurp(torn_path), "0123456789\n012340123456789\n");
+  else
+    EXPECT_EQ(slurp(torn_path), "0123456789\n0123456789\n0123456789\n");
+  std::remove(torn_path.c_str());
+
+  const std::string error_path = temp_path("group_error.jsonl");
+  std::remove(error_path.c_str());
+  fault::configure("test/fsio_group:error:after=2");
+  {
+    AppendFile journal(error_path, "test/fsio_group");
+    journal.write_line("written\n");
+    if (fault::kFaultCompiled)
+      EXPECT_THROW(journal.write_line("lost\n"), fault::InjectedFault);
+    else
+      journal.write_line("lost\n");
+    journal.sync();  // the lines written before the failure still commit
+  }
+  fault::clear();
+  EXPECT_EQ(slurp(error_path),
+            fault::kFaultCompiled ? "written\n" : "written\nlost\n");
+  std::remove(error_path.c_str());
+}
+
 TEST(DirFsync, AppendFileCreationSurfacesDirFsyncFault) {
   if (!fault::kFaultCompiled)
     GTEST_SKIP() << "fault injection compiled out (QPS_FAULT=OFF)";
