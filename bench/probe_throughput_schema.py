@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Distill bench_micro's probe-throughput run into the stable BENCH schema.
 
-Reads the raw google-benchmark JSON (bench_micro --benchmark_out=...),
-taking each benchmark's `median` aggregate when the run used
---benchmark_repetitions (the single run otherwise), and writes
+Reads one or more raw google-benchmark JSON files (bench_micro
+--benchmark_out=...), taking each benchmark's median over all of its
+repetitions in all the files (the single run when there is one), and writes
 BENCH_micro_probe.json in the same {experiment, metrics, checks, all_pass}
 shape every other BENCH_*.json artifact uses, under STABLE metric
 names -- `probe_trials/<Case>/<path>_trials_per_sec` and
@@ -20,35 +20,43 @@ Benchmarks pair up by suffix:
                            -> the engine end-to-end series
 The Batch tier pins the single-word table (W = 1) so simd_vs_batch isolates
 the lane-width gain; Simd and RandBatch run the production W = 4 table.
+A pair whose gain is small next to host noise (DetCw55: one 64-bit word of
+universe leaves W = 4 little to win) gets a second raw file of extra
+interleaved repetitions, which pool with the first run's.
 Every speedup is gated > 1 (a path that stops beating its baseline fails
 the job); the exit code doubles as the CI gate.
 """
 import json
+import statistics
 import sys
 
 
-def load_rates(path):
-    """items_per_second per benchmark: the median aggregate of a repeated
-    run, else the single iteration run."""
-    with open(path) as f:
-        raw = json.load(f)
-    rates = [b for b in raw["benchmarks"] if "items_per_second" in b]
-    medians = {b["run_name"]: b["items_per_second"] for b in rates
-               if b.get("aggregate_name") == "median"}
-    if medians:
-        return medians
-    return {b["name"]: b["items_per_second"] for b in rates}
+def load_rates(paths):
+    """items_per_second per benchmark: the median over every repetition of
+    it in `paths` (the aggregates google-benchmark appends are skipped)."""
+    samples = {}
+    for path in paths:
+        with open(path) as f:
+            raw = json.load(f)
+        for b in raw["benchmarks"]:
+            if "items_per_second" not in b or b.get("run_type") == "aggregate":
+                continue
+            name = b.get("run_name", b["name"])
+            samples.setdefault(name, []).append(b["items_per_second"])
+    return {name: statistics.median(values)
+            for name, values in samples.items()}
 
 GENERIC, HOT, BATCH = "_Generic_", "_Hot_", "_Batch_"
 SIMD, RANDBATCH = "_Simd_", "_RandBatch_"
 
 
 def main() -> int:
-    if len(sys.argv) != 3:
-        print(f"usage: {sys.argv[0]} RAW_BENCHMARK_JSON OUT_SCHEMA_JSON")
+    if len(sys.argv) < 3:
+        print(f"usage: {sys.argv[0]} RAW_BENCHMARK_JSON [RAW_BENCHMARK_JSON...]"
+              " OUT_SCHEMA_JSON")
         return 2
-    raw_path, out_path = sys.argv[1], sys.argv[2]
-    rate = load_rates(raw_path)
+    raw_paths, out_path = sys.argv[1:-1], sys.argv[-1]
+    rate = load_rates(raw_paths)
 
     metrics, checks = {}, {}
 

@@ -187,6 +187,15 @@ void rtree_scan(const BlockView& v, const U64* plan_masks) {
 
 // ----------------------------------------------------------------- hqs_scan
 
+/// Probes leaf `node` for `lanes`: tallies them, if any, and writes the
+/// leaf's colors to `value`.  The HQS kernels call it from the parent gate
+/// rather than recursing into a leaf, the hottest entry of their walks.
+inline void probe_leaf(const BlockView& v, std::size_t node, const U64* lanes,
+                       U64* value) {
+  if (any_set(lanes)) tally_add(v.probe_planes, v.planes, lanes);
+  copy_w(value, v.greens + node * kW);
+}
+
 /// Probe_HQS's 2-of-3 gate evaluation: all active lanes evaluate the first
 /// two children; only the lanes whose children disagree visit the third.
 void hqs_rec(const BlockView& v, std::size_t level, std::size_t index,
@@ -196,16 +205,21 @@ void hqs_rec(const BlockView& v, std::size_t level, std::size_t index,
     return;
   }
   if (level == 0) {
-    tally_add(v.probe_planes, v.planes, active);
-    copy_w(out, v.greens + index * kW);
+    probe_leaf(v, index, active, out);
     return;
   }
+  const auto enter = [&](std::size_t c, const U64* lanes, U64* value) {
+    if (level > 1)
+      hqs_rec(v, level - 1, index * 3 + c, lanes, value);
+    else
+      probe_leaf(v, index * 3 + c, lanes, value);
+  };
   U64 first[kW], second[kW], third[kW], m[kW];
-  hqs_rec(v, level - 1, index * 3, active, first);
-  hqs_rec(v, level - 1, index * 3 + 1, active, second);
+  enter(0, active, first);
+  enter(1, active, second);
   for (std::size_t k = 0; k < kW; ++k)
     m[k] = active[k] & (first[k] ^ second[k]);
-  hqs_rec(v, level - 1, index * 3 + 2, m, third);
+  enter(2, m, third);
   for (std::size_t k = 0; k < kW; ++k) {
     const U64 disagree = first[k] ^ second[k];
     out[k] = (~disagree & first[k]) | (disagree & third[k]);
@@ -241,16 +255,21 @@ void rhqs_rec(const BlockView& v, std::size_t height, std::size_t level,
     return;
   }
   if (level == 0) {
-    tally_add(v.probe_planes, v.planes, A);
-    copy_w(out, v.greens + index * kW);
+    probe_leaf(v, index, A, out);
     return;
   }
   const U64* F = orders + rhqs_gate(height, level, index) * 6 * kW;
+  const auto enter = [&](std::size_t c, const U64* lanes, U64* value) {
+    if (level > 1)
+      rhqs_rec(v, height, level - 1, index * 3 + c, lanes, orders, value);
+    else
+      probe_leaf(v, index * 3 + c, lanes, value);
+  };
   U64 r[3][kW], m[kW];
   for (std::size_t c = 0; c < 3; ++c) {
     for (std::size_t k = 0; k < kW; ++k)
       m[k] = A[k] & (F[c * kW + k] | F[(3 + c) * kW + k]);
-    rhqs_rec(v, height, level - 1, index * 3 + c, m, orders, r[c]);
+    enter(c, m, r[c]);
   }
   U64 first[kW], second[kW], dis[kW];
   for (std::size_t k = 0; k < kW; ++k) {
@@ -265,7 +284,7 @@ void rhqs_rec(const BlockView& v, std::size_t height, std::size_t level,
   for (std::size_t c = 0; c < 3; ++c) {
     for (std::size_t k = 0; k < kW; ++k)
       m[k] = dis[k] & ~F[c * kW + k] & ~F[(3 + c) * kW + k];
-    rhqs_rec(v, height, level - 1, index * 3 + c, m, orders, rc);
+    enter(c, m, rc);
     for (std::size_t k = 0; k < kW; ++k) third[k] |= m[k] & rc[k];
   }
   for (std::size_t k = 0; k < kW; ++k)
@@ -314,8 +333,7 @@ void irhqs_rec(const BlockView& v, std::size_t height, std::size_t level,
     return;
   }
   if (level == 0) {
-    tally_add(v.probe_planes, v.planes, any);
-    copy_w(out, v.greens + index * kW);
+    probe_leaf(v, index, any, out);
     return;
   }
   const U64* F = orders + rhqs_gate(height, level, index) * 6 * kW;
@@ -332,8 +350,7 @@ void irhqs_rec(const BlockView& v, std::size_t height, std::size_t level,
                  (F[(slot + 2) * kW + k] & r[2][k]);
   };
   IrLanes child;
-  // Enters child c with `child`'s lanes.  A leaf is probed in place: only
-  // ir and ev lanes reach leaves, and the call is the kernel's hottest.
+  // Enters child c with `child`'s lanes; only ir and ev lanes reach leaves.
   const auto enter = [&](std::size_t c, U64* value) {
     const std::size_t node = index * 3 + c;
     if (level > 1) {
@@ -342,8 +359,7 @@ void irhqs_rec(const BlockView& v, std::size_t height, std::size_t level,
     }
     U64 m[kW];
     for (std::size_t k = 0; k < kW; ++k) m[k] = child.ir[k] | child.ev[k];
-    if (any_set(m)) tally_add(v.probe_planes, v.planes, m);
-    copy_w(value, v.greens + node * kW);
+    probe_leaf(v, node, m, value);
   };
 
   // Phase 1: ev lanes' first two children, pk lanes' first, cp lanes'

@@ -3,8 +3,12 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cstddef>
+#include <new>
 #include <sstream>
 #include <stdexcept>
+
+#include <sys/mman.h>
 
 #include "core/engine/parallel_for.h"
 #include "core/fault/fault.h"
@@ -29,11 +33,60 @@ struct DpMetrics {
       obs::MetricsRegistry::instance().histogram("exact/level_us");
   obs::Gauge& frontier_bytes =
       obs::MetricsRegistry::instance().gauge("exact/frontier_bytes");
+  obs::Counter& frontier_allocs =
+      obs::MetricsRegistry::instance().counter("exact/frontier_allocs");
 
   static DpMetrics& get() {
     static DpMetrics metrics;
     return metrics;
   }
+};
+
+/// The calling thread's frontier: one grow-only block, kept across solves
+/// so that a repeated solve neither maps nor faults in a page.  It is
+/// unmapped before a larger one is mapped (the two are never held
+/// together), whenever it exceeds a solve's memory limit, and at thread
+/// exit.  The block is its own mapping rather than the allocator's, so
+/// unmapping it returns its pages at once.
+class FrontierBlock {
+ public:
+  FrontierBlock() = default;
+  FrontierBlock(const FrontierBlock&) = delete;
+  FrontierBlock& operator=(const FrontierBlock&) = delete;
+  ~FrontierBlock() { release(); }
+
+  static FrontierBlock& local() {
+    thread_local FrontierBlock block;
+    return block;
+  }
+
+  /// At least `bytes` of uninitialised frontier.  A block smaller than
+  /// `bytes` or larger than `limit` is released first; std::bad_alloc
+  /// (real, or the "exact/level_alloc" fault, consulted on every call)
+  /// leaves the block either as it was or released.
+  std::byte* acquire(std::size_t bytes, std::size_t limit) {
+    if (bytes_ < bytes || bytes_ > limit) release();
+    QPS_FAULT_POINT("exact/level_alloc");  // alloc action: forced OOM here
+    if (data_ == nullptr) {
+      void* block = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                           MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+      if (block == MAP_FAILED) throw std::bad_alloc();
+      data_ = static_cast<std::byte*>(block);
+      bytes_ = bytes;
+      DpMetrics::get().frontier_allocs.increment();
+    }
+    return data_;
+  }
+
+ private:
+  void release() {
+    if (data_ != nullptr) ::munmap(data_, bytes_);
+    data_ = nullptr;
+    bytes_ = 0;
+  }
+
+  std::byte* data_ = nullptr;
+  std::size_t bytes_ = 0;
 };
 
 /// States per parallel chunk.  Chunk boundaries are a pure function of the
@@ -246,29 +299,30 @@ void DpKernel<Policy>::solve() {
   metrics.solves.increment();
   ThreadPool& pool = ThreadPool::local(options_.threads);
 
-  // The frontier, allocated once per solve and left uninitialised: every
-  // state of a level is written before the level below reads it, and the
-  // weights are zeroed block by block as they are scattered.
+  // The frontier, the calling thread's block, uninitialised: every state
+  // of a level is written before the level below reads it, and the
+  // weights are zeroed block by block as they are scattered.  Values come
+  // first and the weights follow them, on an 8-byte boundary.
+  static_assert(!Policy::kWeighted || sizeof(Value) % alignof(double) == 0);
   const DpFrontierLayout layout = dp_frontier_layout(n_);
   constexpr std::size_t kStateBytes =
       sizeof(Value) + (Policy::kWeighted ? sizeof(double) : 0);
-  std::unique_ptr<Value[]> values;
-  std::unique_ptr<double[]> weights;
+  const std::size_t frontier_bytes = layout.states() * kStateBytes;
+  std::byte* block = nullptr;
   try {
-    QPS_FAULT_POINT("exact/level_alloc");  // alloc action: forced OOM here
-    values = std::make_unique_for_overwrite<Value[]>(layout.states());
-    if constexpr (Policy::kWeighted)
-      weights = std::make_unique_for_overwrite<double[]>(layout.states());
+    block = FrontierBlock::local().acquire(frontier_bytes,
+                                           options_.memory_limit_bytes);
   } catch (const std::bad_alloc&) {
-    throw BudgetExceeded(n_, n_, layout.states() * kStateBytes);
+    throw BudgetExceeded(n_, n_, frontier_bytes);
   }
   if constexpr (obs::kMetricsCompiled)
-    metrics.frontier_bytes.set(
-        static_cast<std::int64_t>(layout.states() * kStateBytes));
+    metrics.frontier_bytes.set(static_cast<std::int64_t>(frontier_bytes));
   const auto level = [&](std::size_t k) {
-    Level slice{values.get() + layout.offset(k), nullptr};
+    Level slice{reinterpret_cast<Value*>(block) + layout.offset(k), nullptr};
     if constexpr (Policy::kWeighted)
-      slice.weights = weights.get() + layout.offset(k);
+      slice.weights = reinterpret_cast<double*>(
+                          block + layout.states() * sizeof(Value)) +
+                      layout.offset(k);
     return slice;
   };
 

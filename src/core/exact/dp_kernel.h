@@ -21,10 +21,15 @@
 // its compressed index (greens' bits packed into the low k positions).
 // Only two levels are alive at a time -- the one being written and the one
 // it reads, always one even and one odd -- so the whole frontier is one
-// uninitialised allocation per solve, split by level parity
-// (DpFrontierLayout), instead of a global memo; the practical cap moves
-// from the old n <= 14 to n >= 18 (the exact bound is the memory formula
-// in dp_peak_bytes()).
+// uninitialised block, split by level parity (DpFrontierLayout), instead
+// of a global memo; the practical cap moves from the old n <= 14 to
+// n >= 18 (the exact bound is the memory formula in dp_peak_bytes()).
+// Each calling thread keeps its block across solves, so a repeated solve
+// maps and faults in nothing: the block grows only when a solve needs
+// more (the old one is unmapped before the new one is mapped), and a
+// thread keeps its largest frontier until it exits.  A block larger than
+// a solve's DpOptions::memory_limit_bytes is released before that solve
+// runs, so no solve runs while its thread holds more than its own cap.
 //
 // The Bellman min is folded child-major: for each unprobed element in
 // ascending order, the kernel streams that child's block once and folds
@@ -57,15 +62,17 @@
 
 namespace qps::exact {
 
-/// Thrown when one of the solve's allocations fails -- the frontier (made
-/// once per solve, reported at level k = n) or a level's argmin table
-/// (record_policy): the upfront require_dp_feasible() formula admitted the
-/// solve but the OS could not actually back the buffers (overcommit, cgroup
-/// limits, memory pressure from neighbors).  Structured degradation --
-/// callers can shrink n or retry -- instead of an uncaught bad_alloc
-/// tearing the process down.  Deterministically exercised via the
-/// "exact/level_alloc" fault point, which guards exactly those
-/// allocations.
+/// Thrown when one of the solve's allocations fails -- the frontier
+/// (acquired once per solve from the calling thread's block, which is
+/// mapped only when it must grow; reported at level k = n) or a level's
+/// argmin table (record_policy): the upfront require_dp_feasible() formula
+/// admitted the solve but the OS could not actually back the buffers
+/// (overcommit, cgroup limits, memory pressure from neighbors).
+/// Structured degradation -- callers can shrink n or retry -- instead of
+/// an uncaught bad_alloc tearing the process down.  Deterministically
+/// exercised via the "exact/level_alloc" fault point, which guards exactly
+/// those allocations (the frontier's on every solve, whether its block is
+/// reused or grown).
 class BudgetExceeded : public std::runtime_error {
  public:
   BudgetExceeded(std::size_t n, std::size_t level, std::size_t bytes)

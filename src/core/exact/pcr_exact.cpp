@@ -1,7 +1,7 @@
 #include "core/exact/pcr_exact.h"
 
 #include <algorithm>
-#include <map>
+#include <set>
 #include <unordered_map>
 
 #include "core/exact/char_table.h"
@@ -15,6 +15,17 @@ namespace {
 // A strategy's observable behaviour is its cost on every coloring; two
 // strategies with equal cost vectors are interchangeable in the game.
 using CostVec = std::vector<std::uint8_t>;
+
+/// Lexicographic order on equal-length cost vectors: the first differing
+/// coloring decides.  (Spelled out with std::mismatch: std::vector's own
+/// operator< lowers to a memcmp whose bound GCC cannot prove in range and
+/// reports under -Wstringop-overread.)
+struct CostVecLess {
+  bool operator()(const CostVec& a, const CostVec& b) const {
+    const auto [ia, ib] = std::mismatch(a.begin(), a.end(), b.begin());
+    return ia != a.end() && *ia < *ib;
+  }
+};
 
 class StrategyEnumerator {
  public:
@@ -43,7 +54,7 @@ class StrategyEnumerator {
     if (table_.is_terminal(probed, greens)) {
       out.emplace_back(coloring_count_, 0);
     } else {
-      std::map<CostVec, bool> seen;
+      std::set<CostVec, CostVecLess> seen;
       for (std::size_t e = 0; e < n_; ++e) {
         const std::uint64_t bit = 1ULL << e;
         if (probed & bit) continue;
@@ -60,14 +71,13 @@ class StrategyEnumerator {
               combined[c] = static_cast<std::uint8_t>(
                   1 + ((c & bit) ? sg[c] : sr[c]));
             }
-            seen.emplace(std::move(combined), true);
+            seen.insert(std::move(combined));
             QPS_REQUIRE(seen.size() <= kBudget,
                         "strategy enumeration exceeded its budget");
           }
         }
       }
-      out.reserve(seen.size());
-      for (auto& [vec, _] : seen) out.push_back(vec);
+      out.assign(seen.begin(), seen.end());
     }
     return memo_.emplace(key, std::move(out)).first->second;
   }

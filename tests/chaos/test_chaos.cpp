@@ -359,6 +359,39 @@ TEST_F(ChaosTest, MidSolveAllocationFailureDegradesToBudgetExceeded) {
   EXPECT_EQ(ppc_exact(majority, 0.5), clean);
 }
 
+TEST_F(ChaosTest, AllocationFailureWhileTheFrontierGrowsLeavesNoStaleBlock) {
+  REQUIRE_FAULTS();
+  const MajoritySystem maj9(9);
+  const MajoritySystem maj11(11);
+  const MajoritySystem maj13(13);
+  // Clean references, each on a fresh thread with no frontier block yet.
+  double clean9 = 0.0;
+  double clean13 = 0.0;
+  std::thread([&] { clean9 = ppc_exact(maj9, 0.5); }).join();
+  std::thread([&] { clean13 = ppc_exact(maj13, 0.5); }).join();
+
+  std::thread([&] {
+    // The thread now keeps a Maj9-sized block; Maj11 must grow it, and
+    // the growth "fails".
+    EXPECT_EQ(ppc_exact(maj9, 0.5), clean9);
+    fault::configure("exact/level_alloc:alloc:after=1:count=1");
+    try {
+      ppc_exact(maj11, 0.5);
+      ADD_FAILURE() << "expected exact::BudgetExceeded";
+    } catch (const exact::BudgetExceeded& e) {
+      EXPECT_EQ(e.universe_size(), 11u);
+      EXPECT_EQ(e.level(), 11u);
+      EXPECT_EQ(e.frontier_bytes(),
+                exact::dp_frontier_layout(11).states() * sizeof(double));
+    }
+    fault::clear();
+    // Whatever the failed growth left behind, a smaller and a larger solve
+    // on the same thread read none of it.
+    EXPECT_EQ(ppc_exact(maj9, 0.5), clean9);
+    EXPECT_EQ(ppc_exact(maj13, 0.5), clean13);
+  }).join();
+}
+
 // ---------------------------------------------------------------------------
 // Pipe runner (worker subprocesses): crash faults are absorbed
 // byte-identically; a point that also fails the in-process last resort is

@@ -1,14 +1,19 @@
 // The unified Bellman DP kernel: differential tests against the legacy
 // recursive solvers and a per-state reference argmin, thread-count
-// bit-identity, the frontier layout and the centralized memory guard, and
-// the combinatorial ranking that backs the dense state layout.
+// bit-identity, the frontier layout, the per-thread frontier block reused
+// across solves, and the centralized memory guard, and the combinatorial
+// ranking that backs the dense state layout.
 #include "core/exact/dp_kernel.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
+#include <functional>
 #include <memory>
+#include <sstream>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "core/engine/parallel_estimator.h"
@@ -16,6 +21,7 @@
 #include "core/exact/pc_exact.h"
 #include "core/exact/ppc_exact.h"
 #include "core/exact/yao_bound.h"
+#include "core/obs/metrics.h"
 #include "util/stats.h"
 #include "quorum/crumbling_wall.h"
 #include "quorum/grid_system.h"
@@ -323,6 +329,124 @@ TEST(DpKernel, MemoryGuardIsEnforcedThroughTheAdapters) {
   // error, not a slower second engine.
   EXPECT_THROW(yao_bound(MajoritySystem(9), maj_hard_distribution(9), starved),
                std::invalid_argument);
+}
+
+/// A value's exact bits, readable in a failure message.
+std::string hex(double value) {
+  std::ostringstream os;
+  os << std::hexfloat << value;
+  return os.str();
+}
+
+/// Runs `solve` on a new thread, whose frontier block starts empty.
+std::string on_fresh_thread(const std::function<std::string()>& solve) {
+  std::string result;
+  std::thread([&] { result = solve(); }).join();
+  return result;
+}
+
+obs::Counter& frontier_allocs() {
+  return obs::MetricsRegistry::instance().counter("exact/frontier_allocs");
+}
+
+TEST(DpKernel, ReusedFrontierNeverReadsStaleValues) {
+  // Policies mixed and n shrinking: every solve after the first runs on a
+  // larger block still holding another solve's values.
+  exact::DpOptions options;
+  options.threads = 2;
+  const WheelSystem wheel14(14);
+  const MajoritySystem maj13(13);
+  const MajoritySystem maj9(9);
+  const MajoritySystem maj11(11);
+  const auto hard9 = maj_hard_distribution(9);
+  const std::vector<std::function<std::string()>> solves = {
+      [&] { return hex(ppc_exact(wheel14, 0.3, options)); },
+      [&] { return std::to_string(pc_exact(maj13, options)); },
+      [&] { return hex(yao_bound(maj9, hard9, options)); },
+      [&] { return optimal_ppc_tree(maj11, 0.4, options)->to_ascii(); },
+  };
+  std::vector<std::string> reused;
+  std::thread([&] {
+    for (const auto& solve : solves) reused.push_back(solve());
+  }).join();
+  ASSERT_EQ(reused.size(), solves.size());
+  for (std::size_t i = 0; i < solves.size(); ++i)
+    EXPECT_EQ(reused[i], on_fresh_thread(solves[i])) << "solve " << i;
+}
+
+TEST(DpKernel, FrontierGrowsOnlyWhenASolveNeedsMore) {
+  if (!obs::kMetricsCompiled) GTEST_SKIP() << "metrics writes compiled out";
+  const MajoritySystem maj9(9);
+  const MajoritySystem maj11(11);
+  std::thread([&] {
+    std::uint64_t seen = frontier_allocs().value();
+    const auto grown = [&] {
+      const std::uint64_t now = frontier_allocs().value();
+      const std::uint64_t delta = now - seen;
+      seen = now;
+      return delta;
+    };
+    ppc_exact(maj9, 0.3);
+    EXPECT_EQ(grown(), 1u) << "a new thread maps its first block";
+    ppc_exact(maj9, 0.5);
+    EXPECT_EQ(grown(), 0u) << "a repeated solve reuses it";
+    pc_exact(maj9);
+    EXPECT_EQ(grown(), 0u) << "1-byte states fit the same block";
+    ppc_exact(maj11, 0.3);
+    EXPECT_EQ(grown(), 1u) << "a larger solve grows it once";
+    ppc_exact(maj9, 0.3);
+    EXPECT_EQ(grown(), 0u) << "a smaller solve reuses the larger block";
+  }).join();
+}
+
+TEST(DpKernel, AMemoryLimitBelowTheRetainedBlockReleasesItFirst) {
+  if (!obs::kMetricsCompiled) GTEST_SKIP() << "metrics writes compiled out";
+  const MajoritySystem maj9(9);
+  const MajoritySystem maj13(13);
+  const std::string clean =
+      on_fresh_thread([&] { return hex(ppc_exact(maj9, 0.3)); });
+  exact::DpOptions tight;
+  tight.memory_limit_bytes =
+      exact::dp_peak_bytes(9, sizeof(double), false, false);
+  ASSERT_LT(tight.memory_limit_bytes,
+            exact::dp_frontier_layout(13).states() * sizeof(double));
+  std::thread([&] {
+    ppc_exact(maj13, 0.3);
+    const std::uint64_t before = frontier_allocs().value();
+    // Maj13's block exceeds the cap: it is released and a Maj9 one mapped.
+    EXPECT_EQ(hex(ppc_exact(maj9, 0.3, tight)), clean);
+    EXPECT_EQ(frontier_allocs().value() - before, 1u);
+    // The Maj9 block is within the default cap and is reused.
+    EXPECT_EQ(hex(ppc_exact(maj9, 0.3)), clean);
+    EXPECT_EQ(frontier_allocs().value() - before, 1u);
+  }).join();
+}
+
+TEST(DpKernel, ConcurrentSolvesMatchTheirSequentialResults) {
+  // Two threads, two block sizes, each solving while the other does.
+  exact::DpOptions options;
+  options.threads = 2;
+  const MajoritySystem maj13(13);
+  const WheelSystem wheel10(10);
+  const std::vector<double> ps = {0.1, 0.3, 0.5, 0.7};
+  const auto run = [&](const QuorumSystem& system) {
+    std::vector<std::string> values;
+    for (double p : ps) {
+      values.push_back(hex(ppc_exact(system, p, options)));
+      values.push_back(std::to_string(pc_exact(system, options)));
+    }
+    return values;
+  };
+  const std::vector<std::string> maj_sequential = run(maj13);
+  const std::vector<std::string> wheel_sequential = run(wheel10);
+  std::vector<std::string> maj_concurrent;
+  std::vector<std::string> wheel_concurrent;
+  std::thread maj_thread([&] { maj_concurrent = run(maj13); });
+  std::thread wheel_thread([&] { wheel_concurrent = run(wheel10); });
+  maj_thread.join();
+  wheel_thread.join();
+  EXPECT_EQ(maj_concurrent, maj_sequential);
+  EXPECT_EQ(wheel_concurrent, wheel_sequential);
 }
 
 TEST(DpKernel, ColexRankingRoundTrips) {
