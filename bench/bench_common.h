@@ -26,12 +26,14 @@
 // Distributed sweeps (core/net/) extend the same contract across
 // processes and hosts: --listen[=PORT] turns the bench into a socket job
 // server (port 0 = kernel-chosen, reported on stdout as
-// "listening on 127.0.0.1:PORT"), --dial HOST:PORT[,HOST:PORT...] pulls in
-// worker daemons running in listen mode, and --connect HOST:PORT turns
-// the bench into a socket worker serving its own sweeps to a remote
-// coordinator.  Aggregated results stay byte-identical to the in-process
-// run for any worker fleet, and --checkpoint/--resume compose: a
-// coordinator killed mid-sweep resumes from its journal.
+// "listening on 127.0.0.1:PORT"), and --connect HOST:PORT turns another
+// copy of the same bench, run with the same flags, into a socket worker
+// serving its own sweeps to that coordinator.  Aggregated results stay
+// byte-identical to the in-process run for any worker fleet, and
+// --checkpoint/--resume compose: a coordinator killed mid-sweep resumes
+// from its journal.  A --connect worker that no coordinator ever welcomed
+// exits 2, naming the address; one declined for good (a coordinator of
+// another protocol version) exits 3.
 #pragma once
 
 #include <unistd.h>
@@ -101,7 +103,6 @@ struct BenchContext {
   bool listen = false;             // --listen[=PORT]: run as job server
   std::uint16_t listen_port = 0;   // 0 = kernel-chosen, reported on stdout
   std::string connect_address;     // --connect HOST:PORT: run as a worker
-  std::vector<std::string> dial;   // --dial LIST: worker daemons to dial
   double net_timeout = 30.0;       // --net-timeout S: dead-worker timeout
   double net_heartbeat = 5.0;      // --net-heartbeat S: advertised cadence
   // --no-local-fallback: the job server never evaluates points itself and
@@ -124,7 +125,7 @@ struct BenchContext {
   // of them, or just the named points) so a --resume re-runs them under a
   // fresh retry budget.  --net-idle-timeout S makes a --connect worker
   // abandon a coordinator that goes silent (and, via its retry budget,
-  // re-dial) -- so it finds a coordinator restarted with --resume.
+  // reconnect) -- so it finds a coordinator restarted with --resume.
   bool readmit = false;
   std::vector<std::string> readmit_points;  // empty with readmit = all
   double net_idle_timeout = 0.0;            // 0 = wait forever
@@ -188,6 +189,15 @@ inline std::vector<std::string>& unclaimed_readmit_ids() {
   return ids;
 }
 
+/// The --connect address until a coordinator there welcomes a sweep of
+/// this process; still set at exit means the worker did no work at all (a
+/// typo'd HOST:PORT, or a coordinator serving other sweeps), which must
+/// fail loudly (exit 2) rather than look like a finished job.
+inline std::string& unwelcomed_connect_address() {
+  static std::string address;
+  return address;
+}
+
 /// Output paths for the at-exit observability writers (std::atexit takes a
 /// captureless function, so the paths live in these statics).
 inline std::string& trace_output_path() {
@@ -236,13 +246,6 @@ inline BenchContext parse_context(int argc, char** argv) {
     }
   }
   ctx.connect_address = flags.get_string("connect", "");
-  const std::string dial_list = flags.get_string("dial", "");
-  for (std::size_t start = 0; start < dial_list.size();) {
-    std::size_t comma = dial_list.find(',', start);
-    if (comma == std::string::npos) comma = dial_list.size();
-    if (comma > start) ctx.dial.push_back(dial_list.substr(start, comma - start));
-    start = comma + 1;
-  }
   ctx.net_timeout = flags.get_double("net-timeout", ctx.net_timeout);
   ctx.net_heartbeat = flags.get_double("net-heartbeat", ctx.net_heartbeat);
   ctx.net_local_fallback = !flags.get_bool("no-local-fallback", false);
@@ -297,7 +300,7 @@ inline BenchContext parse_context(int argc, char** argv) {
               << " (supported: --seed --trials --quick --threads "
                  "--target-sem --json --workers --checkpoint "
                  "--resume --readmit --point --family --size --listen "
-                 "--connect --dial --net-timeout --net-heartbeat "
+                 "--connect --net-timeout --net-heartbeat "
                  "--net-idle-timeout --no-local-fallback --trace "
                  "--metrics-json --progress --fault --max-point-retries "
                  "--point-deadline)\n";
@@ -307,10 +310,6 @@ inline BenchContext parse_context(int argc, char** argv) {
       (!ctx.connect_address.empty() && ctx.workers > 0)) {
     std::cerr << "--listen, --connect and --workers are mutually "
                  "exclusive execution modes\n";
-    std::exit(2);
-  }
-  if (!ctx.dial.empty() && !ctx.listen) {
-    std::cerr << "--dial only makes sense with --listen\n";
     std::exit(2);
   }
   if (!ctx.net_local_fallback && !ctx.listen) {
@@ -393,6 +392,16 @@ inline BenchContext parse_context(int argc, char** argv) {
       }
     });
   }
+  if (ctx.socket_worker_mode()) {
+    detail::unwelcomed_connect_address() = ctx.connect_address;
+    std::atexit(+[] {
+      if (!detail::unwelcomed_connect_address().empty()) {
+        std::cerr << "--connect " << detail::unwelcomed_connect_address()
+                  << ": no coordinator welcomed any sweep of this harness\n";
+        std::_Exit(2);
+      }
+    });
+  }
   if (ctx.readmit && !ctx.readmit_points.empty() && !ctx.worker_mode) {
     detail::unclaimed_readmit_ids() = ctx.readmit_points;
     std::atexit(+[] {
@@ -437,16 +446,14 @@ inline BenchContext parse_context(int argc, char** argv) {
 /// cheaply to the sweep being served (all output is discarded in worker
 /// mode).
 ///
-/// In --connect mode the call dials the coordinator and serves this sweep
-/// over the socket protocol, then returns all-skipped placeholders (the
-/// coordinator owns the real results).  In --listen mode the call runs
-/// the socket job server for this sweep; `evaluator_id` names the
-/// registered evaluator (core/sweep/evaluators.h) generic worker daemons
-/// may use -- empty admits only same-binary --connect workers, with
-/// everything else computed by the coordinator's local fallback.
+/// In --connect mode the call connects to the coordinator and serves this
+/// sweep over the socket protocol, then returns all-skipped placeholders
+/// (the coordinator owns the real results); a fatal decline exits 3 at
+/// once.  In --listen mode the call runs the socket job server for this
+/// sweep.
 inline std::vector<sweep::PointResult> run_sweep(
     const BenchContext& ctx, sweep::SweepSpec spec,
-    const sweep::PointEvaluator& eval, const std::string& evaluator_id = "") {
+    const sweep::PointEvaluator& eval) {
   // The journal must only revive points measured under the same budget.
   // json_number keeps the SEM target round-trip exact; std::to_string
   // would collapse distinct tiny targets to "0.000000".
@@ -475,12 +482,20 @@ inline std::vector<sweep::PointResult> run_sweep(
     }
     net::WorkerServeOptions serve_options;
     serve_options.node = host + ":" + std::to_string(::getpid());
-    serve_options.hooks.idle_timeout_seconds = ctx.net_idle_timeout;
-    const net::ServeOutcome outcome =
-        net::serve_pinned_sweep(host, port, spec, eval, serve_options);
+    serve_options.idle_timeout_seconds = ctx.net_idle_timeout;
+    bool welcomed = false;
+    const net::ServeOutcome outcome = net::serve_pinned_sweep(
+        host, port, spec, eval, serve_options, &welcomed);
+    if (welcomed) detail::unwelcomed_connect_address().clear();
     if (outcome == net::ServeOutcome::kConnectFailed)
       std::cerr << "sweep " << spec.name() << ": no coordinator at "
                 << ctx.connect_address << "\n";
+    if (outcome == net::ServeOutcome::kDeclinedFatal) {
+      // Another protocol version will not change its mind: fail the whole
+      // worker fast, with the reason already on stderr.
+      detail::unwelcomed_connect_address().clear();
+      std::exit(3);
+    }
     std::vector<sweep::PointResult> placeholders;
     for (const sweep::SweepPoint& point : spec.expand())
       placeholders.push_back({point, RunningStats{}, false, true});
@@ -555,8 +570,6 @@ inline std::vector<sweep::PointResult> run_sweep(
   if (ctx.listen) {
     net::SocketCoordinatorOptions coordinator;
     coordinator.engine = options.engine;
-    coordinator.engine.evaluator = evaluator_id;
-    coordinator.dial = ctx.dial;
     coordinator.local_fallback = ctx.net_local_fallback;
     options.remote_runner =
         net::make_socket_remote_runner(ctx.listener.get(), coordinator);

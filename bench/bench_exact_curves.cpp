@@ -102,13 +102,16 @@ int main(int argc, char** argv) {
     exact_spec.add_block("cw", {0, 1, 2});
   }
   exact_spec.set_ps(ps);
-  // The registered evaluator, not a local lambda: the coordinator, --workers
-  // children, --connect workers, and qps_workerd daemons all run this same
-  // code path, which is what makes their results interchangeable.
-  const auto evaluate_exact =
-      sweep::find_standard_evaluator("exact_ppc", ctx.threads);
-  const auto exact_results =
-      bench::run_sweep(ctx, exact_spec, evaluate_exact, "exact_ppc");
+  // One exact Bellman solve per point.  The coordinator, its --workers
+  // children and its --connect workers all run this lambda, rebuilt from
+  // the same flags, which is what makes their results interchangeable.
+  const auto evaluate_exact = [&](const sweep::SweepPoint& point) {
+    const auto system = sweep::standard_system(point.family, point.size);
+    RunningStats stats;
+    stats.add(ppc_exact(*system, point.p, dp_options));
+    return stats;
+  };
+  const auto exact_results = bench::run_sweep(ctx, exact_spec, evaluate_exact);
   Table a({"family", "size", "n", "p", "PPC_p (exact)"});
   for (const auto& result : exact_results) {
     if (result.skipped) continue;

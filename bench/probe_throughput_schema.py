@@ -20,9 +20,9 @@ Benchmarks pair up by suffix:
                            -> the engine end-to-end series
 The Batch tier pins the single-word table (W = 1) so simd_vs_batch isolates
 the lane-width gain; Simd and RandBatch run the production W = 4 table.
-A pair whose gain is small next to host noise (DetCw55: one 64-bit word of
-universe leaves W = 4 little to win) gets a second raw file of extra
-interleaved repetitions, which pool with the first run's.
+Pairs whose gain is small next to host noise (DetCw55 and DetTree63: one-
+and two-word universes leave W = 4 little to win) get a second raw file of
+extra interleaved repetitions, which pool with the first run's.
 Every speedup is gated > 1 (a path that stops beating its baseline fails
 the job); the exit code doubles as the CI gate.
 """

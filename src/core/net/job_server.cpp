@@ -197,44 +197,23 @@ void JobServerEngine::handle_hello(SessionId session, const JsonValue& value) {
             /*retry=*/false);
     return;
   }
-  Welcome welcome;
-  welcome.ok = true;
-  welcome.heartbeat_seconds = options_.heartbeat_interval;
-  welcome.sweep = sweep_name_;
-  welcome.fingerprint = fingerprint_;
-  if (hello->pinned()) {
-    if (hello->sweep != sweep_name_ || hello->fingerprint != fingerprint_) {
-      decline(session,
-              "sweep '" + hello->sweep + "' is not active (serving '" +
-                  sweep_name_ + "')",
-              /*retry=*/true);
-      return;
-    }
-  } else {
-    if (options_.evaluator.empty()) {
-      decline(session,
-              "sweep '" + sweep_name_ +
-                  "' has no registered evaluator; only same-binary workers "
-                  "can serve it",
-              /*retry=*/true);
-      return;
-    }
-    if (std::find(hello->evaluators.begin(), hello->evaluators.end(),
-                  options_.evaluator) == hello->evaluators.end()) {
-      decline(session,
-              "worker '" + hello->node + "' does not support evaluator '" +
-                  options_.evaluator + "'",
-              /*retry=*/true);
-      return;
-    }
-    welcome.evaluator = options_.evaluator;
-    welcome.spec_text = options_.spec_text;
+  if (hello->sweep != sweep_name_ || hello->fingerprint != fingerprint_) {
+    decline(session,
+            "sweep '" + hello->sweep + "' is not active (serving '" +
+                sweep_name_ + "')",
+            /*retry=*/true);
+    return;
   }
 
   Session& s = sessions_.at(session);
   s.state = Session::State::kActive;
   NetMetrics::get().handshakes.increment();
   obs::TraceRecorder::instance().record_instant("net/session_active", "net");
+  Welcome welcome;
+  welcome.ok = true;
+  welcome.heartbeat_seconds = options_.heartbeat_interval;
+  welcome.sweep = sweep_name_;
+  welcome.fingerprint = fingerprint_;
   outbox_.push_back({session, encode_welcome(welcome), false});
   // A worker that joins after the last point was handed out (or after the
   // sweep finished entirely) would otherwise idle forever.
@@ -307,18 +286,6 @@ void JobServerEngine::forfeit(std::size_t index) {
     quarantined_.emplace_back(index, attempts_[index]);
     ++points_quarantined_;
     NetMetrics::get().points_quarantined.increment();
-    // Tell the surviving workers (the quarantining forfeit always
-    // coincides with a session death, so the event would otherwise be
-    // invisible to every daemon).
-    Notice notice;
-    notice.kind = "quarantine";
-    notice.index = index;
-    notice.id = points_[index].id;
-    notice.attempts = attempts_[index];
-    const std::string frame = encode_notice(notice);
-    for (const auto& [id, s] : sessions_)
-      if (s.state == Session::State::kActive)
-        outbox_.push_back({id, frame, false});
     if (done()) broadcast_bye();
   } else {
     pending_.push_front(index);

@@ -10,6 +10,12 @@
 // death, partitions, duplicate deliveries, and truncated frames get full
 // ctest coverage without a real host pair.
 //
+// Every worker is pinned: its hello names the (sweep, fingerprint) it
+// rebuilt from its own flags, and a session whose pin is not the active
+// sweep is declined (retryably -- a multi-sweep coordinator may reach that
+// sweep later).  A hello of another protocol version is declined fatally
+// with both versions named.
+//
 // Scheduling is dynamic work stealing:
 //
 //  * Points are handed out one at a time; a worker gets its next point
@@ -75,11 +81,6 @@ struct JobServerOptions {
   /// longer than this (heartbeats notwithstanding -- liveness is not
   /// progress) is killed and the point forfeited.  0 disables.
   double point_deadline = 0.0;
-  /// Registry evaluator id for this sweep (core/sweep/evaluators.h) and
-  /// the serialized spec (core/sweep/spec_codec.h) shipped to registry
-  /// workers; empty `evaluator` means only pinned workers are admitted.
-  std::string evaluator;
-  std::string spec_text;
 };
 
 class JobServerEngine {

@@ -12,9 +12,6 @@ LineKind classify_line(const JsonValue& value) {
   // version), so "ok" must be tested before "qpsnet".
   if (value.contains("ok")) return LineKind::kWelcome;
   if (value.contains("qpsnet")) return LineKind::kHello;
-  // A notice also carries "point" (which index was quarantined), so it
-  // must be tested before the request classification.
-  if (value.contains("notice")) return LineKind::kNotice;
   if (value.contains("count")) return LineKind::kResult;
   if (value.contains("hb")) return LineKind::kHeartbeat;
   if (value.contains("bye")) return LineKind::kBye;
@@ -23,18 +20,10 @@ LineKind classify_line(const JsonValue& value) {
 }
 
 std::string encode_hello(const Hello& hello) {
-  std::string line = "{\"qpsnet\": " + std::to_string(hello.version) +
-                     ", \"node\": " + json_quote(hello.node);
-  if (hello.pinned()) {
-    line += ", \"sweep\": " + json_quote(hello.sweep) + ", \"fp\": " +
-            json_quote(sweep::encode_hex_u64(hello.fingerprint));
-  } else {
-    line += ", \"evaluators\": [";
-    for (std::size_t i = 0; i < hello.evaluators.size(); ++i)
-      line += (i ? ", " : "") + json_quote(hello.evaluators[i]);
-    line += "]";
-  }
-  return line + "}\n";
+  return "{\"qpsnet\": " + std::to_string(hello.version) +
+         ", \"node\": " + json_quote(hello.node) +
+         ", \"sweep\": " + json_quote(hello.sweep) + ", \"fp\": " +
+         json_quote(sweep::encode_hex_u64(hello.fingerprint)) + "}\n";
 }
 
 std::optional<Hello> decode_hello(const JsonValue& value) {
@@ -42,16 +31,13 @@ std::optional<Hello> decode_hello(const JsonValue& value) {
     Hello hello;
     hello.version = static_cast<int>(value.at("qpsnet").as_uint64());
     hello.node = value.at("node").as_string();
-    if (value.contains("sweep")) {
-      hello.sweep = value.at("sweep").as_string();
-      const auto fp = sweep::decode_hex_u64(value.at("fp").as_string());
-      if (!fp) return std::nullopt;
-      hello.fingerprint = *fp;
-      if (hello.sweep.empty()) return std::nullopt;
-    } else {
-      for (const JsonValue& id : value.at("evaluators").as_array())
-        hello.evaluators.push_back(id.as_string());
-    }
+    // Another version's hello may be shaped differently (a v3 registry
+    // hello has no pin at all); the coordinator declines it by version.
+    if (hello.version != kProtocolVersion) return hello;
+    hello.sweep = value.at("sweep").as_string();
+    const auto fp = sweep::decode_hex_u64(value.at("fp").as_string());
+    if (!fp || hello.sweep.empty()) return std::nullopt;
+    hello.fingerprint = *fp;
     return hello;
   } catch (const std::exception&) {
     return std::nullopt;
@@ -69,12 +55,6 @@ std::string encode_welcome(const Welcome& welcome) {
     line += ", \"hb\": " + json_number(welcome.heartbeat_seconds) +
             ", \"sweep\": " + json_quote(welcome.sweep) + ", \"fp\": " +
             json_quote(sweep::encode_hex_u64(welcome.fingerprint));
-    if (!welcome.evaluator.empty()) {
-      // The spec travels as its serialized text re-embedded verbatim; it
-      // was produced by spec_to_json and is itself a JSON object.
-      line += ", \"evaluator\": " + json_quote(welcome.evaluator) +
-              ", \"spec\": " + welcome.spec_text;
-    }
   }
   return line + "}\n";
 }
@@ -94,31 +74,7 @@ std::optional<Welcome> decode_welcome(const JsonValue& value) {
     const auto fp = sweep::decode_hex_u64(value.at("fp").as_string());
     if (!fp) return std::nullopt;
     welcome.fingerprint = *fp;
-    if (value.contains("evaluator")) {
-      welcome.evaluator = value.at("evaluator").as_string();
-      welcome.spec = value.at("spec");
-    }
     return welcome;
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
-}
-
-std::string encode_notice(const Notice& notice) {
-  return "{\"notice\": " + json_quote(notice.kind) +
-         ", \"point\": " + std::to_string(notice.index) +
-         ", \"id\": " + json_quote(notice.id) +
-         ", \"attempts\": " + std::to_string(notice.attempts) + "}\n";
-}
-
-std::optional<Notice> decode_notice(const JsonValue& value) {
-  try {
-    Notice notice;
-    notice.kind = value.at("notice").as_string();
-    notice.index = static_cast<std::size_t>(value.at("point").as_uint64());
-    notice.id = value.at("id").as_string();
-    notice.attempts = value.at("attempts").as_uint64();
-    return notice;
   } catch (const std::exception&) {
     return std::nullopt;
   }

@@ -6,26 +6,25 @@
 // checkpoint journal stores; everything else is connection management:
 //
 //   worker -> coordinator   HELLO      first line after connect; carries
-//                                      the protocol version and either a
-//                                      (sweep, fingerprint) pin or the
-//                                      worker's evaluator registry
-//   coordinator -> worker   WELCOME    accept (heartbeat interval, and for
-//                                      registry workers the evaluator id
-//                                      plus the serialized spec) or a
-//                                      decline with an error and a
-//                                      retry/fatal classification
+//                                      the protocol version and the
+//                                      (sweep, fingerprint) pin of the
+//                                      sweep the worker rebuilt from its
+//                                      own flags
+//   coordinator -> worker   WELCOME    accept (heartbeat interval, sweep,
+//                                      fingerprint) or a decline with an
+//                                      error and a retry/fatal
+//                                      classification
 //   worker -> coordinator   HEARTBEAT  liveness while a long evaluation
 //                                      keeps the data path silent
 //   coordinator -> worker   BYE        sweep complete; the worker
 //                                      disconnects cleanly
-//   coordinator -> worker   NOTICE     advisory broadcast (currently: a
-//                                      point was quarantined), so daemons
-//                                      can surface structured events
 //
 // The version field exists so a mixed-version pair fails fast with both
 // versions named in the error instead of silently mis-parsing lines; the
 // coordinator echoes its own version in every welcome so the check runs
-// in both directions.
+// in both directions.  decode_hello reads the version before anything
+// else, so a hello of another version -- whatever else it carries -- is
+// declined by version, never dropped as malformed.
 //
 // Frames are classified structurally (classify_line): HELLO is the only
 // frame with "qpsnet", WELCOME the only one with "ok", results the only
@@ -36,16 +35,16 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <string_view>
-#include <vector>
 
 #include "util/json.h"
 
 namespace qps::net {
 
 /// Bumped on any incompatible wire change (3: hello, welcome and result
-/// frames lost their coordinator-takeover fields).
-constexpr int kProtocolVersion = 3;
+/// frames lost their coordinator-takeover fields; 4: every hello is
+/// pinned to a sweep, the welcome carries no spec, and the coordinator no
+/// longer broadcasts quarantines).
+constexpr int kProtocolVersion = 4;
 
 enum class LineKind {
   kHello,
@@ -54,7 +53,6 @@ enum class LineKind {
   kResult,
   kHeartbeat,
   kBye,
-  kNotice,
   kUnknown,
 };
 
@@ -64,15 +62,11 @@ LineKind classify_line(const JsonValue& value);
 struct Hello {
   int version = kProtocolVersion;
   std::string node;  ///< Diagnostic worker name (hostname:pid style).
-  /// Pinned mode: the worker rebuilt this exact sweep from its own flags.
-  /// Empty sweep means registry mode.
+  /// The sweep the worker rebuilt from its own flags.  Decoded only when
+  /// `version` is kProtocolVersion; a hello of another version carries
+  /// just its version and node.
   std::string sweep;
   std::uint64_t fingerprint = 0;
-  /// Registry mode: evaluator ids the worker can serve
-  /// (core/sweep/evaluators.h).
-  std::vector<std::string> evaluators;
-
-  bool pinned() const { return !sweep.empty(); }
 };
 
 std::string encode_hello(const Hello& hello);
@@ -90,28 +84,10 @@ struct Welcome {
   double heartbeat_seconds = 0.0;
   std::string sweep;
   std::uint64_t fingerprint = 0;
-  /// Registry workers only: which evaluator to use and the serialized
-  /// spec (core/sweep/spec_codec.h) to expand.  The encoder embeds
-  /// `spec_text` (spec_to_json output) verbatim; the decoder surfaces the
-  /// parsed object in `spec`.
-  std::string evaluator;
-  std::string spec_text;
-  std::optional<JsonValue> spec;
 };
 
 std::string encode_welcome(const Welcome& welcome);
 std::optional<Welcome> decode_welcome(const JsonValue& value);
-
-/// Advisory coordinator -> worker broadcast.
-struct Notice {
-  std::string kind;  ///< Currently only "quarantine".
-  std::size_t index = 0;
-  std::string id;
-  std::uint64_t attempts = 0;
-};
-
-std::string encode_notice(const Notice& notice);
-std::optional<Notice> decode_notice(const JsonValue& value);
 
 std::string encode_heartbeat();
 std::string encode_bye();

@@ -5,7 +5,7 @@
 // (parallel CI jobs never race for a fixed port), a stream with
 // whole-buffer sends and EINTR-retried reads, and nothing else.  Errors
 // are values, not exceptions: an invalid stream/listener or a false
-// send_all is a peer to drop or a dial to retry, exactly like the engine
+// send_all is a peer to drop or a connect to retry, exactly like the engine
 // layer treats malformed frames.
 #pragma once
 
@@ -26,7 +26,8 @@ class TcpStream {
   TcpStream(const TcpStream&) = delete;
   TcpStream& operator=(const TcpStream&) = delete;
 
-  /// Dials host:port (numeric or resolvable name); invalid() on failure.
+  /// Connects to host:port (numeric or resolvable name); invalid() on
+  /// failure.
   static TcpStream connect(const std::string& host, std::uint16_t port);
 
   bool valid() const { return fd_ >= 0; }

@@ -22,9 +22,9 @@
 
 #include "core/fault/fault.h"
 #include "core/net/framing.h"
+#include "core/net/worker.h"
 #include "core/obs/metrics.h"
 #include "core/obs/trace.h"
-#include "core/sweep/spec_codec.h"
 #include "util/backoff.h"
 #include "util/fsio.h"
 #include "util/require.h"
@@ -299,24 +299,6 @@ void coordinate(TcpListener* listener, LocalPool* pool,
     }
   };
 
-  // Workers running in --listen mode are dialed once up front; they speak
-  // first (hello) exactly like accepted connections.
-  for (const std::string& address : options.dial) {
-    std::string host;
-    std::uint16_t port = 0;
-    if (!parse_host_port(address, host, port)) {
-      std::cerr << "sweep " << sweep_name << ": bad worker address '"
-                << address << "' (want host:port)\n";
-      continue;
-    }
-    TcpStream stream = TcpStream::connect(host, port);
-    if (!stream.valid()) {
-      std::cerr << "sweep " << sweep_name << ": cannot dial worker at "
-                << address << "\n";
-      continue;
-    }
-    add_session(std::move(stream));
-  }
   spawn_children();
 
   while (!engine.done()) {
@@ -325,7 +307,7 @@ void coordinate(TcpListener* listener, LocalPool* pool,
     if (engine.done()) break;
 
     // Fallback waits for "no sessions at all", not just "no active
-    // workers": a freshly dialed daemon whose hello is still in flight
+    // workers": a freshly accepted worker whose hello is still in flight
     // must get a chance to serve before the coordinator eats the grid
     // itself.  A connection that never completes its handshake releases
     // the brake via the handshake timeout.
@@ -469,11 +451,8 @@ sweep::RemoteRunner make_socket_remote_runner(
                              const sweep::PointEvaluator& eval,
                              const sweep::RemoteRecord& record,
                              const sweep::RemoteQuarantine& quarantine) {
-    SocketCoordinatorOptions opts = options;
-    if (!opts.engine.evaluator.empty() && opts.engine.spec_text.empty())
-      opts.engine.spec_text = sweep::spec_to_json(spec);
     run_socket_sweep(*listener, points, spec.name(), spec.fingerprint(),
-                     std::move(pending), eval, record, opts, quarantine);
+                     std::move(pending), eval, record, options, quarantine);
   };
 }
 
@@ -496,36 +475,37 @@ sweep::RemoteRunner make_local_pool_runner(std::vector<std::string> command,
   };
 }
 
-ServeOutcome serve_connection(TcpStream& stream, const Hello& hello,
-                              const SweepBinder& binder, std::string* error,
-                              const ServeHooks& hooks) {
+namespace {
+
+/// serve_connection() on a caller-owned engine, so serve_pinned_sweep()
+/// can tell whether the coordinator ever accepted it.
+ServeOutcome serve_session(TcpStream& stream, WorkerEngine& engine,
+                           const std::vector<sweep::SweepPoint>& points,
+                           const sweep::PointEvaluator& eval,
+                           std::string* error, double idle_timeout_seconds) {
   const auto fail = [error](ServeOutcome outcome, const std::string& why) {
     if (error) *error = why;
     return outcome;
   };
 
-  WorkerEngine engine(hello);
   if (!stream.send_all(engine.hello_line()))
     return fail(ServeOutcome::kLost, "connection lost sending hello");
 
-  std::vector<sweep::SweepPoint> points;
-  sweep::PointEvaluator eval;
   std::mutex write_mutex;
   std::unique_ptr<HeartbeatThread> heartbeat;
 
   LineReassembler reassembler;
   char chunk[4096];
   for (;;) {
-    if (hooks.idle_timeout_seconds > 0.0) {
+    if (idle_timeout_seconds > 0.0) {
       // A coordinator that goes completely silent (SIGSTOPped, wedged,
       // partitioned) would hold this worker in read(2) forever; bounded
       // patience turns that into a kLost and, through the caller's retry
-      // budget, a re-dial -- which finds a restarted (--resume)
+      // budget, a reconnect -- which finds a restarted (--resume)
       // coordinator.
       pollfd pfd{stream.fd(), POLLIN, 0};
-      const int ready = ::poll(
-          &pfd, 1,
-          static_cast<int>(hooks.idle_timeout_seconds * 1000.0));
+      const int ready =
+          ::poll(&pfd, 1, static_cast<int>(idle_timeout_seconds * 1000.0));
       if (ready == 0)
         return fail(ServeOutcome::kLost,
                     "coordinator silent past the idle timeout");
@@ -545,14 +525,10 @@ ServeOutcome serve_connection(TcpStream& stream, const Hello& hello,
       switch (event.kind) {
         case WorkerEngine::Event::Kind::kNone:
           break;
-        case WorkerEngine::Event::Kind::kAccepted: {
-          std::string bind_error;
-          if (!binder(event.welcome, points, eval, bind_error))
-            return fail(ServeOutcome::kDeclinedFatal, bind_error);
+        case WorkerEngine::Event::Kind::kAccepted:
           heartbeat = std::make_unique<HeartbeatThread>(
               stream, write_mutex, event.welcome.heartbeat_seconds);
           break;
-        }
         case WorkerEngine::Event::Kind::kDeclined:
           return fail(event.welcome.retry ? ServeOutcome::kDeclinedRetry
                                           : ServeOutcome::kDeclinedFatal,
@@ -567,7 +543,7 @@ ServeOutcome serve_connection(TcpStream& stream, const Hello& hello,
             stats = eval(points[event.index]);
           } catch (const std::exception& e) {
             // A throwing evaluator (injected fault, BudgetExceeded, ...)
-            // must not tear the daemon down: drop the connection so the
+            // must not tear the worker down: drop the connection so the
             // coordinator forfeits the point to another worker or, past
             // its budget, quarantines it.
             return fail(ServeOutcome::kLost,
@@ -582,26 +558,45 @@ ServeOutcome serve_connection(TcpStream& stream, const Hello& hello,
         }
         case WorkerEngine::Event::Kind::kBye:
           return ServeOutcome::kServedBye;
-        case WorkerEngine::Event::Kind::kNotice:
-          if (hooks.on_notice) hooks.on_notice(event.notice);
-          break;
         case WorkerEngine::Event::Kind::kProtocolError:
-          return fail(ServeOutcome::kLost, event.error);
+          // Before the welcome the peer is a coordinator this worker cannot
+          // talk to (another protocol version, or another sweep), and
+          // retrying the same handshake cannot change that.
+          return fail(engine.accepted() ? ServeOutcome::kLost
+                                        : ServeOutcome::kDeclinedFatal,
+                      event.error);
       }
     }
   }
 }
 
+Hello pinned_hello(const std::string& node, const sweep::SweepSpec& spec) {
+  Hello hello;
+  hello.node = node;
+  hello.sweep = spec.name();
+  hello.fingerprint = spec.fingerprint();
+  return hello;
+}
+
+}  // namespace
+
+ServeOutcome serve_connection(TcpStream& stream, const std::string& node,
+                              const sweep::SweepSpec& spec,
+                              const sweep::PointEvaluator& eval,
+                              std::string* error,
+                              double idle_timeout_seconds) {
+  WorkerEngine engine(pinned_hello(node, spec));
+  return serve_session(stream, engine, spec.expand(), eval, error,
+                       idle_timeout_seconds);
+}
+
 ServeOutcome serve_pinned_sweep(const std::string& host, std::uint16_t port,
                                 const sweep::SweepSpec& spec,
                                 const sweep::PointEvaluator& eval,
-                                const WorkerServeOptions& options) {
-  Hello hello;
-  hello.node = options.node;
-  hello.sweep = spec.name();
-  hello.fingerprint = spec.fingerprint();
-  const SweepBinder binder = pinned_binder(spec, eval);
-  const ServeHooks& hooks = options.hooks;
+                                const WorkerServeOptions& options,
+                                bool* welcomed) {
+  const Hello hello = pinned_hello(options.node, spec);
+  const std::vector<sweep::SweepPoint> points = spec.expand();
 
   int connect_failures = 0;
   int declines = 0;
@@ -618,8 +613,10 @@ ServeOutcome serve_pinned_sweep(const std::string& host, std::uint16_t port,
     connect_failures = 0;
 
     std::string error;
-    const ServeOutcome outcome = serve_connection(stream, hello, binder,
-                                                  &error, hooks);
+    WorkerEngine engine(hello);
+    const ServeOutcome outcome = serve_session(
+        stream, engine, points, eval, &error, options.idle_timeout_seconds);
+    if (engine.accepted() && welcomed != nullptr) *welcomed = true;
     switch (outcome) {
       case ServeOutcome::kDeclinedRetry:
         // A multi-sweep coordinator serves its sweeps in order; ours is

@@ -10,17 +10,18 @@
 //    handshake axe), flushes its outbox, and -- when no worker is serving
 //    and local fallback is enabled -- evaluates pending points in-process
 //    so the sweep terminates even if every worker declines or dies.  TCP
-//    workers arrive through the listener or options.dial.  After each
-//    pass over its sockets the loop delivers one round: every result the
-//    engine completed since the last round goes to the record sink in a
-//    single call, which SweepRunner journals with one write(2) per result
+//    workers arrive through the listener.  After each pass over its
+//    sockets the loop delivers one round: every result the engine
+//    completed since the last round goes to the record sink in a single
+//    call, which SweepRunner journals with one write(2) per result
 //    and one fdatasync per round -- before the loop polls again.
 //  * make_local_pool_runner() runs the same loop without a listener over
 //    SweepRunner's local worker children, one socketpair each.
 //  * serve_connection() / serve_pinned_sweep() are the worker's blocking
 //    side: hello, welcome, evaluate-request loop until bye, with a
 //    background heartbeat thread keeping the coordinator's liveness timer
-//    fed through long evaluations.
+//    fed through long evaluations.  The worker serves the points of its
+//    own spec with its own evaluator; that is the only kind of worker.
 //  * make_socket_remote_runner() packages the coordinator loop as the
 //    sweep::RemoteRunner hook SweepOptions accepts, which is how a bench
 //    in --listen mode distributes its sweeps without the sweep layer
@@ -32,26 +33,20 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "core/net/job_server.h"
 #include "core/net/socket.h"
-#include "core/net/worker.h"
 #include "core/sweep/sweep_runner.h"
 
 namespace qps::net {
 
 struct SocketCoordinatorOptions {
   JobServerOptions engine;
-  /// "host:port" addresses of workers running in --listen mode; dialed
-  /// once at startup (a dial failure is a warning, not an error -- workers
-  /// in --connect mode arrive through the listener instead).
-  std::vector<std::string> dial;
-  /// Evaluate pending points in-process while no worker is serving.  Keeps
-  /// every sweep live (registry daemons decline sweeps they cannot serve);
-  /// tests disable it to prove workers computed everything.
+  /// Evaluate pending points in-process while no worker is serving, so a
+  /// sweep finishes even when no worker ever connects; tests disable it
+  /// to prove workers computed everything.
   bool local_fallback = true;
 };
 
@@ -78,8 +73,7 @@ void run_socket_sweep(TcpListener& listener,
                       const sweep::RemoteQuarantine& quarantine = nullptr);
 
 /// The coordinator loop as a sweep-layer hook.  `listener` must outlive
-/// the returned runner; when options.engine.evaluator is set and spec_text
-/// empty, the spec is serialized automatically per sweep.
+/// the returned runner.
 sweep::RemoteRunner make_socket_remote_runner(TcpListener* listener,
                                               SocketCoordinatorOptions options);
 
@@ -99,26 +93,16 @@ sweep::RemoteRunner make_local_pool_runner(std::vector<std::string> command,
 enum class ServeOutcome {
   kServedBye,      ///< Clean completion: coordinator said bye.
   kDeclinedRetry,  ///< Declined, worth retrying (sweep not active yet).
-  kDeclinedFatal,  ///< Declined for good (version mismatch, bad binder).
+  kDeclinedFatal,  ///< Declined for good: version mismatch, or a handshake
+                   ///< this worker cannot understand.
   kLost,           ///< Connection or protocol failure mid-serve.
-  kConnectFailed,  ///< Dial retries exhausted.
-};
-
-/// Worker-side integration hooks, all optional.
-struct ServeHooks {
-  /// Invoked for every advisory NOTICE frame (quarantine broadcasts).
-  std::function<void(const Notice&)> on_notice;
-  /// Seconds of total coordinator silence after which the worker abandons
-  /// the connection as kLost and (through its retry budget) re-dials: a
-  /// worker blocked in read(2) on a SIGSTOPped or wedged coordinator
-  /// would otherwise wait forever.  0 = wait forever.
-  double idle_timeout_seconds = 0.0;
+  kConnectFailed,  ///< Connect retries exhausted.
 };
 
 struct WorkerServeOptions {
   /// Diagnostic worker name carried in the hello (hostname:pid style).
   std::string node = "worker";
-  /// Dial retry budget (the coordinator may not be listening yet).
+  /// Connect retry budget (the coordinator may not be listening yet).
   int connect_retries = 25;
   double connect_retry_seconds = 0.2;
   /// Retryable-decline budget (a multi-sweep bench's coordinator serves
@@ -127,23 +111,30 @@ struct WorkerServeOptions {
   double decline_retry_seconds = 0.2;
   /// Reconnect budget after a mid-serve connection loss.
   int lost_retries = 3;
-  /// Worker-side hooks (notice callback, idle timeout), passed through to
-  /// every serve_connection.
-  ServeHooks hooks;
+  /// Seconds of total coordinator silence after which the worker abandons
+  /// the connection as kLost and (through lost_retries) reconnects: a
+  /// worker blocked in read(2) on a SIGSTOPped or wedged coordinator
+  /// would otherwise wait forever.  0 = wait forever.
+  double idle_timeout_seconds = 0.0;
 };
 
-/// Serves one established connection to completion (blocking).  On any
-/// decline/loss, `error` (when non-null) receives the reason.
-ServeOutcome serve_connection(TcpStream& stream, const Hello& hello,
-                              const SweepBinder& binder,
+/// Serves one established connection to completion (blocking): hello
+/// pinned to `spec`, then `spec`'s points evaluated with `eval` until bye.
+/// On any decline/loss, `error` (when non-null) receives the reason.
+ServeOutcome serve_connection(TcpStream& stream, const std::string& node,
+                              const sweep::SweepSpec& spec,
+                              const sweep::PointEvaluator& eval,
                               std::string* error = nullptr,
-                              const ServeHooks& hooks = {});
+                              double idle_timeout_seconds = 0.0);
 
-/// Pinned worker: dials host:port and serves `spec` with `eval`, retrying
-/// dials, retryable declines, and lost connections per `options`.
+/// Connects to host:port and serves `spec` with `eval`, retrying failed
+/// connects, retryable declines, and lost connections per `options`.
+/// `welcomed` (when non-null) is set to true once any connection is
+/// accepted, and never reset.
 ServeOutcome serve_pinned_sweep(const std::string& host, std::uint16_t port,
                                 const sweep::SweepSpec& spec,
                                 const sweep::PointEvaluator& eval,
-                                const WorkerServeOptions& options);
+                                const WorkerServeOptions& options,
+                                bool* welcomed = nullptr);
 
 }  // namespace qps::net

@@ -1,10 +1,7 @@
 #include "core/net/worker.h"
 
 #include <exception>
-#include <optional>
 
-#include "core/sweep/evaluators.h"
-#include "core/sweep/spec_codec.h"
 #include "core/sweep/wire.h"
 #include "util/json.h"
 
@@ -46,9 +43,18 @@ WorkerEngine::Event WorkerEngine::on_line(const std::string& line) {
         event.kind = Event::Kind::kDeclined;
         return event;
       }
+      if (welcome->sweep != hello_.sweep ||
+          welcome->fingerprint != hello_.fingerprint) {
+        // Cannot happen against a conforming coordinator (it accepts only
+        // the pin the hello named), but a confused peer must not make us
+        // compute points of a grid we did not build.
+        event.kind = Event::Kind::kProtocolError;
+        event.error = "coordinator accepted sweep '" + welcome->sweep +
+                      "' but this worker is pinned to '" + hello_.sweep +
+                      "'";
+        return event;
+      }
       accepted_ = true;
-      sweep_name_ = welcome->sweep;
-      fingerprint_ = welcome->fingerprint;
       event.kind = Event::Kind::kAccepted;
       return event;
     }
@@ -71,22 +77,6 @@ WorkerEngine::Event WorkerEngine::on_line(const std::string& line) {
     case LineKind::kBye:
       event.kind = Event::Kind::kBye;
       return event;
-    case LineKind::kNotice: {
-      if (!accepted_) {
-        event.kind = Event::Kind::kProtocolError;
-        event.error = "notice before welcome";
-        return event;
-      }
-      const auto notice = decode_notice(value);
-      if (!notice) {
-        event.kind = Event::Kind::kProtocolError;
-        event.error = "malformed notice";
-        return event;
-      }
-      event.kind = Event::Kind::kNotice;
-      event.notice = *notice;
-      return event;
-    }
     default:
       event.kind = Event::Kind::kProtocolError;
       event.error = "unexpected frame from coordinator";
@@ -96,64 +86,7 @@ WorkerEngine::Event WorkerEngine::on_line(const std::string& line) {
 
 std::string WorkerEngine::result_line(const sweep::SweepPoint& point,
                                       const RunningStats& stats) const {
-  return sweep::encode_result(sweep_name_, fingerprint_, point, stats);
-}
-
-SweepBinder pinned_binder(const sweep::SweepSpec& spec,
-                          sweep::PointEvaluator eval) {
-  const std::string name = spec.name();
-  auto expanded = spec.expand();
-  return [name, expanded = std::move(expanded), eval = std::move(eval)](
-             const Welcome& welcome, std::vector<sweep::SweepPoint>& points,
-             sweep::PointEvaluator& out_eval, std::string& error) {
-    if (welcome.sweep != name) {
-      // Cannot happen against a conforming coordinator (the pinned hello
-      // named the sweep), but a confused peer must not make us compute
-      // points of a grid we did not build.
-      error = "coordinator accepted sweep '" + welcome.sweep +
-              "' but this worker is pinned to '" + name + "'";
-      return false;
-    }
-    points = expanded;
-    out_eval = eval;
-    return true;
-  };
-}
-
-SweepBinder registry_binder(std::size_t dp_threads) {
-  return [dp_threads](const Welcome& welcome,
-                      std::vector<sweep::SweepPoint>& points,
-                      sweep::PointEvaluator& out_eval, std::string& error) {
-    if (!welcome.spec || welcome.evaluator.empty()) {
-      error = "coordinator accepted a registry worker without shipping an "
-              "evaluator and spec";
-      return false;
-    }
-    std::optional<sweep::SweepSpec> spec;
-    try {
-      spec = sweep::spec_from_json(*welcome.spec);
-    } catch (const std::exception& e) {
-      error = std::string("undecodable spec in welcome: ") + e.what();
-      return false;
-    }
-    // The re-derived fingerprint must agree with the coordinator's claim;
-    // disagreement means codec or version skew and silently mismatched
-    // grids, so refuse loudly instead.
-    if (spec->fingerprint() != welcome.fingerprint) {
-      error = "spec fingerprint mismatch after decode: coordinator claims " +
-              sweep::encode_hex_u64(welcome.fingerprint) + ", decoded spec " +
-              "has " + sweep::encode_hex_u64(spec->fingerprint());
-      return false;
-    }
-    out_eval = sweep::find_standard_evaluator(welcome.evaluator, dp_threads);
-    if (!out_eval) {
-      error = "evaluator '" + welcome.evaluator +
-              "' is not in this worker's registry";
-      return false;
-    }
-    points = spec->expand();
-    return true;
-  };
+  return sweep::encode_result(hello_.sweep, hello_.fingerprint, point, stats);
 }
 
 }  // namespace qps::net

@@ -1,13 +1,11 @@
 #include "core/obs/metrics.h"
 
 #include <chrono>
-#include <condition_variable>
 #include <deque>
 #include <map>
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 
 #include "util/fsio.h"
 #include "util/json.h"
@@ -134,43 +132,10 @@ std::string MetricsRegistry::snapshot_json() const {
 }
 
 bool MetricsRegistry::write_json(const std::string& path) const {
-  // Atomic replace: a reader (the distributed-smoke watcher, an operator's
-  // `watch cat`) polling the file mid-dump must never see a torn snapshot,
-  // and a crash mid-write must leave the previous snapshot intact.
+  // Atomic replace: a reader polling the file mid-dump must never see a
+  // torn snapshot, and a crash mid-write must leave the previous snapshot
+  // intact.
   return util::write_file_atomic(path, snapshot_json());
-}
-
-struct PeriodicMetricsDump::Impl {
-  std::string path;
-  double interval_seconds;
-  std::mutex mutex;
-  std::condition_variable cv;
-  bool stop = false;
-  std::thread thread;
-};
-
-PeriodicMetricsDump::PeriodicMetricsDump(std::string path,
-                                         double interval_seconds)
-    : impl_(new Impl{std::move(path), interval_seconds, {}, {}, false, {}}) {
-  MetricsRegistry::instance().write_json(impl_->path);
-  impl_->thread = std::thread([impl = impl_] {
-    std::unique_lock<std::mutex> lock(impl->mutex);
-    const auto interval = std::chrono::duration<double>(
-        impl->interval_seconds > 0 ? impl->interval_seconds : 5.0);
-    while (!impl->cv.wait_for(lock, interval, [impl] { return impl->stop; }))
-      MetricsRegistry::instance().write_json(impl->path);
-  });
-}
-
-PeriodicMetricsDump::~PeriodicMetricsDump() {
-  {
-    std::lock_guard<std::mutex> lock(impl_->mutex);
-    impl_->stop = true;
-  }
-  impl_->cv.notify_one();
-  impl_->thread.join();
-  MetricsRegistry::instance().write_json(impl_->path);
-  delete impl_;
 }
 
 }  // namespace qps::obs

@@ -205,20 +205,4 @@ class MetricsRegistry {
   Impl& impl() const;
 };
 
-/// Background thread dumping MetricsRegistry::snapshot_json() to `path`
-/// every `interval_seconds` (and once on construction, so the file exists
-/// even if the process is killed immediately).  Destruction stops the
-/// thread and writes one final snapshot.
-class PeriodicMetricsDump {
- public:
-  PeriodicMetricsDump(std::string path, double interval_seconds);
-  ~PeriodicMetricsDump();
-  PeriodicMetricsDump(const PeriodicMetricsDump&) = delete;
-  PeriodicMetricsDump& operator=(const PeriodicMetricsDump&) = delete;
-
- private:
-  struct Impl;
-  Impl* impl_;
-};
-
 }  // namespace qps::obs

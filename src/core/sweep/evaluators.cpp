@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "core/exact/ppc_exact.h"
 #include "quorum/crumbling_wall.h"
 #include "quorum/hqs.h"
 #include "quorum/majority.h"
@@ -26,26 +25,6 @@ std::unique_ptr<QuorumSystem> standard_system(const std::string& family,
     return std::make_unique<CrumblingWall>(standard_crumbling_walls().at(size));
   if (family == "wheel") return std::make_unique<WheelSystem>(size);
   throw std::invalid_argument("unknown sweep family " + family);
-}
-
-const std::vector<std::string>& standard_evaluator_ids() {
-  static const std::vector<std::string> ids = {"exact_ppc"};
-  return ids;
-}
-
-PointEvaluator find_standard_evaluator(const std::string& id,
-                                       std::size_t dp_threads) {
-  if (id == "exact_ppc") {
-    return [dp_threads](const SweepPoint& point) {
-      exact::DpOptions options;
-      options.threads = dp_threads;
-      const auto system = standard_system(point.family, point.size);
-      RunningStats stats;
-      stats.add(ppc_exact(*system, point.p, options));
-      return stats;
-    };
-  }
-  return PointEvaluator{};
 }
 
 }  // namespace qps::sweep

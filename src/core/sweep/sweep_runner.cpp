@@ -296,10 +296,7 @@ int SweepRunner::serve(const SweepSpec& spec, const PointEvaluator& eval,
   // Both fds carry the same socketpair end (make_local_pool_runner), so the
   // session runs over in_fd alone.
   (void)out_fd;
-  net::Hello hello;
-  hello.node = "local:" + std::to_string(::getpid());
-  hello.sweep = spec.name();
-  hello.fingerprint = spec.fingerprint();
+  const std::string node = "local:" + std::to_string(::getpid());
   const PointEvaluator faulted = [&eval](const SweepPoint& point) {
     // Worker-side injection site: crash/error/delay here exercises the
     // engine's forfeit -> respawn -> quarantine machinery.
@@ -308,10 +305,10 @@ int SweepRunner::serve(const SweepSpec& spec, const PointEvaluator& eval,
   };
   net::TcpStream stream(in_fd);
   std::string error;
-  const net::ServeOutcome outcome = net::serve_connection(
-      stream, hello, net::pinned_binder(spec, faulted), &error);
+  const net::ServeOutcome outcome =
+      net::serve_connection(stream, node, spec, faulted, &error);
   if (outcome == net::ServeOutcome::kServedBye) return 0;
-  std::cerr << "worker " << hello.node << ": sweep " << spec.name() << ": "
+  std::cerr << "worker " << node << ": sweep " << spec.name() << ": "
             << error << "\n";
   return 1;
 }

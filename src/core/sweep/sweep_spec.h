@@ -42,16 +42,6 @@ struct SweepPoint {
 
 class SweepSpec {
  public:
-  /// One (family x sizes x strategies) block as passed to add_block()
-  /// (strategies normalized to {""} when the block has no strategy axis).
-  /// Exposed so the spec codec (core/sweep/spec_codec.h) can serialize a
-  /// spec for shipment to remote worker daemons.
-  struct Block {
-    std::string family;
-    std::vector<std::size_t> sizes;
-    std::vector<std::string> strategies;
-  };
-
   /// `name` identifies the sweep in checkpoint journals and worker
   /// dispatch; a bench running several sweeps must give each a distinct
   /// name.
@@ -73,10 +63,6 @@ class SweepSpec {
   SweepSpec& set_config_tag(std::string tag);
 
   const std::string& name() const { return name_; }
-  std::uint64_t base_seed() const { return base_seed_; }
-  const std::string& config_tag() const { return config_tag_; }
-  const std::vector<Block>& blocks() const { return blocks_; }
-  const std::vector<double>& ps() const { return ps_; }
 
   /// Cartesian expansion in deterministic order; ids, seeds and indices
   /// filled in.
@@ -106,6 +92,14 @@ class SweepSpec {
                                    const std::string& strategy);
 
  private:
+  /// One (family x sizes x strategies) block as passed to add_block()
+  /// (strategies normalized to {""} when the block has no strategy axis).
+  struct Block {
+    std::string family;
+    std::vector<std::size_t> sizes;
+    std::vector<std::string> strategies;
+  };
+
   std::string name_;
   std::uint64_t base_seed_;
   std::string config_tag_;

@@ -3,8 +3,9 @@
 // next() returns the delay to sleep before the upcoming retry: the base
 // delay doubles (by `multiplier`) per attempt up to `max_seconds`, and
 // each returned value is jittered to a uniform draw from
-// [base/2, base] -- the "decorrelated halved" scheme that keeps a fleet
-// of workers restarted together from re-dialing in lockstep.  The jitter
+// [base/2, base] -- the "decorrelated halved" scheme that keeps retries
+// started together (the job server's failing accept(2) loop) from
+// retrying in lockstep.  The jitter
 // stream is a pure function of (seed, attempt index), so a given seed
 // replays the exact same schedule: tests and the chaos suite stay
 // deterministic.

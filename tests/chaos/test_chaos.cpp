@@ -552,11 +552,7 @@ TEST_F(ChaosTest, JournalFailureOnALastResortResultSurfaces) {
   net::TcpStream stream = net::TcpStream::connect("127.0.0.1", listener.port());
   ASSERT_TRUE(stream.valid());
   std::thread worker([&] {
-    net::Hello hello;
-    hello.node = "chaos-journal-worker";
-    hello.sweep = spec.name();
-    hello.fingerprint = spec.fingerprint();
-    net::serve_connection(stream, hello, net::pinned_binder(spec, eval_point));
+    net::serve_connection(stream, "chaos-journal-worker", spec, eval_point);
     stream.close();
   });
 

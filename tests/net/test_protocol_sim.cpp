@@ -14,8 +14,6 @@
 #include <vector>
 
 #include "core/net/messages.h"
-#include "core/sweep/evaluators.h"
-#include "core/sweep/spec_codec.h"
 #include "core/sweep/sweep_spec.h"
 #include "sim/simulator.h"
 #include "tests/support/protocol_harness.h"
@@ -336,92 +334,6 @@ TEST(ProtocolSim, VersionMismatchFailsFastWithBothVersionsNamed) {
   expect_complete_and_identical(coordinator, spec, eval_point);
 }
 
-TEST(ProtocolSim, RegistryWorkerServesTheShippedSpec) {
-  Simulator simulator;
-  Rng rng(15);
-  StreamNetwork network(simulator, rng);
-  sweep::SweepSpec spec("sim_exact", 5);
-  spec.add_block("maj", {3, 5});
-  spec.set_ps({0.25, 0.75});
-  const sweep::PointEvaluator exact =
-      sweep::find_standard_evaluator("exact_ppc", 1);
-  SimCoordinatorOptions options = coordinator_options();
-  options.engine.evaluator = "exact_ppc";
-  options.engine.spec_text = sweep::spec_to_json(spec);
-  SimCoordinator coordinator(simulator, network, spec, options);
-  // Registry worker: advertises the standard registry, learns the sweep
-  // entirely from the welcome payload.
-  SimWorkerOptions daemon;
-  daemon.node = "daemon";
-  daemon.eval_seconds = 0.02;
-  SimWorker worker(simulator, network, daemon);
-
-  ASSERT_TRUE(
-      simulator.run_until([&] { return coordinator.done(); }, 600.0));
-  simulator.run();
-
-  EXPECT_EQ(worker.state(), SimWorker::State::kDone);
-  EXPECT_EQ(worker.results_sent(), spec.point_count());
-  expect_complete_and_identical(coordinator, spec, exact);
-}
-
-TEST(ProtocolSim, RegistryWorkerRefusesSpecWithWrongFingerprint) {
-  Simulator simulator;
-  Rng rng(16);
-  StreamNetwork network(simulator, rng);
-  sweep::SweepSpec spec("sim_exact", 5);
-  spec.add_block("maj", {3, 5});
-  spec.set_ps({0.25, 0.75});
-  sweep::SweepSpec other("sim_exact", 6);  // different base seed
-  other.add_block("maj", {3, 5});
-  other.set_ps({0.25, 0.75});
-  const sweep::PointEvaluator exact =
-      sweep::find_standard_evaluator("exact_ppc", 1);
-  SimCoordinatorOptions options = coordinator_options();
-  options.engine.evaluator = "exact_ppc";
-  // Codec-skew simulation: the shipped spec text decodes to a different
-  // grid than the fingerprint promises.  The worker must refuse loudly.
-  options.engine.spec_text = sweep::spec_to_json(other);
-  options.local_fallback = true;
-  options.local_eval = exact;
-  SimCoordinator coordinator(simulator, network, spec, options);
-  SimWorkerOptions daemon;
-  daemon.node = "daemon";
-  SimWorker worker(simulator, network, daemon);
-
-  ASSERT_TRUE(
-      simulator.run_until([&] { return coordinator.done(); }, 600.0));
-  simulator.run();
-
-  EXPECT_EQ(worker.state(), SimWorker::State::kDeclined);
-  EXPECT_NE(worker.error().find("fingerprint mismatch"), std::string::npos);
-  EXPECT_EQ(coordinator.engine().results_from_workers(), 0u);
-  expect_complete_and_identical(coordinator, spec, exact);
-}
-
-TEST(ProtocolSim, RegistryWorkerDeclinedRetryablyWhenSweepHasNoEvaluator) {
-  Simulator simulator;
-  Rng rng(17);
-  StreamNetwork network(simulator, rng);
-  const sweep::SweepSpec spec = make_spec();
-  SimCoordinatorOptions options = coordinator_options();
-  // No engine.evaluator: this sweep is only serveable by pinned workers.
-  options.local_fallback = true;
-  options.local_eval = eval_point;
-  SimCoordinator coordinator(simulator, network, spec, options);
-  SimWorkerOptions daemon;
-  daemon.node = "daemon";
-  SimWorker worker(simulator, network, daemon);
-
-  ASSERT_TRUE(
-      simulator.run_until([&] { return coordinator.done(); }, 600.0));
-  simulator.run();
-
-  EXPECT_EQ(worker.state(), SimWorker::State::kDeclined);
-  EXPECT_TRUE(worker.retry_suggested());  // a later sweep may suit it
-  expect_complete_and_identical(coordinator, spec, eval_point);
-}
-
 TEST(ProtocolSim, LocalFallbackAloneCompletesTheSweep) {
   Simulator simulator;
   Rng rng(18);
@@ -489,7 +401,7 @@ TEST(ProtocolSim, WithoutHeartbeatsTheSlowWorkerIsKilled) {
   expect_complete_and_identical(coordinator, spec, eval_point);
 }
 
-TEST(ProtocolSim, QuarantineIsBroadcastAsANoticeToConnectedWorkers) {
+TEST(ProtocolSim, QuarantineSparesTheOtherWorkersPoints) {
   Simulator simulator;
   Rng rng(26);
   StreamNetwork network(simulator, rng);
@@ -512,11 +424,10 @@ TEST(ProtocolSim, QuarantineIsBroadcastAsANoticeToConnectedWorkers) {
   simulator.run();
 
   EXPECT_EQ(coordinator.engine().points_quarantined(), 1u);
-  ASSERT_EQ(survivor.notices().size(), 1u);
-  EXPECT_EQ(survivor.notices()[0].kind, "quarantine");
-  const std::size_t poisoned = survivor.notices()[0].index;
-  EXPECT_EQ(survivor.notices()[0].id, spec.expand()[poisoned].id);
-  EXPECT_EQ(survivor.notices()[0].attempts, 1u);
+  ASSERT_EQ(coordinator.quarantined().size(), 1u);
+  const auto [poisoned, attempts] = *coordinator.quarantined().begin();
+  EXPECT_EQ(attempts, 1u);
+  EXPECT_EQ(survivor.state(), SimWorker::State::kDone);
   // Every point but the quarantined one completed, bit-identical.
   EXPECT_EQ(coordinator.results().size(), spec.point_count() - 1);
   EXPECT_EQ(coordinator.results().count(poisoned), 0u);

@@ -4,8 +4,8 @@
 // duplicate deliveries, and checkpoint/resume composing with distributed
 // execution.
 //
-// Workers run as threads inside this process -- same protocol code path
-// as the qps_workerd daemon, but joinable from a unit test (the CI
+// Workers run as threads inside this process -- the same serve loop a
+// bench runs under --connect, but joinable from a unit test (the CI
 // distributed-smoke job covers the real multi-process topology).
 #include <unistd.h>
 
@@ -369,7 +369,7 @@ TEST(SocketSweep, LocalFallbackCompletesWithNoWorkersAtAll) {
 TEST(SocketSweep, IdleTimeoutAbandonsASilentCoordinator) {
   // A coordinator that accepts the worker and then goes silent (wedged or
   // SIGSTOPped) must not hold the worker in read(2) forever: with an idle
-  // timeout the serve ends as kLost, so the caller's retry budget re-dials.
+  // timeout the serve ends as kLost, so the caller's retry budget reconnects.
   const sweep::SweepSpec spec = make_spec();
   TcpListener listener = TcpListener::bind(0);
   ASSERT_TRUE(listener.valid());
@@ -391,16 +391,11 @@ TEST(SocketSweep, IdleTimeoutAbandonsASilentCoordinator) {
     }
   });
 
-  Hello hello;
-  hello.node = "patient";
-  hello.sweep = spec.name();
-  hello.fingerprint = spec.fingerprint();
-  ServeHooks hooks;
-  hooks.idle_timeout_seconds = 0.2;
   std::string error;
   const auto start = std::chrono::steady_clock::now();
-  const ServeOutcome outcome = serve_connection(
-      stream, hello, pinned_binder(spec, eval_point), &error, hooks);
+  const ServeOutcome outcome =
+      serve_connection(stream, "patient", spec, eval_point, &error,
+                       /*idle_timeout_seconds=*/0.2);
   stream.close();  // releases the silent peer
   const double elapsed = std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - start)

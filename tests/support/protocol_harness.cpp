@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "core/net/messages.h"
-#include "core/sweep/evaluators.h"
 #include "util/require.h"
 
 namespace qps::sim {
@@ -66,6 +65,8 @@ void SimCoordinator::pump() {
     }
     for (const auto& [index, stats] : engine_.take_completed())
       results_[index] = stats;
+    for (const auto& [index, attempts] : engine_.take_quarantined())
+      quarantined_[index] = attempts;
     bool worked = false;
     // Same gate as the TCP driver: any session at all (even one still in
     // handshake) holds the local fallback off.
@@ -85,21 +86,14 @@ SimWorker::SimWorker(Simulator& simulator, StreamNetwork& network,
     : simulator_(&simulator),
       network_(&network),
       options_(std::move(options)) {
+  QPS_REQUIRE(options_.spec != nullptr && static_cast<bool>(options_.eval),
+              "sim worker needs a spec and an evaluator");
   net::Hello hello;
   hello.version = options_.version;
   hello.node = options_.node;
-  if (options_.spec != nullptr) {
-    QPS_REQUIRE(static_cast<bool>(options_.eval),
-                "pinned sim worker needs an evaluator");
-    hello.sweep = options_.spec->name();
-    hello.fingerprint = options_.spec->fingerprint();
-    binder_ = net::pinned_binder(*options_.spec, options_.eval);
-  } else {
-    hello.evaluators = options_.registry_evaluators.empty()
-                           ? sweep::standard_evaluator_ids()
-                           : options_.registry_evaluators;
-    binder_ = net::registry_binder(options_.registry_dp_threads);
-  }
+  hello.sweep = options_.spec->name();
+  hello.fingerprint = options_.spec->fingerprint();
+  points_ = options_.spec->expand();
   engine_ = std::make_unique<net::WorkerEngine>(std::move(hello));
   simulator_->schedule_at(options_.join_time, [this] { join(); });
 }
@@ -134,20 +128,12 @@ void SimWorker::on_data(const std::string& bytes) {
     switch (event.kind) {
       case net::WorkerEngine::Event::Kind::kNone:
         break;
-      case net::WorkerEngine::Event::Kind::kAccepted: {
-        std::string bind_error;
-        if (!binder_(event.welcome, points_, eval_, bind_error)) {
-          state_ = State::kDeclined;
-          error_ = bind_error;
-          network_->close(conn_, /*from_server=*/false);
-          return;
-        }
+      case net::WorkerEngine::Event::Kind::kAccepted:
         state_ = State::kServing;
         heartbeat_interval_ = event.welcome.heartbeat_seconds;
         if (options_.send_heartbeats && heartbeat_interval_ > 0)
           simulator_->schedule(heartbeat_interval_, [this] { heartbeat(); });
         break;
-      }
       case net::WorkerEngine::Event::Kind::kDeclined:
         state_ = State::kDeclined;
         error_ = event.welcome.error;
@@ -187,9 +173,6 @@ void SimWorker::on_data(const std::string& bytes) {
         state_ = State::kDone;
         network_->close(conn_, /*from_server=*/false);
         return;
-      case net::WorkerEngine::Event::Kind::kNotice:
-        notices_.push_back(event.notice);
-        break;
       case net::WorkerEngine::Event::Kind::kProtocolError:
         state_ = State::kLost;
         error_ = event.error;
@@ -201,7 +184,7 @@ void SimWorker::on_data(const std::string& bytes) {
 
 void SimWorker::deliver_result(std::size_t index) {
   if (state_ != State::kServing) return;
-  const RunningStats stats = eval_(points_[index]);
+  const RunningStats stats = options_.eval(points_[index]);
   const std::string line = engine_->result_line(points_[index], stats);
   network_->send_to_server(conn_, line);
   if (options_.duplicate_results) network_->send_to_server(conn_, line);

@@ -54,6 +54,10 @@ class SimCoordinator {
   const std::map<std::size_t, RunningStats>& results() const {
     return results_;
   }
+  /// Quarantined points keyed by index, with their forfeit counts.
+  const std::map<std::size_t, std::size_t>& quarantined() const {
+    return quarantined_;
+  }
   const std::vector<sweep::SweepPoint>& points() const { return points_; }
   const net::JobServerEngine& engine() const { return engine_; }
 
@@ -67,6 +71,7 @@ class SimCoordinator {
   std::vector<sweep::SweepPoint> points_;
   net::JobServerEngine engine_;
   std::map<std::size_t, RunningStats> results_;
+  std::map<std::size_t, std::size_t> quarantined_;
 };
 
 struct SimWorkerOptions {
@@ -77,12 +82,10 @@ struct SimWorkerOptions {
   bool send_heartbeats = true;
   int version = net::kProtocolVersion;
 
-  /// Pinned mode when `spec` is set (serves it with `eval`); registry mode
-  /// otherwise (advertises `registry_evaluators`, binds from the welcome).
+  /// The sweep this worker pins in its hello and serves with `eval`
+  /// (both required).
   const sweep::SweepSpec* spec = nullptr;
   sweep::PointEvaluator eval;
-  std::vector<std::string> registry_evaluators;
-  std::size_t registry_dp_threads = 1;
 
   /// Fault script: on receiving the k-th request (1-based), close the
   /// connection / go silent instead of answering; 0 disables.
@@ -110,8 +113,6 @@ class SimWorker {
   const std::string& error() const { return error_; }
   std::size_t results_sent() const { return results_sent_; }
   bool retry_suggested() const { return retry_suggested_; }
-  /// Advisory NOTICE frames received (quarantine broadcasts).
-  const std::vector<net::Notice>& notices() const { return notices_; }
   /// Valid once joined (0 before); lets tests reach the fault knobs.
   StreamNetwork::ConnId conn() const { return conn_; }
 
@@ -127,10 +128,8 @@ class SimWorker {
   SimWorkerOptions options_;
   StreamNetwork::ConnId conn_ = 0;
   std::unique_ptr<net::WorkerEngine> engine_;
-  net::SweepBinder binder_;
   net::LineReassembler reassembler_;
   std::vector<sweep::SweepPoint> points_;
-  sweep::PointEvaluator eval_;
   double heartbeat_interval_ = 0.0;
 
   State state_ = State::kJoining;
@@ -138,7 +137,6 @@ class SimWorker {
   bool retry_suggested_ = false;
   std::size_t requests_seen_ = 0;
   std::size_t results_sent_ = 0;
-  std::vector<net::Notice> notices_;
 };
 
 }  // namespace qps::sim
